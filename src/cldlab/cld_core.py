@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixedVariants, NotStochastic, ShapeMismatch, UnknownFixture
-from .rng import substream
+from .rng import categorical_rows, substream
 
 USER_TOL = 1e-9  # row-sum tolerance for user-supplied tables
 INTERNAL_TOL = 1e-12  # tolerance for internally constructed tables
@@ -233,26 +233,19 @@ def sample_dataset(family: CldFamily, domain: DomainSpec, n: int, seed: int) -> 
     s = family.spaces
     rng = substream(seed, "data")
     u = rng.random((n, 4))
+    first = np.zeros(n, dtype=np.int64)
+    channel = family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs)
     if domain.variant == "CLD3":
-        y = _inv_cdf(domain.p_y[None, :], np.zeros(n, dtype=np.int64), u[:, 0])
-        c = _inv_cdf(domain.p_c_given_y, y, u[:, 1])
-        xn = _inv_cdf(domain.p_n_given_c, c, u[:, 2])
-        x = _inv_cdf(family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs),
-                     c * s.n_noncore + xn, u[:, 3])
+        y = categorical_rows(domain.p_y[None, :], first, u[:, 0])
+        c = categorical_rows(domain.p_c_given_y, y, u[:, 1])
+        xn = categorical_rows(domain.p_n_given_c, c, u[:, 2])
+        x = categorical_rows(channel, c * s.n_noncore + xn, u[:, 3])
     else:
-        flat = domain.p_cn.reshape(1, -1)
-        cn = _inv_cdf(flat, np.zeros(n, dtype=np.int64), u[:, 0])
+        cn = categorical_rows(domain.p_cn.reshape(1, -1), first, u[:, 0])
         c, xn = cn // s.n_noncore, cn % s.n_noncore
-        x = _inv_cdf(family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs),
-                     cn, u[:, 1])
-        y = _inv_cdf(family.p_y_given_c, c, u[:, 2])
+        x = categorical_rows(channel, cn, u[:, 1])
+        y = categorical_rows(family.p_y_given_c, c, u[:, 2])
     return Dataset(domain.domain_id, x, y, c, xn)
-
-
-def _inv_cdf(row_pmfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(row_pmfs, axis=1)
-    cdf[:, -1] = 1.0
-    return (cdf[rows] > u[:, None]).argmax(axis=1).astype(np.int64)
 
 
 def joint_cnxy(family: CldFamily, domain: DomainSpec) -> np.ndarray:

@@ -16,15 +16,16 @@ import click
 from .diffkit import load_checkpoint
 from .errors import CldlabError, ConfigError, NonFiniteActivation
 from .harness import (
-    CSV_HEADER,
+    _ci_estimate,
+    _eval_rows,
+    _resolve_domains,
     config_from_dict,
     generate_artifacts,
-    resolve_family,
+    rows_csv,
     run_experiment,
     sweep as run_sweep,
     verify_suite,
 )
-from .metrics import ci_index_mc, evaluate, evaluate_exact
 
 
 def _load_config(path: str):
@@ -113,17 +114,6 @@ def _checkpoint_model(model_path: str):
     return load_checkpoint(model_path)
 
 
-def _domains_for(cfg):
-    family, domains = resolve_family(cfg.family)
-    by_id = {d.domain_id: d for d in domains}
-    for did in (*cfg.sources, cfg.target):
-        if did not in by_id:
-            raise ConfigError("source", f"domain {did!r} not in family")
-    pick = [*dict.fromkeys((*cfg.sources, cfg.target))]
-    return family, [(by_id[d], "source" if d in cfg.sources else "target")
-                    for d in pick]
-
-
 @main.command(name="evaluate")
 @config_opt
 @click.option("--model", "model_path", type=str, default=None,
@@ -133,31 +123,19 @@ def _domains_for(cfg):
 @format_opt
 @_exit_codes
 def evaluate_cmd(config_path, model_path, seed, out_dir, fmt):
-    """Evaluate a checkpoint on the config's source and target domains."""
+    """Evaluate a checkpoint on the config's source and target domains.
+
+    Rows are built and seeded as train builds its final rows."""
     cfg = config_from_dict(_load_config(config_path))
     model = _checkpoint_model(model_path)
     eff_seed = cfg.trainer.seed if seed is None else seed
-    family, doms = _domains_for(cfg)
-    rows = []
-    for dom, split in doms:
-        if cfg.eval.exact:
-            res = evaluate_exact(model, family, dom)
-        else:
-            res = evaluate(model, family, dom, cfg.eval.n_samples, eff_seed)
-        rows.append({"run_id": "eval", "config_hash": "-", "step": 0,
-                     "domain_id": dom.domain_id, "split": split,
-                     "loss_nats": res.loss, "accuracy": res.accuracy,
-                     "ci_index": None, "penalty_value": 0.0,
-                     "penalty_kind": cfg.objective.kind, "seed": eff_seed})
+    family, sources, target = _resolve_domains(cfg)
+    rows = _eval_rows(model, family, cfg, sources, target, 0, "eval", "-",
+                      eff_seed, 0.0)
     if fmt == "json":
         click.echo(json.dumps(rows, sort_keys=True, indent=1))
     else:
-        cols = CSV_HEADER.split(",")
-        click.echo(CSV_HEADER)
-        for row in rows:
-            click.echo(",".join("" if row[c] is None else
-                                (repr(row[c]) if isinstance(row[c], float)
-                                 else str(row[c])) for c in cols))
+        click.echo(rows_csv(rows), nl=False)
 
 
 @main.command(name="ci-index")
@@ -168,16 +146,16 @@ def evaluate_cmd(config_path, model_path, seed, out_dir, fmt):
 @format_opt
 @_exit_codes
 def ci_index_cmd(config_path, model_path, seed, fmt):
-    """Monte Carlo CI index of a checkpoint on each configured domain."""
+    """Monte Carlo CI index of a checkpoint on each configured domain,
+    seeded as train seeds its ci_index column."""
     cfg = config_from_dict(_load_config(config_path))
     model = _checkpoint_model(model_path)
     eff_seed = cfg.trainer.seed if seed is None else seed
-    family, doms = _domains_for(cfg)
+    family, sources, target = _resolve_domains(cfg)
     n_pairs = cfg.eval.ci_pairs if cfg.eval.ci_pairs > 0 else 2000
     out = {}
-    for dom, _ in doms:
-        est = ci_index_mc(model, family, dom, n_pairs, cfg.eval.ci_reps,
-                          cfg.eval.ci_style, eff_seed)
+    for dom in (*sources, target):
+        est = _ci_estimate(model, family, cfg, dom, eff_seed, n_pairs)
         out[dom.domain_id] = {"value": est.value, "stderr": est.stderr,
                               "n_pairs": est.n_pairs, "style": est.style}
     if fmt == "json":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .rng import substream
 class Node:
     """One value in the graph; vjp maps the output adjoint to parent adjoints."""
 
-    __slots__ = ("val", "parents", "vjp")
+    __slots__ = ("val", "parents", "vjp", "__weakref__")
 
     def __init__(self, val, parents=(), vjp=None):
         self.val = val if isinstance(val, np.ndarray) else np.asarray(val, dtype=np.float64)
@@ -132,7 +133,10 @@ def square(a: Node) -> Node:
 
 def exp(a: Node) -> Node:
     out = Node(np.exp(a.val), (a,), None)
-    out.vjp = lambda g: (mul(g, out),)
+    # a weak self-reference: a strong one would make every exp node a
+    # reference cycle that only the cyclic collector frees, with its inputs
+    ref = weakref.ref(out)
+    out.vjp = lambda g: (mul(g, ref()),)
     return out
 
 
@@ -141,8 +145,9 @@ def log(a: Node) -> Node:
 
 
 def relu(a: Node) -> Node:
-    mask = constant((a.val > 0.0).astype(np.float64))
-    return Node(a.val * mask.val, (a,), lambda g: (mul(g, mask),))
+    # the mask is rebuilt from a on the way back, not kept as a second array
+    return Node(a.val * (a.val > 0.0), (a,),
+                lambda g: (mul(g, constant(a.val > 0.0)),))
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -395,30 +400,23 @@ def make_embedding(spec, n_obs: int) -> np.ndarray | None:
 
 def init_model(n_obs: int, widths: tuple, n_classes: int, *,
                embedding="onehot", seed: int = 0) -> Model:
-    """Glorot-uniform init for all blocks, biases included.
-
-    Biases share the weight bound so no unit starts exactly on the relu
-    kink for inputs with all-zero embedding rows.
-    """
+    """init_raw_model over the embedding's width, with the embedding attached."""
     emb = make_embedding(embedding, n_obs)
     if emb is None:
         raise ShapeMismatch("init_model needs a concrete embedding; "
                             "use init_raw_model for raw-input networks")
-    rng = substream(seed, "init")
-    dims = [emb.shape[1], *widths]
-    weights, biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (d_in + d_out))
-        weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
-        biases.append(rng.uniform(-bound, bound, size=d_out))
-    u = dims[-1]
-    bound = np.sqrt(6.0 / (u + 1 + n_classes))
-    head = rng.uniform(-bound, bound, size=(u + 1, n_classes))
-    return Model(emb, weights, biases, head)
+    model = init_raw_model(emb.shape[1], widths, n_classes, seed=seed)
+    model.embedding = emb
+    return model
 
 
 def init_raw_model(d_in: int, widths: tuple, n_classes: int, *, seed: int = 0) -> Model:
-    """A network over already-real inputs (adversaries eat feature rows)."""
+    """Glorot-uniform init for all blocks, biases included, over real inputs
+    (adversaries eat feature rows).
+
+    Biases share the weight bound so no unit starts exactly on the relu
+    kink for inputs with all-zero embedding rows.
+    """
     rng = substream(seed, "init")
     dims = [d_in, *widths]
     weights, biases = [], []

@@ -9,6 +9,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,6 +287,18 @@ def resolve_family(source: str):
     return family, domains
 
 
+def _resolve_domains(cfg: ExperimentConfig):
+    """The config's family with its source domains and target domain."""
+    family, domains = resolve_family(cfg.family)
+    by_id = {d.domain_id: d for d in domains}
+    for did in (*cfg.sources, cfg.target):
+        if did not in by_id:
+            raise ConfigError("source" if did in cfg.sources else "target",
+                              f"domain {did!r} not in family "
+                              f"({sorted(by_id)})")
+    return family, [by_id[d] for d in cfg.sources], by_id[cfg.target]
+
+
 def resolve_out_dir(flag: str | None, cfg_out: str) -> str:
     env = os.environ.get("CLDLAB_OUT")
     out = env if env else (flag if flag else cfg_out)
@@ -314,12 +327,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_rows_csv(path: str, rows: list[dict]) -> None:
+def rows_csv(rows: list[dict]) -> str:
+    """Result rows as CSV text under CSV_HEADER; floats in repr form."""
     cols = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in cols))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_rows_csv(path: str, rows: list[dict]) -> None:
+    _atomic_write(path, rows_csv(rows))
 
 
 def write_json(path: str, doc: dict) -> None:
@@ -371,118 +389,142 @@ def _minibatch(batch: DomainBatch, rng, k: int) -> DomainBatch:
 class _RunState:
     """Mutable per-run context threaded through the step loop."""
 
-    def __init__(self):
+    def __init__(self, cfg: ExperimentConfig, seed: int):
+        self.cfg = cfg
+        self.seed = seed
         self.pairs = None
-        self.adversary = None
-        self.adversaries = None
-        self.adv_opt = None
+        self.adversaries = []  # DANN: one; CDANN: one per class plus one
+        self.adv_opts = []
+        self.adv_tapes = []  # the adversaries' tapes of the latest build
         self.swa_snapshots = []
 
 
-def _penalty_and_total(model, cfg: ExperimentConfig, weighted, raw, state,
-                       seed: int, step: int, tape):
-    """Build (total_node, penalty_node) for one step on the given tape.
+class _Step(NamedTuple):
+    """What an objective builder reads for one step."""
 
-    penalty_node is the raw regularizer term (not scaled by lambda); kinds
-    that replace the loss rather than add to it log their characteristic
-    value instead.
-    """
-    kind = cfg.objective.kind
-    lam = cfg.objective.lam
-    extras = cfg.objective.extras
-
-    if kind == "ERM" or kind == "SWA":
-        return ob.mean_domain_loss(model, weighted, tape), None
-    if kind in ("PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT"):
-        base = ob.mean_domain_loss(model, weighted, tape)
-        pen = ob.pair_regularizer(model, state.pairs, kind.split("_")[1], tape)
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "LAM":
-        base = ob.mean_domain_loss(model, weighted, tape)
-        pen = ob.lam_regularizer(model, state.pairs, tape)
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "VREX":
-        pen = ob.vrex_penalty(model, weighted, tape)
-        base = ob.mean_domain_loss(model, weighted, tape)
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "GROUP_DRO":
-        worst = ob.group_dro(model, weighted, tape)
-        return worst, worst
-    if kind == "FISH":
-        pen = ob.fish_penalty(model, weighted, tape)
-        base = ob.mean_domain_loss(model, weighted, tape)
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "IGA":
-        pen = ob.iga_penalty(model, weighted, tape)
-        base = ob.mean_domain_loss(model, weighted, tape)
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "FISHR":
-        pen = ob.fishr_penalty(model, weighted, tape)
-        base = ob.mean_domain_loss(model, weighted, tape)
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "IRM":
-        pen = ob.irm_penalty(model, weighted, tape)
-        base = ob.mean_domain_loss(model, weighted, tape)
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "SD":
-        base = ob.mean_domain_loss(model, weighted, tape)
-        zs = []
-        for b in weighted:
-            _, z, _, _ = dk.forward(model, b.inputs, tape)
-            zs.append(ob.sd_penalty(z, b.weights))
-        pen = zs[0] if len(zs) == 1 else dk.mul(
-            dk.constant(1.0 / len(zs)), _sum_nodes(zs))
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "CORAL":
-        base = ob.mean_domain_loss(model, raw, tape)
-        feats = [dk.forward(model, b.inputs, tape)[0] for b in raw]
-        pen = ob.coral_penalty(feats)
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "MMD":
-        base = ob.mean_domain_loss(model, raw, tape)
-        feats = [dk.forward(model, b.inputs, tape)[0] for b in raw]
-        bw = extras.get("bandwidth")
-        pen = ob.mmd_penalty(feats, bandwidth=bw).node
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    if kind == "MIXUP":
-        mixed = [ob.mixup(model, b, extras.get("alpha", 0.3),
-                          derive_seed(seed, f"mixup:{step}:{b.domain_id}"))
-                 for b in raw]
-        losses = [ob.soft_label_loss(model, mb, tape) for mb in mixed]
-        total = dk.mul(dk.constant(1.0 / len(losses)), _sum_nodes(losses))
-        return total, None
-    if kind == "RSC":
-        q = extras.get("q", 0.33)
-        losses = [ob.rsc_mask(model, b, q, tape)[0] for b in weighted]
-        total = dk.mul(dk.constant(1.0 / len(losses)), _sum_nodes(losses))
-        return total, None
-    raise ConfigError("objective.kind", f"no trainer dispatch for {kind}")
+    model: dk.Model
+    tape: dk.Tape
+    run: _RunState
+    weighted: list  # count-weighted cell batches
+    raw: list  # example-row batches (None entries in population mode)
+    step: int
 
 
-def _sum_nodes(nodes):
+# An objective builder maps a _Step to (base, pen): pen is the raw
+# regularizer, before lambda scales it, or None.  A builder returning pen is
+# base trains on base alone and logs it as its penalty.
+
+def _loss(c: _Step):
+    return ob.mean_domain_loss(c.model, c.weighted, c.tape)
+
+
+def _loss_only(c: _Step):
+    return _loss(c), None
+
+
+def _cells(penalty):
+    """Mean domain loss plus penalty(model, cell batches, tape)."""
+    return lambda c: (_loss(c), penalty(c.model, c.weighted, c.tape))
+
+
+def _pairs(penalty, *kind):
+    """Mean domain loss plus penalty(model, source pairs, *kind, tape)."""
+    return lambda c: (_loss(c), penalty(c.model, c.run.pairs, *kind, c.tape))
+
+
+def _features(penalty):
+    """Mean loss over the example rows plus penalty(row features, objective)."""
+    def build(c: _Step):
+        base = ob.mean_domain_loss(c.model, c.raw, c.tape)
+        feats = [dk.forward(c.model, b.inputs, c.tape)[0] for b in c.raw]
+        return base, penalty(feats, c.run.cfg.objective)
+    return build
+
+
+def _adversarial(losses):
+    """Label loss plus the adversaries' domain loss, on fresh adversary tapes
+    that the step loop then trains the adversaries on."""
+    def build(c: _Step):
+        c.run.adv_tapes = [dk.Tape(a) for a in c.run.adversaries]
+        label_loss, adv_loss, _, _ = losses(c)
+        return label_loss, adv_loss
+    return build
+
+
+def _sd(model, batches, tape):
+    zs = [ob.sd_penalty(dk.forward(model, b.inputs, tape)[1], b.weights)
+          for b in batches]
+    return zs[0] if len(zs) == 1 else _mean_nodes(zs)
+
+
+def _group_dro(c: _Step):
+    worst = ob.group_dro(c.model, c.weighted, c.tape)
+    return worst, worst
+
+
+def _mixup(c: _Step):
+    alpha = c.run.cfg.objective.extra("alpha")
+    mixed = [ob.mixup(c.model, b, alpha,
+                      derive_seed(c.run.seed, f"mixup:{c.step}:{b.domain_id}"))
+             for b in c.raw]
+    return _mean_nodes([ob.soft_label_loss(c.model, mb, c.tape)
+                        for mb in mixed]), None
+
+
+def _rsc(c: _Step):
+    q = c.run.cfg.objective.extra("q")
+    return _mean_nodes([ob.rsc_mask(c.model, b, q, c.tape)[0]
+                        for b in c.weighted]), None
+
+
+# AND_MASK trains on masked domain gradients (see run_experiment); its entry
+# supplies the base loss only.
+OBJECTIVE_BUILDERS = {
+    "ERM": _loss_only,
+    "SWA": _loss_only,
+    "AND_MASK": _loss_only,
+    "PAIR_PROB": _pairs(ob.pair_regularizer, "PROB"),
+    "PAIR_LOGIT": _pairs(ob.pair_regularizer, "LOGIT"),
+    "PAIR_FEAT": _pairs(ob.pair_regularizer, "FEAT"),
+    "LAM": _pairs(ob.lam_regularizer),
+    "VREX": _cells(ob.vrex_penalty),
+    "FISH": _cells(ob.fish_penalty),
+    "IGA": _cells(ob.iga_penalty),
+    "FISHR": _cells(ob.fishr_penalty),
+    "IRM": _cells(ob.irm_penalty),
+    "SD": _cells(_sd),
+    "GROUP_DRO": _group_dro,
+    "CORAL": _features(lambda feats, obj: ob.coral_penalty(feats)),
+    "MMD": _features(lambda feats, obj: ob.mmd_penalty(
+        feats, bandwidth=obj.extra("bandwidth")).node),
+    "DANN": _adversarial(lambda c: ob.dann_losses(
+        c.model, c.run.adversaries[0], c.raw, c.tape, c.run.adv_tapes[0])),
+    "CDANN": _adversarial(lambda c: ob.cdann_losses(
+        c.model, c.run.adversaries, c.raw, c.tape, c.run.adv_tapes)),
+    "MIXUP": _mixup,
+    "RSC": _rsc,
+}
+
+
+def _penalty_and_total(model, run: _RunState, weighted, raw, step: int, tape):
+    """Build (total_node, penalty_node) for one step on the given tape."""
+    base, pen = OBJECTIVE_BUILDERS[run.cfg.objective.kind](
+        _Step(model, tape, run, weighted, raw, step))
+    if pen is None or pen is base:
+        return base, pen
+    return dk.add(base, dk.mul(dk.constant(run.cfg.objective.lam), pen)), pen
+
+
+def _mean_nodes(nodes):
     acc = nodes[0]
     for n in nodes[1:]:
         acc = dk.add(acc, n)
-    return acc
+    return dk.mul(dk.constant(1.0 / len(nodes)), acc)
 
 
-def _eval_penalty(model, cfg, weighted, raw, state, seed) -> float:
+def _eval_penalty(model, run: _RunState, weighted, raw) -> float:
     """Raw penalty value at the current parameters (no training side effects)."""
-    kind = cfg.objective.kind
-    if kind in ("ERM", "SWA", "MIXUP", "RSC", "AND_MASK"):
-        return 0.0
-    if kind == "DANN":
-        tape = dk.Tape(model)
-        _, dl, _, _ = ob.dann_losses(model, state.adversary, raw, tape,
-                                     dk.Tape(state.adversary))
-        return float(dl.val)
-    if kind == "CDANN":
-        tape = dk.Tape(model)
-        _, al, _, _ = ob.cdann_losses(model, state.adversaries, raw, tape,
-                                      [dk.Tape(a) for a in state.adversaries])
-        return float(al.val)
-    tape = dk.Tape(model)
-    _, pen = _penalty_and_total(model, cfg, weighted, raw, state, seed, -1, tape)
+    _, pen = _penalty_and_total(model, run, weighted, raw, -1, dk.Tape(model))
     return 0.0 if pen is None else float(pen.val)
 
 
@@ -491,16 +533,24 @@ def _eval_penalty(model, cfg, weighted, raw, state, seed) -> float:
 
 
 class _Opt:
-    def __init__(self, kind: str, model, lr: float):
+    def __init__(self, kind: str, lr: float):
         self.kind = kind
         self.lr = lr
-        self.adam = dk.AdamState(model.n_params()) if kind == "adam" else None
+        self.adam = dk.AdamState() if kind == "adam" else None
 
     def step(self, model, grads: np.ndarray) -> None:
         if self.kind == "adam":
-            dk.adam_step(model, grads, self.adam, lr=self.lr)
+            dk.adam_step(model, self.adam, grads, lr=self.lr)
         else:
             dk.sgd_step(model, grads, lr=self.lr)
+
+
+def _swa_schedule(cfg: ExperimentConfig) -> tuple[int, int]:
+    """(burn-in steps, snapshot interval) of an SWA run."""
+    steps = cfg.trainer.steps
+    burn_in, every = (cfg.objective.extra(k) for k in ("burn_in", "every"))
+    return (int(steps // 2 if burn_in is None else burn_in),
+            max(1, int(steps // 20 if every is None else every)))
 
 
 def _head_only(model, grads: np.ndarray) -> np.ndarray:
@@ -530,8 +580,17 @@ class ResultRecord:
     report_path: str | None = None
 
 
+def _ci_estimate(model, family, cfg, dom, seed, n_pairs):
+    return ci_index_mc(model, family, dom, n_pairs, cfg.eval.ci_reps,
+                       cfg.eval.ci_style,
+                       derive_seed(seed, f"ci:{dom.domain_id}"))
+
+
 def _eval_rows(model, family, cfg, sources, target, step, run_id, chash,
                seed, pen_val):
+    """One result row per source and for the target.  Sampled evaluation
+    and the CI index draw from derive_seed(seed, "eval:<domain>") and
+    "ci:<domain>", so any caller with the same seed gets the same rows."""
     rows = []
     for dom, split in [*((d, "source") for d in sources), (target, "target")]:
         if cfg.eval.exact:
@@ -541,9 +600,8 @@ def _eval_rows(model, family, cfg, sources, target, step, run_id, chash,
                            derive_seed(seed, f"eval:{dom.domain_id}"))
         ci = None
         if cfg.eval.ci_pairs > 0:
-            ci = ci_index_mc(model, family, dom, cfg.eval.ci_pairs,
-                             cfg.eval.ci_reps, cfg.eval.ci_style,
-                             derive_seed(seed, f"ci:{dom.domain_id}")).value
+            ci = _ci_estimate(model, family, cfg, dom, seed,
+                              cfg.eval.ci_pairs).value
         rows.append({
             "run_id": run_id, "config_hash": chash, "step": step,
             "domain_id": dom.domain_id, "split": split,
@@ -567,15 +625,7 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
     chash = config_hash(cfg, eff_seed)
     run_id = f"{chash}-s{eff_seed}"
 
-    family, domains = resolve_family(cfg.family)
-    by_id = {d.domain_id: d for d in domains}
-    for did in (*cfg.sources, cfg.target):
-        if did not in by_id:
-            raise ConfigError("source" if did in cfg.sources else "target",
-                              f"domain {did!r} not in family "
-                              f"({sorted(by_id)})")
-    sources = [by_id[s] for s in cfg.sources]
-    target = by_id[cfg.target]
+    family, sources, target = _resolve_domains(cfg)
 
     cfg_path = os.path.join(out, f"config-{chash}.json")
     stored = config_to_dict(cfg)
@@ -588,103 +638,76 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
                           seed=derive_seed(eff_seed, "init"))
     weighted, raw = _train_batches(family, sources, cfg, eff_seed)
     kind = cfg.objective.kind
-    lam = cfg.objective.lam
-    extras = cfg.objective.extras
 
-    state = _RunState()
+    run = _RunState(cfg, eff_seed)
     if kind in PAIR_KINDS:
-        state.pairs = sample_pairs(family, sources[0], cfg.pairs.n,
-                                   style=cfg.pairs.style,
-                                   seed=derive_seed(eff_seed, "pairs"))
-    if kind == "DANN":
-        state.adversary = dk.init_raw_model(
-            model.u_count(), tuple(extras.get("adv_widths", (16,))),
-            len(sources), seed=derive_seed(eff_seed, "adv"))
-        state.adv_opt = _Opt(cfg.trainer.optimizer, state.adversary,
-                             cfg.trainer.lr)
-    if kind == "CDANN":
-        state.adversaries = [
-            dk.init_raw_model(model.u_count(),
-                              tuple(extras.get("adv_widths", (16,))),
-                              len(sources),
-                              seed=derive_seed(eff_seed, f"adv:{k}"))
-            for k in range(s.n_classes + 1)]
-        state.adv_opt = [_Opt(cfg.trainer.optimizer, a, cfg.trainer.lr)
-                         for a in state.adversaries]
+        run.pairs = sample_pairs(family, sources[0], cfg.pairs.n,
+                                 style=cfg.pairs.style,
+                                 seed=derive_seed(eff_seed, "pairs"))
+    if kind in ("DANN", "CDANN"):
+        labels = (["adv"] if kind == "DANN"
+                  else [f"adv:{k}" for k in range(s.n_classes + 1)])
+        widths = tuple(cfg.objective.extra("adv_widths"))
+        run.adversaries = [
+            dk.init_raw_model(model.u_count, widths, len(sources),
+                              seed=derive_seed(eff_seed, label))
+            for label in labels]
+        run.adv_opts = [_Opt(cfg.trainer.optimizer, cfg.trainer.lr)
+                        for _ in labels]
 
-    opt = _Opt(cfg.trainer.optimizer, model, cfg.trainer.lr)
+    opt = _Opt(cfg.trainer.optimizer, cfg.trainer.lr)
     order_rng = substream(eff_seed, "data")
-    swa_burn = int(extras.get("burn_in", cfg.trainer.steps // 2))
-    swa_every = max(1, int(extras.get("every", cfg.trainer.steps // 20)))
+    swa = _swa_schedule(cfg) if kind == "SWA" else None
 
     rows: list = []
     final_model = model
     try:
         for step in range(1, cfg.trainer.steps + 1):
-            if cfg.trainer.batch_size is not None and \
-                    cfg.trainer.optimizer in ("sgd", "adam"):
+            if cfg.trainer.batch_size is not None:
                 step_raw = [_minibatch(b, order_rng, cfg.trainer.batch_size)
                             for b in raw]
                 step_weighted = step_raw
             else:
                 step_weighted, step_raw = weighted, raw
 
+            tape = dk.Tape(model)
             if kind == "AND_MASK":
-                tape = dk.Tape(model)
                 losses = ob.domain_losses(model, step_weighted, tape)
                 per_dom = [np.concatenate([g.val.ravel() for g in
                                            dk.grad_nodes(l, tape.param_nodes)])
                            for l in losses]
-                grads = ob.and_mask(per_dom, extras.get("tau", 1.0))
-            elif kind == "DANN":
-                tape, adv_tape = dk.Tape(model), dk.Tape(state.adversary)
-                ll, dl, _, _ = ob.dann_losses(model, state.adversary,
-                                              step_raw, tape, adv_tape)
-                total = dk.add(ll, dk.mul(dk.constant(lam), dl))
-                grads = dk.backward(tape, total)
-                adv_grads = dk.backward(adv_tape, dl)
-                state.adv_opt.step(state.adversary, adv_grads)
-            elif kind == "CDANN":
-                tape = dk.Tape(model)
-                adv_tapes = [dk.Tape(a) for a in state.adversaries]
-                ll, al, _, _ = ob.cdann_losses(model, state.adversaries,
-                                               step_raw, tape, adv_tapes)
-                total = dk.add(ll, dk.mul(dk.constant(lam), al))
-                grads = dk.backward(tape, total)
-                for a, at, aopt in zip(state.adversaries, adv_tapes,
-                                       state.adv_opt):
-                    aopt.step(a, dk.backward(at, al))
+                grads = ob.and_mask(per_dom, cfg.objective.extra("tau"))
             else:
-                tape = dk.Tape(model)
-                total, _ = _penalty_and_total(model, cfg, step_weighted,
-                                              step_raw, state, eff_seed,
-                                              step, tape)
+                total, pen = _penalty_and_total(model, run, step_weighted,
+                                                step_raw, step, tape)
                 grads = dk.backward(tape, total)
+                for adv, adv_tape, adv_opt in zip(run.adversaries,
+                                                  run.adv_tapes, run.adv_opts):
+                    adv_opt.step(adv, dk.backward(adv_tape, pen))
 
             if step <= cfg.trainer.head_only_steps:
                 grads = _head_only(model, grads)
             opt.step(model, grads)
 
-            if kind == "SWA" and step > swa_burn and \
-                    (step - swa_burn) % swa_every == 0:
-                state.swa_snapshots.append(model.clone())
+            if swa and step > swa[0] and (step - swa[0]) % swa[1] == 0:
+                run.swa_snapshots.append(model.clone())
 
             if cfg.trainer.eval_every and step % cfg.trainer.eval_every == 0 \
                     and step < cfg.trainer.steps:
-                pen = _eval_penalty(model, cfg, weighted, raw, state, eff_seed)
+                pen = _eval_penalty(model, run, weighted, raw)
                 rows.extend(_eval_rows(model, family, cfg, sources, target,
                                        step, run_id, chash, eff_seed, pen))
 
         final_model = model
-        if kind == "SWA" and len(state.swa_snapshots) >= 2:
-            final_model = ob.swa_average(state.swa_snapshots)
+        if kind == "SWA" and len(run.swa_snapshots) >= 2:
+            final_model = ob.swa_average(run.swa_snapshots)
     except NonFiniteActivation as exc:
         write_json(os.path.join(out, f"run-{run_id}.json"),
                    {"run_id": run_id, "config_hash": chash, "seed": eff_seed,
                     "status": "numeric-failure", "error": str(exc)})
         raise
 
-    pen_val = _eval_penalty(final_model, cfg, weighted, raw, state, eff_seed)
+    pen_val = _eval_penalty(final_model, run, weighted, raw)
     rows.extend(_eval_rows(final_model, family, cfg, sources, target,
                            cfg.trainer.steps, run_id, chash, eff_seed,
                            pen_val))
@@ -771,22 +794,18 @@ def generate_artifacts(cfg: ExperimentConfig, *, seed: int | None = None,
     """Sample per-domain datasets and source pairs to JSONL files."""
     eff_seed = cfg.trainer.seed if seed is None else seed
     out = resolve_out_dir(out_dir, cfg.out)
-    family, domains = resolve_family(cfg.family)
-    by_id = {d.domain_id: d for d in domains}
+    family, sources, target = _resolve_domains(cfg)
     paths = []
-    for did in (*cfg.sources, cfg.target):
-        if did not in by_id:
-            raise ConfigError("source", f"domain {did!r} not in family")
-        dom = by_id[did]
+    for dom in (*sources, target):
         ds = sample_dataset(family, dom, cfg.trainer.train_n,
-                            derive_seed(eff_seed, f"data:{did}"))
-        path = os.path.join(out, f"dataset-{did}.jsonl")
+                            derive_seed(eff_seed, f"data:{dom.domain_id}"))
+        path = os.path.join(out, f"dataset-{dom.domain_id}.jsonl")
         lines = [json.dumps({"x": int(x), "y": int(y), "xc": int(c),
                              "xn": int(n)}, sort_keys=True)
                  for x, y, c, n in zip(ds.x, ds.y, ds.xc, ds.xn)]
         _atomic_write(path, "\n".join(lines) + "\n")
         paths.append(path)
-    pairs = sample_pairs(family, by_id[cfg.sources[0]], cfg.pairs.n,
+    pairs = sample_pairs(family, sources[0], cfg.pairs.n,
                          style=cfg.pairs.style,
                          seed=derive_seed(eff_seed, "pairs"))
     ppath = os.path.join(out, f"pairs-{cfg.sources[0]}.jsonl")

@@ -7,11 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diffkit as dk
+from . import objectives as ob
 from .cld_core import CldFamily, Dataset, DomainSpec, sample_dataset
 from .errors import InvalidDistribution, ShapeMismatch, TooFewDomains, TooFewExamples
 from .diffkit import Model, forward
-from .oracle import PredictorTable, exact_accuracy, exact_loss, predictor_table
-from .rng import substream
+from .oracle import (PredictorTable, exact_accuracy, exact_loss, jsd2,
+                     predictor_table)
+from .rng import categorical_rows, substream
 
 __all__ = [
     "CiEstimate",
@@ -41,8 +44,8 @@ def _check_dist(name: str, v: np.ndarray) -> np.ndarray:
 def jsd_base2(p, q) -> float:
     """Jensen-Shannon divergence with base-2 logarithm; symmetric, in [0, 1].
 
-    Both halves are computed against the same midpoint, so jsd_base2(p, q)
-    and jsd_base2(q, p) are bitwise equal.
+    Validates p and q, then applies `oracle.jsd2`, so jsd_base2(p, q) and
+    jsd_base2(q, p) are bitwise equal.
     """
     pa = _check_dist("p", p)
     qa = _check_dist("q", q)
@@ -50,23 +53,7 @@ def jsd_base2(p, q) -> float:
         raise InvalidDistribution(
             f"p and q have different lengths {pa.shape[0]} vs {qa.shape[0]}"
         )
-    m = (pa + qa) / 2.0
-
-    def kl2(a: np.ndarray) -> float:
-        mask = a > 0.0
-        return float((a[mask] * np.log2(a[mask] / m[mask])).sum())
-
-    val = 0.5 * kl2(pa) + 0.5 * kl2(qa)
-    return min(1.0, max(0.0, val))
-
-
-def _jsd2_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise base-2 JSD for stacked distribution pairs (no validation)."""
-    m = (p + q) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tp = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p / m, 1.0)), 0.0)
-        tq = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q / m, 1.0)), 0.0)
-    return np.clip(0.5 * tp.sum(axis=1) + 0.5 * tq.sum(axis=1), 0.0, 1.0)
+    return float(jsd2(pa, qa))
 
 
 def tabulate(model: Model, family: CldFamily) -> PredictorTable:
@@ -113,18 +100,17 @@ def ci_index_mc(model: Model, family: CldFamily, domain: DomainSpec,
     else:
         xn_t = rng.integers(0, s.n_noncore, size=n_pairs)
 
+    channel = family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs)
+
     def fused_rows(cc: np.ndarray, nn: np.ndarray) -> np.ndarray:
         out = np.zeros((n_pairs, s.n_classes))
-        pmf = family.p_x_given_cn[cc, nn]  # [n_pairs, n_obs]
-        cdf = np.cumsum(pmf, axis=1)
-        cdf[:, -1] = 1.0
         for _ in range(reps):
-            u = rng.random(n_pairs)
-            xs = np.minimum((cdf < u[:, None]).sum(axis=1), s.n_obs - 1)
+            xs = categorical_rows(channel, cc * s.n_noncore + nn,
+                                  rng.random(n_pairs))
             out += table[xs]
         return out / reps
 
-    jsds = _jsd2_rows(fused_rows(c, xn), fused_rows(c, xn_t))
+    jsds = jsd2(fused_rows(c, xn), fused_rows(c, xn_t))
     value = float(1.0 - jsds.mean())
     stderr = float(jsds.std(ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else 0.0
     return CiEstimate(value=value, stderr=stderr, n_pairs=n_pairs, style=style)
@@ -171,50 +157,6 @@ def model_features(model: Model, xs: np.ndarray) -> np.ndarray:
     return h.val
 
 
-def _np_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return (d * d).sum(axis=2)
-
-
-def _np_mmd(fa: np.ndarray, fb: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-            bandwidth: float) -> float:
-    """Weighted unbiased Gaussian-kernel MMD^2 estimate (may be negative)."""
-    kaa = np.exp(-_np_sq_dists(fa, fa) / bandwidth)
-    kbb = np.exp(-_np_sq_dists(fb, fb) / bandwidth)
-    kab = np.exp(-_np_sq_dists(fa, fb) / bandwidth)
-    np.fill_diagonal(kaa, 0.0)
-    np.fill_diagonal(kbb, 0.0)
-    taa = float(wa @ kaa @ wa) / (1.0 - float(wa @ wa))
-    tbb = float(wb @ kbb @ wb) / (1.0 - float(wb @ wb))
-    tab = float(wa @ kab @ wb)
-    return taa + tbb - 2.0 * tab
-
-
-def _np_coral(fa: np.ndarray, fb: np.ndarray, wa: np.ndarray,
-              wb: np.ndarray) -> float:
-    """Squared mean difference plus squared Frobenius covariance difference."""
-    mu_a = wa @ fa
-    mu_b = wb @ fb
-    da, db = fa - mu_a, fb - mu_b
-    ca = (da * wa[:, None]).T @ da
-    cb = (db * wb[:, None]).T @ db
-    dm = mu_a - mu_b
-    dc = ca - cb
-    return float(dm @ dm) + float((dc * dc).sum())
-
-
-def _median_sq_dist(feats: list[np.ndarray]) -> float:
-    pooled = np.vstack(feats)
-    d = _np_sq_dists(pooled, pooled)
-    iu = np.triu_indices(pooled.shape[0], 1)
-    vals = np.sort(d[iu])
-    if vals.size == 0:
-        return 1e-12
-    k = vals.size
-    med = vals[k // 2] if k % 2 == 1 else 0.5 * (vals[k // 2 - 1] + vals[k // 2])
-    return max(float(med), 1e-12)
-
-
 @dataclass(frozen=True)
 class FeatureDivergences:
     """Empirical feature-distribution distances, averaged over domain pairs.
@@ -232,15 +174,11 @@ class FeatureDivergences:
     normalized: tuple[float, float] | None = None
 
 
-def _pairwise(feats: list[np.ndarray], weights: list[np.ndarray],
-              bandwidth: float) -> tuple[float, float]:
-    mmds, corals = [], []
-    for i in range(len(feats)):
-        for j in range(i + 1, len(feats)):
-            mmds.append(_np_mmd(feats[i], feats[j], weights[i], weights[j],
-                                bandwidth))
-            corals.append(_np_coral(feats[i], feats[j], weights[i], weights[j]))
-    return float(np.mean(mmds)), float(np.mean(corals))
+def _pairwise(feats: list[np.ndarray], bandwidth: float,
+              weights: list[np.ndarray] | None = None) -> tuple[float, float]:
+    nodes = [dk.constant(f) for f in feats]
+    mmd = ob.mmd_penalty(nodes, bandwidth=bandwidth, weights=weights).raw
+    return mmd, float(ob.coral_penalty(nodes, weights=weights).val)
 
 
 def feature_divergences(model: Model, datasets: list[Dataset],
@@ -250,8 +188,11 @@ def feature_divergences(model: Model, datasets: list[Dataset],
     With per_class=True, also computes the distances restricted to each
     class and for the pooled marginal reweighted so every class present in
     a domain contributes equally (each example weighted 1 / (K_d * n_dy)).
-    The kernel bandwidth is the median pooled squared distance of the full
-    marginal clouds and is reused for the conditional probes.
+    Both distances are the training penalties (`objectives.mmd_penalty`,
+    `objectives.coral_penalty`) evaluated on constant features.  The kernel
+    bandwidth is `objectives.median_bandwidth` of the full marginal clouds
+    pooled over all domains, reused for every domain pair and for the
+    conditional probes.
     """
     if len(datasets) < 2:
         raise TooFewDomains("feature_divergences needs >= 2 domains")
@@ -259,9 +200,9 @@ def feature_divergences(model: Model, datasets: list[Dataset],
         if len(ds) < 2:
             raise TooFewExamples(f"domain {ds.domain_id!r} has {len(ds)} examples")
     feats = [model_features(model, ds.x) for ds in datasets]
-    uniform = [np.full(len(ds), 1.0 / len(ds)) for ds in datasets]
-    bw = _median_sq_dist(feats)
-    mmd, coral = _pairwise(feats, uniform, bw)
+    pooled = dk.constant(np.vstack(feats))
+    bw = float(ob.median_bandwidth(ob.sq_dists(pooled, pooled)).val)
+    mmd, coral = _pairwise(feats, bw)
     if not per_class:
         return FeatureDivergences(mmd=mmd, coral=coral, bandwidth=bw)
 
@@ -277,8 +218,7 @@ def feature_divergences(model: Model, datasets: list[Dataset],
                     f"{ds.domain_id!r}"
                 )
             sub.append(rows)
-        subw = [np.full(f.shape[0], 1.0 / f.shape[0]) for f in sub]
-        by_class[y] = _pairwise(sub, subw, bw)
+        by_class[y] = _pairwise(sub, bw)
 
     balanced = []
     for ds in datasets:
@@ -288,6 +228,6 @@ def feature_divergences(model: Model, datasets: list[Dataset],
             sel = ds.y == y
             w[sel] = 1.0 / (present.size * sel.sum())
         balanced.append(w)
-    normalized = _pairwise(feats, balanced, bw)
+    normalized = _pairwise(feats, bw, balanced)
     return FeatureDivergences(mmd=mmd, coral=coral, bandwidth=bw,
                               per_class=by_class, normalized=normalized)

@@ -10,7 +10,8 @@ Conventions fixed here once:
   * probability matching uses D_KL(p(.|x) || p(.|x~)) as written, with an
     optional symmetrized mode;
   * Gaussian-kernel MMD bandwidth is the median pooled pairwise squared
-    distance, recomputed per batch and kept inside the graph.
+    distance (`median_bandwidth`, the one median rule of the package),
+    recomputed per batch and kept inside the graph.
 """
 
 from __future__ import annotations
@@ -57,6 +58,30 @@ class DomainBatch:
         return int(np.asarray(self.inputs).shape[0])
 
 
+# Each kind's objective.extras keys with their defaults; no other key is
+# accepted.  SWA's None defaults stand for steps // 2 and steps // 20.
+EXTRAS = {
+    "RSC": {"q": 0.33},
+    "AND_MASK": {"tau": 1.0},
+    "MIXUP": {"alpha": 0.3},
+    "MMD": {"bandwidth": None},
+    "DANN": {"adv_widths": (16,)},
+    "CDANN": {"adv_widths": (16,)},
+    "SWA": {"burn_in": None, "every": None},
+}
+
+_EXTRA_RULES = {
+    "q": (lambda v: 0.0 < v < 1.0, "q must be in (0,1)"),
+    "tau": (lambda v: 0.5 < v <= 1.0, "tau must be in (0.5,1]"),
+    "alpha": (lambda v: v > 0, "alpha must be > 0"),
+    "bandwidth": (lambda v: v is None or v > 0, "must be > 0"),
+    "adv_widths": (lambda v: all(isinstance(w, int) and w >= 1 for w in v),
+                   "must be positive integers"),
+    "burn_in": (lambda v: v is None or float(v) == v, "must be a number"),
+    "every": (lambda v: v is None or float(v) == v, "must be a number"),
+}
+
+
 @dataclass(frozen=True)
 class ObjectiveConfig:
     kind: str
@@ -68,23 +93,22 @@ class ObjectiveConfig:
             raise ConfigError("objective.kind", f"unknown kind {self.kind!r}")
         if self.lam < 0:
             raise ConfigError("objective.lambda", "must be nonnegative")
-        ex = self.extras
-        if self.kind == "RSC":
-            q = ex.get("q", 1.0 / 3.0)
-            if not 0.0 < q < 1.0:
-                raise ConfigError("objective.extras.q", "q must be in (0,1)")
-        if self.kind == "AND_MASK":
-            tau = ex.get("tau", 1.0)
-            if not 0.5 < tau <= 1.0:
-                raise ConfigError("objective.extras.tau", "tau must be in (0.5,1]")
-        if self.kind == "MIXUP":
-            alpha = ex.get("alpha", 0.2)
-            if alpha <= 0:
-                raise ConfigError("objective.extras.alpha", "alpha must be > 0")
-        if self.kind == "MMD":
-            bw = ex.get("bandwidth")
-            if bw is not None and bw <= 0:
-                raise ConfigError("objective.extras.bandwidth", "must be > 0")
+        allowed = EXTRAS.get(self.kind, {})
+        for key, value in self.extras.items():
+            path = f"objective.extras.{key}"
+            if key not in allowed:
+                raise ConfigError(path, f"not an extra of {self.kind}")
+            rule, message = _EXTRA_RULES[key]
+            try:
+                ok = rule(value)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ConfigError(path, message)
+
+    def extra(self, key: str):
+        """The configured extras value for key, else the kind's default."""
+        return self.extras.get(key, EXTRAS[self.kind][key])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ObjectiveConfig":
@@ -101,10 +125,18 @@ class ObjectiveConfig:
 # ERM and shared forward plumbing
 # ---------------------------------------------------------------------------
 
-def _weight_node(batch: DomainBatch) -> Node:
+def _weights(batch: DomainBatch) -> np.ndarray:
+    """The batch's example weights; uniform when it carries none."""
     n = len(batch)
-    w = batch.weights if batch.weights is not None else np.full(n, 1.0 / n)
-    return dk.constant(np.asarray(w, dtype=np.float64))
+    return batch.weights if batch.weights is not None else np.full(n, 1.0 / n)
+
+
+def _nll(z: Node, labels, weights) -> Node:
+    """Weighted sum over rows of -log softmax(z)[row, label], in nats."""
+    picked = dk.take_cols(dk.log_softmax_rows(z),
+                          np.asarray(labels, dtype=np.int64))
+    w = dk.constant(np.asarray(weights, dtype=np.float64))
+    return dk.neg(dk.nsum(dk.mul(picked, w)))
 
 
 def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node:
@@ -113,10 +145,8 @@ def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node
     labels = np.asarray(batch.labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise ShapeMismatch("label out of range")
-    _, z, _, _ = dk.forward(model, batch.inputs, tape)
-    logp = dk.log_softmax_rows(z)
-    picked = dk.take_cols(logp, labels)
-    return dk.neg(dk.nsum(dk.mul(picked, _weight_node(batch))))
+    return _nll(dk.forward(model, batch.inputs, tape)[1], batch.labels,
+                _weights(batch))
 
 
 def domain_losses(model: Model, batches: list[DomainBatch],
@@ -396,8 +426,7 @@ def fishr_penalty(model: Model, batches: list[DomainBatch],
         n = len(b)
         per_domain.append([dk.grad_nodes(dk.neg(dk.index0(picked, i)),
                                          tape.param_nodes) for i in range(n)])
-        weights.append(b.weights if b.weights is not None
-                       else np.full(n, 1.0 / n))
+        weights.append(_weights(b))
     return fishr_from_grads(per_domain, weights)
 
 
@@ -409,13 +438,9 @@ def irm_penalty(model: Model, batches: list[DomainBatch],
     tape = tape if tape is not None else Tape(model)
     terms = []
     for b in batches:
-        labels = np.asarray(b.labels, dtype=np.int64)
         scale = dk.constant(1.0)
         _, z, _, _ = dk.forward(model, b.inputs, tape)
-        zs = dk.mul(z, scale)
-        logp = dk.log_softmax_rows(zs)
-        picked = dk.take_cols(logp, labels)
-        loss = dk.neg(dk.nsum(dk.mul(picked, _weight_node(b))))
+        loss = _nll(dk.mul(z, scale), b.labels, _weights(b))
         (g,) = dk.grad_nodes(loss, [scale])
         terms.append(dk.square(g))
     return dk.nsum(dk.stack_list(terms))
@@ -456,9 +481,7 @@ def rsc_mask(model: Model, batch: DomainBatch, q: float,
     mask = np.ones(u)
     mask[muted] = 0.0
     _, z2, _, _ = dk.forward(model, batch.inputs, tape, feature_mask=mask)
-    logp = dk.log_softmax_rows(z2)
-    loss = dk.neg(dk.nsum(dk.mul(dk.take_cols(logp, labels), _weight_node(batch))))
-    return loss, muted, tape
+    return _nll(z2, batch.labels, _weights(batch)), muted, tape
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +502,35 @@ def _as_feature_nodes(features_by_domain) -> list[Node]:
     return nodes
 
 
-def coral_penalty(features_by_domain) -> Node:
+def _row_weights(nodes: list[Node], weights) -> list[np.ndarray]:
+    """One weight vector per domain, uniform over its rows by default."""
+    if weights is None:
+        return [np.full(f.val.shape[0], 1.0 / f.val.shape[0]) for f in nodes]
+    if len(weights) != len(nodes):
+        raise ShapeMismatch("need one row-weight vector per domain")
+    out = []
+    for f, w in zip(nodes, weights):
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != f.val.shape[:1] or abs(float(w.sum()) - 1.0) > 1e-9:
+            raise ShapeMismatch("row weights must match the rows and sum to 1")
+        out.append(w)
+    return out
+
+
+def coral_penalty(features_by_domain, weights=None) -> Node:
     """Squared mean difference plus squared Frobenius difference of
-    population covariances, averaged over unordered domain pairs."""
+    population covariances, averaged over unordered domain pairs.
+
+    weights optionally gives each domain's row weights (uniform by default);
+    means and covariances are then taken under those weights.
+    """
     nodes = _as_feature_nodes(features_by_domain)
     stats = []
-    for f in nodes:
-        n = f.val.shape[0]
-        mean = dk.nmean(f, axis=0, keepdims=True)  # [1, u]
+    for f, w in zip(nodes, _row_weights(nodes, weights)):
+        mean = dk.matmul(dk.constant(w[None, :]), f)  # [1, u]
         centered = dk.sub(f, mean)
-        cov = dk.mul(dk.matmul(dk.t2(centered), centered), dk.constant(1.0 / n))
+        cov = dk.matmul(dk.t2(dk.mul(centered, dk.constant(w[:, None]))),
+                        centered)
         stats.append((mean, cov))
     k = len(stats)
     terms = []
@@ -500,35 +542,49 @@ def coral_penalty(features_by_domain) -> Node:
     return dk.nmean(dk.stack_list(terms))
 
 
-def _sq_dists(a: Node, b: Node) -> Node:
+def sq_dists(a: Node, b: Node) -> Node:
+    """Pairwise squared Euclidean distances between the rows of a and b."""
     na = dk.nsum(dk.square(a), axis=1, keepdims=True)  # [m,1]
     nb = dk.reshape(dk.nsum(dk.square(b), axis=1), (1, b.val.shape[0]))
-    cross = dk.matmul(a, dk.t2(b))
-    d = dk.add(dk.sub(na, dk.mul(dk.constant(2.0), cross)), nb)
-    return dk.relu(d)  # clip tiny negative float residue
+    cross2 = dk.matmul(dk.mul(a, dk.constant(2.0)), dk.t2(b))  # 2 a.b, exact
+    return dk.relu(dk.add(dk.sub(na, cross2), nb))  # clip negative residue
 
 
-def _median_bandwidth(dmat: Node, m: int) -> Node:
-    """Median pooled pairwise squared distance as a graph node.
+BANDWIDTH_FLOOR = 1e-12
 
-    The median element's position is found on values; the node at that
-    position carries the gradient.  Degenerate all-equal batches fall back
-    to a constant floor.
+
+def _middle(order: np.ndarray) -> np.ndarray:
+    k = order.size
+    return order[k // 2:k // 2 + 1] if k % 2 else order[k // 2 - 1:k // 2 + 1]
+
+
+def median_bandwidth(dmat: Node) -> Node:
+    """The median heuristic: median pairwise squared distance above the
+    diagonal of the pooled distance matrix, as a graph node.
+
+    When that median is at most BANDWIDTH_FLOOR (over half the pairs
+    coincide, as on discrete features) the median of the distances above
+    the floor is used, so the kernel width does not collapse to a point
+    mass; with no such distance the bandwidth is the constant floor.  The
+    median element's position is found on values; the node at that
+    position carries the gradient.
     """
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = np.triu_indices(dmat.val.shape[0], k=1)
     vals = dmat.val[iu, ju]
     order = np.argsort(vals, kind="stable")
-    k = len(vals)
-    picks = [order[k // 2]] if k % 2 == 1 else [order[k // 2 - 1], order[k // 2]]
-    if vals[picks].mean() <= 1e-12:
-        return dk.constant(1e-12)
+    picks = _middle(order)
+    if vals[picks].mean() <= BANDWIDTH_FLOOR:
+        order = order[vals[order] > BANDWIDTH_FLOOR]
+        if order.size == 0:
+            return dk.constant(BANDWIDTH_FLOOR)
+        picks = _middle(order)
     elems = []
     for p in picks:
         row = dk.gather_rows(dmat, np.array([iu[p]]))
         elems.append(dk.reshape(dk.take_cols(row, np.array([ju[p]])), ()))
-    med = elems[0] if len(elems) == 1 else dk.mul(dk.add(elems[0], elems[1]),
-                                                  dk.constant(0.5))
-    return med
+    if len(elems) == 1:
+        return elems[0]
+    return dk.mul(dk.add(elems[0], elems[1]), dk.constant(0.5))
 
 
 class MmdResult:
@@ -542,36 +598,43 @@ class MmdResult:
         self.bandwidth = bandwidth
 
 
-def mmd_penalty(features_by_domain, bandwidth: float | None = None) -> MmdResult:
+def mmd_penalty(features_by_domain, bandwidth: float | None = None,
+                weights=None) -> MmdResult:
     """Unbiased Gaussian-kernel MMD^2, averaged over unordered domain pairs.
 
-    The estimator may dip below zero; the returned node is clamped at zero
-    and the raw value is reported alongside.
+    weights optionally gives each domain's row weights (uniform by default).
+    Within-domain sums drop their i = j terms, whose kernel value is 1, and
+    renormalize by 1 - sum(w^2).  Without a bandwidth each pair uses the
+    median heuristic on its pooled rows.  The estimator may dip below zero;
+    the returned node is clamped at zero and the raw value is reported
+    alongside.
     """
     nodes = _as_feature_nodes(features_by_domain)
+    ws = _row_weights(nodes, weights)
     k = len(nodes)
     terms = []
     bw_used = 0.0
     for i in range(k):
         for j in range(i + 1, k):
-            a, b = nodes[i], nodes[j]
-            m, n = a.val.shape[0], b.val.shape[0]
-            pooled = dk.concat_rows([a, b])
-            dmat = _sq_dists(pooled, pooled)
+            wa, wb = ws[i], ws[j]
+            pooled = dk.concat_rows([nodes[i], nodes[j]])
+            dmat = sq_dists(pooled, pooled)
             h = (dk.constant(float(bandwidth)) if bandwidth is not None
-                 else _median_bandwidth(dmat, m + n))
+                 else median_bandwidth(dmat))
             bw_used = float(h.val)
-            kmat = dk.exp(dk.neg(dk.div(dmat, h)))
-            kaa = dk.slice_rows(kmat, 0, m)
-            kaa = dk.slice_cols(kaa, 0, m)
-            kbb = dk.slice_cols(dk.slice_rows(kmat, m, m + n), m, m + n)
-            kab = dk.slice_cols(dk.slice_rows(kmat, 0, m), m, m + n)
-            term_a = dk.div(dk.sub(dk.nsum(kaa), dk.constant(float(m))),
-                            dk.constant(float(m * (m - 1))))
-            term_b = dk.div(dk.sub(dk.nsum(kbb), dk.constant(float(n))),
-                            dk.constant(float(n * (n - 1))))
-            term_ab = dk.mul(dk.nmean(kab), dk.constant(2.0))
-            terms.append(dk.sub(dk.add(term_a, term_b), term_ab))
+            kmat = dk.exp(dk.div(dmat, dk.neg(h)))
+            # side[:, 0] / side[:, 1] put each domain's weights on its rows,
+            # so side^T K side holds [[wa K wa, wa K wb], [wb K wa, wb K wb]]
+            side = dk.constant(np.stack([
+                np.concatenate([wa, np.zeros(wb.size)]),
+                np.concatenate([np.zeros(wa.size), wb])], axis=1))
+            gram = dk.matmul(dk.t2(side), dk.matmul(kmat, side))
+            sa, sb = float(wa @ wa), float(wb @ wb)
+            coef = dk.constant([[1.0 / (1.0 - sa), -1.0],
+                                [-1.0, 1.0 / (1.0 - sb)]])
+            diag = sa / (1.0 - sa) + sb / (1.0 - sb)
+            terms.append(dk.sub(dk.nsum(dk.mul(gram, coef)),
+                                dk.constant(diag)))
     total = dk.nmean(dk.stack_list(terms))
     return MmdResult(dk.relu(total), float(total.val), bw_used)
 
@@ -596,22 +659,14 @@ def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
     feats, label_losses, dom_ids, wparts = [], [], [], []
     for d, b in enumerate(batches):
         h, z, _, _ = dk.forward(model, b.inputs, tape)
-        labels = np.asarray(b.labels, dtype=np.int64)
-        logp = dk.log_softmax_rows(z)
-        label_losses.append(dk.neg(dk.nsum(dk.mul(dk.take_cols(logp, labels),
-                                                  _weight_node(b)))))
+        label_losses.append(_nll(z, b.labels, _weights(b)))
         feats.append(h)
         dom_ids.append(np.full(len(b), d, dtype=np.int64))
-        w = (b.weights if b.weights is not None
-             else np.full(len(b), 1.0 / len(b)))
-        wparts.append(np.asarray(w) / len(batches))
+        wparts.append(np.asarray(_weights(b)) / len(batches))
     label_loss = dk.nmean(dk.stack_list(label_losses))
     pooled = dk.gradient_reversal(dk.concat_rows(feats), reversal_scale)
     _, zd, _, _ = dk.forward(adversary, pooled, adv_tape)
-    dom = np.concatenate(dom_ids)
-    wall = dk.constant(np.concatenate(wparts))
-    logpd = dk.log_softmax_rows(zd)
-    domain_loss = dk.neg(dk.nsum(dk.mul(dk.take_cols(logpd, dom), wall)))
+    domain_loss = _nll(zd, np.concatenate(dom_ids), np.concatenate(wparts))
     return label_loss, domain_loss, tape, adv_tape
 
 
@@ -635,10 +690,7 @@ def cdann_losses(model: Model, adversaries: list[Model],
     feats, label_losses = [], []
     for b in batches:
         h, z, _, _ = dk.forward(model, b.inputs, tape)
-        labels = np.asarray(b.labels, dtype=np.int64)
-        logp = dk.log_softmax_rows(z)
-        label_losses.append(dk.neg(dk.nsum(dk.mul(dk.take_cols(logp, labels),
-                                                  _weight_node(b)))))
+        label_losses.append(_nll(z, b.labels, _weights(b)))
         feats.append(h)
     label_loss = dk.nmean(dk.stack_list(label_losses))
     adv_terms = []
@@ -651,24 +703,19 @@ def cdann_losses(model: Model, adversaries: list[Model],
                 continue
             parts.append(dk.gather_rows(feats[d], sel))
             ids.append(np.full(sel.size, d, dtype=np.int64))
-            bw = (b.weights if b.weights is not None
-                  else np.full(len(b), 1.0 / len(b)))
-            wy = np.asarray(bw)[sel]
+            wy = np.asarray(_weights(b))[sel]
             wparts.append(wy / wy.sum())
         if len(parts) < 2:
             continue  # class absent almost everywhere; nothing to confuse
         pooled = dk.gradient_reversal(dk.concat_rows(parts), reversal_scale)
         _, zd, _, _ = dk.forward(adversaries[y], pooled, adv_tapes[y])
-        w = np.concatenate(wparts) / len(parts)
-        logpd = dk.log_softmax_rows(zd)
-        adv_terms.append(dk.neg(dk.nsum(dk.mul(
-            dk.take_cols(logpd, np.concatenate(ids)), dk.constant(w)))))
+        adv_terms.append(_nll(zd, np.concatenate(ids),
+                              np.concatenate(wparts) / len(parts)))
     # prior-normalized marginal: each class contributes exactly 1/|Y|
     parts, ids, wparts = [], [], []
     for d, b in enumerate(batches):
         labels = np.asarray(b.labels, dtype=np.int64)
-        bw = (b.weights if b.weights is not None
-              else np.full(len(b), 1.0 / len(b)))
+        bw = np.asarray(_weights(b))
         w = np.zeros(len(b))
         for y in range(n_classes):
             sel = labels == y
@@ -680,10 +727,7 @@ def cdann_losses(model: Model, adversaries: list[Model],
         wparts.append(w / len(batches))
     pooled = dk.gradient_reversal(dk.concat_rows(parts), reversal_scale)
     _, zd, _, _ = dk.forward(adversaries[-1], pooled, adv_tapes[-1])
-    logpd = dk.log_softmax_rows(zd)
-    adv_terms.append(dk.neg(dk.nsum(dk.mul(
-        dk.take_cols(logpd, np.concatenate(ids)),
-        dk.constant(np.concatenate(wparts))))))
+    adv_terms.append(_nll(zd, np.concatenate(ids), np.concatenate(wparts)))
     adv_loss = dk.nmean(dk.stack_list(adv_terms))
     return label_loss, adv_loss, tape, adv_tapes
 

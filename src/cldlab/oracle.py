@@ -254,15 +254,17 @@ def is_causal_invariant(family: CldFamily, predictor: PredictorTable,
     return InvarianceResult(worst <= tol, worst, witness if worst > tol else None)
 
 
-def _jsd2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Base-2 Jensen-Shannon divergence along the last axis, vectorized."""
-    m = 0.5 * (p + q)
+def jsd2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Base-2 Jensen-Shannon divergence along the last axis, clipped to [0, 1].
+
+    The one JSD kernel of the package; inputs are not validated.  Both halves
+    use the same midpoint, so jsd2(p, q) and jsd2(q, p) are bitwise equal.
+    """
+    m = (p + q) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(p > 0.0, p * (np.log2(np.where(p > 0.0, p, 1.0)) -
-                                      np.log2(np.where(m > 0.0, m, 1.0))), 0.0)
-        right = np.where(q > 0.0, q * (np.log2(np.where(q > 0.0, q, 1.0)) -
-                                       np.log2(np.where(m > 0.0, m, 1.0))), 0.0)
-    return 0.5 * left.sum(axis=-1) + 0.5 * right.sum(axis=-1)
+        tp = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p / m, 1.0)), 0.0)
+        tq = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q / m, 1.0)), 0.0)
+    return np.clip(0.5 * tp.sum(axis=-1) + 0.5 * tq.sum(axis=-1), 0.0, 1.0)
 
 
 def exact_ci_index(family: CldFamily, domain: DomainSpec,
@@ -276,7 +278,7 @@ def exact_ci_index(family: CldFamily, domain: DomainSpec,
     fused = fuse(family, predictor).p_yhat_given_cn  # [C, N, Y]
     p_cn = domain.p_cn
     p_n = domain.noncore_marginal()
-    jsd = _jsd2(fused[:, :, None, :], fused[:, None, :, :])  # [C, N, N]
+    jsd = jsd2(fused[:, :, None, :], fused[:, None, :, :])  # [C, N, N]
     return float(1.0 - np.einsum("cn,m,cnm->", p_cn, p_n, jsd))
 
 

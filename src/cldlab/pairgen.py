@@ -17,7 +17,7 @@ import numpy as np
 
 from .cld_core import CldFamily, DomainSpec
 from .errors import EmptyPureSet, ShapeMismatch
-from .rng import substream
+from .rng import categorical_rows, substream
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,6 @@ class PairGroup:
         return out
 
 
-def _pick(row_pmfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(row_pmfs, axis=1)
-    cdf[:, -1] = 1.0
-    return (cdf[rows] > u[:, None]).argmax(axis=1).astype(np.int64)
-
-
 def sample_pairs(family: CldFamily, domain: DomainSpec, n: int,
                  style: str = "marginal", seed: int = 0) -> list[ContrastivePair]:
     """Draw n labeled contrastive pairs; five uniforms per pair, prefix-stable.
@@ -69,18 +63,18 @@ def sample_pairs(family: CldFamily, domain: DomainSpec, n: int,
     rng = substream(seed, "pairs")
     u = rng.random((n, 5))
     flat = domain.p_cn.reshape(1, -1)
-    cn = _pick(flat, np.zeros(n, dtype=np.int64), u[:, 0])
+    cn = categorical_rows(flat, np.zeros(n, dtype=np.int64), u[:, 0])
     c, xn = cn // s.n_noncore, cn % s.n_noncore
     channel = family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs)
-    x = _pick(channel, cn, u[:, 1])
+    x = categorical_rows(channel, cn, u[:, 1])
     if style == "uniform":
         xn_t = np.floor(u[:, 2] * s.n_noncore).astype(np.int64)
         xn_t = np.minimum(xn_t, s.n_noncore - 1)
     else:
         marg = domain.noncore_marginal().reshape(1, -1)
-        xn_t = _pick(marg, np.zeros(n, dtype=np.int64), u[:, 2])
-    x_t = _pick(channel, c * s.n_noncore + xn_t, u[:, 3])
-    y = _pick(family.p_y_given_c, c, u[:, 4])
+        xn_t = categorical_rows(marg, np.zeros(n, dtype=np.int64), u[:, 2])
+    x_t = categorical_rows(channel, c * s.n_noncore + xn_t, u[:, 3])
+    y = categorical_rows(family.p_y_given_c, c, u[:, 4])
     return [ContrastivePair(int(x[i]), int(x_t[i]), int(y[i]), int(c[i]),
                             int(xn[i]), int(xn_t[i])) for i in range(n)]
 
@@ -101,9 +95,9 @@ def compose_pure_groups(family: CldFamily, pure, domain: DomainSpec,
     for c in pure:
         c = int(c)
         u = rng.random((reps, 2))
-        xns = _pick(marg, np.zeros(reps, dtype=np.int64), u[:, 0])
-        xs = _pick(channel, c * s.n_noncore + xns, u[:, 1])
-        y = _pick(family.p_y_given_c, np.array([c]), rng.random(1))[0]
+        xns = categorical_rows(marg, np.zeros(reps, dtype=np.int64), u[:, 0])
+        xs = categorical_rows(channel, c * s.n_noncore + xns, u[:, 1])
+        y = categorical_rows(family.p_y_given_c, np.array([c]), rng.random(1))[0]
         groups.append(PairGroup(tuple(int(v) for v in xs), int(y), c,
                                 tuple(int(v) for v in xns)))
     return groups

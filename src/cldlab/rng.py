@@ -38,14 +38,6 @@ def derive_seed(base_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") & ((1 << 62) - 1)
 
 
-def categorical(rng: np.random.Generator, pmf: np.ndarray, size: int) -> np.ndarray:
-    """Draw ``size`` indices from a single categorical pmf by inverse CDF."""
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0  # guard against rounding just below 1
-    u = rng.random(size)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-
 def categorical_rows(row_pmfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized per-record categorical draw.
 

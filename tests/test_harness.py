@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from cldlab import cld_core, harness
 from cldlab.cli import main as cli_main
 from cldlab.errors import ConfigError
+from cldlab.objectives import KINDS
 
 CSV_HEADER = ("run_id,config_hash,step,domain_id,split,loss_nats,accuracy,"
               "ci_index,penalty_value,penalty_kind,seed")
@@ -341,3 +342,72 @@ class TestCli:
         assert res.exit_code == 0
         assert len(res.output.strip().splitlines()) == 2
         assert os.path.exists(tmp_path / "sweep.csv")
+
+
+def _accepted_modes(kind):
+    """Every optimizer setup the validator accepts for kind."""
+    modes = [{"optimizer": "gd"}, {"optimizer": "sgd", "batch_size": 8},
+             {"optimizer": "adam"}]
+    if kind not in harness.RAW_ROW_KINDS:
+        modes.append({"optimizer": "gd", "data_mode": "population"})
+    return modes
+
+
+GATE_CASES = [(kind, mode) for kind in KINDS
+              for mode in _accepted_modes(kind)]
+
+
+@pytest.mark.parametrize(
+    "kind,mode", GATE_CASES,
+    ids=[f"{k}-{m['optimizer']}-{m.get('batch_size', m.get('data_mode', 'full'))}"
+         for k, m in GATE_CASES])
+def test_every_accepted_config_runs(tmp_path, kind, mode):
+    """Each kind trains a few steps under each accepted optimizer setup,
+    writes finite rows and reruns byte for byte."""
+    trainer = {"lr": 0.1, "steps": 3, "train_n": 40, "seed": 1, **mode}
+    doc = base_doc(tmp_path, source=["source", "target"],
+                   objective={"kind": kind, "lambda": 0.5},
+                   trainer=trainer, eval={"ci_pairs": 20})
+    cfg = harness.config_from_dict(doc)
+    recs = [harness.run_experiment(cfg, out_dir=str(tmp_path / n))
+            for n in ("a", "b")]
+    for row in recs[0].rows:
+        vals = [row[k] for k in ("loss_nats", "accuracy", "ci_index",
+                                 "penalty_value")]
+        assert all(np.isfinite(v) for v in vals), row
+    files = [[open(p, "rb").read() for p in
+              (r.csv_path, r.summary_path, r.checkpoint_path)] for r in recs]
+    assert files[0] == files[1]
+
+
+def test_unknown_objective_extra_names_the_key(tmp_path):
+    doc = base_doc(tmp_path, objective={"kind": "RSC", "extras": {"qq": 0.2}})
+    with pytest.raises(ConfigError) as err:
+        harness.config_from_dict(doc)
+    assert err.value.field == "objective.extras.qq"
+
+
+def test_cli_evaluate_and_ci_index_reproduce_train(tmp_path):
+    """With sampled evaluation, evaluate and ci-index on the checkpoint give
+    the numbers train wrote in its final rows."""
+    doc = base_doc(tmp_path, eval={"exact": False, "n_samples": 500,
+                                   "ci_pairs": 50})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rec = harness.run_experiment(harness.config_from_dict(doc))
+    res = CliRunner().invoke(cli_main, ["evaluate", "--config", str(path),
+                                        "--model", rec.checkpoint_path,
+                                        "--format", "json"])
+    assert res.exit_code == 0, res.output
+    evaluated = json.loads(res.output)
+    assert [(r["domain_id"], r["loss_nats"], r["accuracy"], r["ci_index"])
+            for r in evaluated] == \
+        [(r["domain_id"], r["loss_nats"], r["accuracy"], r["ci_index"])
+         for r in rec.rows]
+    res = CliRunner().invoke(cli_main, ["ci-index", "--config", str(path),
+                                        "--model", rec.checkpoint_path,
+                                        "--format", "json"])
+    assert res.exit_code == 0, res.output
+    ci = json.loads(res.output)
+    assert {d: v["value"] for d, v in ci.items()} == \
+        {r["domain_id"]: r["ci_index"] for r in rec.rows}

@@ -218,3 +218,17 @@ class TestFeatureDivergences:
             assert abs(class_mmd) < 0.1 * div.mmd
         # balancing class priors also collapses the marginal gap
         assert abs(div.normalized[0]) < 0.1 * div.mmd
+
+
+def test_single_bit_readers_share_a_bandwidth():
+    """Pooled over both domains 10 of 20 rows have A = 1 and 13 have B = 1,
+    so over half the pairs coincide on B and the B reader's median squared
+    distance is 0.  The median rule then takes the median of the distances
+    above the floor, so both readers get the same kernel width."""
+    x_s = np.array([3, 3, 3, 3, 3, 1, 1, 1, 0, 0])
+    x_t = np.array([3, 3, 3, 2, 2, 1, 1, 0, 0, 0])
+    data = [cld_core.Dataset("s", x_s, np.zeros(10, dtype=np.int64)),
+            cld_core.Dataset("t", x_t, np.zeros(10, dtype=np.int64))]
+    core = metrics.feature_divergences(extractor([[1.0], [0.0]]), data)
+    noncore = metrics.feature_divergences(extractor([[0.0], [1.0]]), data)
+    assert core.bandwidth == noncore.bandwidth == 1.0

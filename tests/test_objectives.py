@@ -486,3 +486,38 @@ class TestObjectiveConfig:
     def test_round_trip(self):
         cfg = ob.ObjectiveConfig("VREX", lam=2.5, extras={})
         assert ob.ObjectiveConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_weighted_feature_penalties_match_the_defining_sums():
+    """mmd_penalty and coral_penalty with row weights against their
+    definitions written as plain loops."""
+    rng = np.random.default_rng(4)
+    fa, fb = rng.normal(size=(5, 3)), rng.normal(1.0, 1.0, size=(7, 3))
+    wa, wb = rng.random(5), rng.random(7)
+    wa, wb = wa / wa.sum(), wb / wb.sum()
+    h = 1.7
+
+    def k(x, y):
+        return np.exp(-((x - y) ** 2).sum() / h)
+
+    def within(f, w):  # i = j terms dropped, renormalized by 1 - sum w^2
+        total = sum(w[i] * w[j] * k(f[i], f[j])
+                    for i in range(len(f)) for j in range(len(f)) if i != j)
+        return total / (1.0 - (w * w).sum())
+
+    cross = sum(wa[i] * wb[j] * k(fa[i], fb[j])
+                for i in range(len(fa)) for j in range(len(fb)))
+    mmd = within(fa, wa) + within(fb, wb) - 2.0 * cross
+    got = ob.mmd_penalty([fa, fb], bandwidth=h, weights=[wa, wb]).raw
+    assert got == pytest.approx(mmd, rel=1e-12, abs=1e-14)
+
+    def moments(f, w):
+        mean = (w[:, None] * f).sum(axis=0)
+        cov = sum(w[i] * np.outer(f[i] - mean, f[i] - mean)
+                  for i in range(len(f)))
+        return mean, cov
+
+    (ma, ca), (mb, cb) = moments(fa, wa), moments(fb, wb)
+    coral = ((ma - mb) ** 2).sum() + ((ca - cb) ** 2).sum()
+    got = float(ob.coral_penalty([fa, fb], weights=[wa, wb]).val)
+    assert got == pytest.approx(coral, rel=1e-12)

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import diffkit as dk
 from . import objectives as ob
-from .cld_core import (
-    CldFamily,
-    DomainSpec,
-    canonical_fixture,
-    load_family_json,
-    sample_dataset,
-)
+from .cld_core import canonical_fixture, load_family_json, sample_dataset
 from .errors import ConfigError, NonFiniteActivation, UnknownFixture
 from .metrics import ci_index_mc, evaluate, evaluate_exact
 from .objectives import DomainBatch, ObjectiveConfig
@@ -55,13 +49,14 @@ CSV_HEADER = ("run_id,config_hash,step,domain_id,split,loss_nats,accuracy,"
 FIXTURES = ("CANON-D", "CANON-N")
 
 # Kinds that regularize toward multi-domain agreement; they need >= 2
-# training sources.  Feature-cloud and per-example kinds additionally need
-# raw example rows rather than collapsed weighted cells.
+# training sources.  MMD and MIXUP are sample estimators; FISHR, CORAL and
+# MMD take spreads over >= 2 rows per domain per step.
 MULTI_DOMAIN_KINDS = frozenset({
     "VREX", "GROUP_DRO", "FISH", "IGA", "FISHR", "IRM", "CORAL", "MMD",
     "DANN", "CDANN", "AND_MASK",
 })
-RAW_ROW_KINDS = frozenset({"CORAL", "MMD", "DANN", "CDANN", "MIXUP"})
+RAW_ROW_KINDS = frozenset({"MMD", "MIXUP"})
+TWO_ROW_KINDS = frozenset({"FISHR", "CORAL", "MMD"})
 PAIR_KINDS = frozenset({"PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM"})
 
 
@@ -228,6 +223,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if kind in RAW_ROW_KINDS:
         _require(trainer.data_mode == "sample", "trainer.data_mode",
                  f"objective {kind} works on example rows; use 'sample'")
+    if kind in TWO_ROW_KINDS and trainer.data_mode == "sample":
+        _require((trainer.batch_size or trainer.train_n) >= 2,
+                 "trainer.train_n" if trainer.batch_size is None
+                 else "trainer.batch_size",
+                 f"objective {kind} needs >= 2 rows per domain per step")
     return ExperimentConfig(family=family, sources=sources, target=doc["target"],
                             objective=objective, model=ModelSpec(widths, embedding),
                             trainer=trainer, eval=espec, pairs=pspec, out=out)
@@ -348,38 +348,36 @@ def write_json(path: str, doc: dict) -> None:
 # Batch assembly
 
 
-def _population_batch(family: CldFamily, domain: DomainSpec) -> DomainBatch:
-    p_xy = domain_p_xy(family, domain)
-    xs, ys = np.nonzero(p_xy > 0.0)
-    w = p_xy[xs, ys]
-    return DomainBatch(domain.domain_id, xs, ys, weights=w / w.sum())
-
-
-def _collapse(domain_id: str, x: np.ndarray, y: np.ndarray) -> DomainBatch:
-    cells, counts = np.unique(np.stack([x, y], axis=1), axis=0,
-                              return_counts=True)
-    return DomainBatch(domain_id, cells[:, 0], cells[:, 1],
-                       weights=counts / counts.sum())
-
-
 def _train_batches(family, sources, cfg, seed):
-    """Per-source batches: (weighted-cell view, raw example view or None)."""
-    weighted, raw = [], []
+    """One cell batch per source: the sample's (x, y) counts, or in
+    population mode the exact P(x, y)."""
+    batches = []
     for dom in sources:
         if cfg.trainer.data_mode == "population":
-            weighted.append(_population_batch(family, dom))
-            raw.append(None)
+            p_xy = domain_p_xy(family, dom)
+            xs, ys = np.nonzero(p_xy > 0.0)
+            w = p_xy[xs, ys]
+            batches.append(DomainBatch(dom.domain_id, xs, ys, w / w.sum()))
         else:
             ds = sample_dataset(family, dom, cfg.trainer.train_n,
                                 derive_seed(seed, f"data:{dom.domain_id}"))
-            weighted.append(_collapse(dom.domain_id, ds.x, ds.y))
-            raw.append(DomainBatch(dom.domain_id, ds.x, ds.y))
-    return weighted, raw
+            batches.append(ob.cell_batch(dom.domain_id, ds.x, ds.y))
+    return batches
 
 
 def _minibatch(batch: DomainBatch, rng, k: int) -> DomainBatch:
-    idx = rng.integers(0, len(batch), size=k)
-    return DomainBatch(batch.domain_id, batch.inputs[idx], batch.labels[idx])
+    """k rows drawn with replacement from a sample, as cell counts."""
+    draws = rng.multinomial(k, batch.weights)
+    keep = draws > 0
+    return DomainBatch(batch.domain_id, batch.inputs[keep], batch.labels[keep],
+                       draws[keep] / k, draws[keep])
+
+
+def _pair_cells(pairs):
+    """Sampled pairs as distinct (x, x~, y) cells weighted by their share."""
+    _, first, counts = np.unique([(p.x, p.x_tilde, p.label) for p in pairs],
+                                 axis=0, return_index=True, return_counts=True)
+    return [pairs[i] for i in first], counts / len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +390,7 @@ class _RunState:
     def __init__(self, cfg: ExperimentConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
-        self.pairs = None
+        self.pairs = None  # (pair cells, their weights)
         self.adversaries = []  # DANN: one; CDANN: one per class plus one
         self.adv_opts = []
         self.adv_tapes = []  # the adversaries' tapes of the latest build
@@ -405,17 +403,16 @@ class _Step(NamedTuple):
     model: dk.Model
     tape: dk.Tape
     run: _RunState
-    weighted: list  # count-weighted cell batches
-    raw: list  # example-row batches (None entries in population mode)
+    batches: list  # one cell batch per source
     step: int
 
 
-# An objective builder maps a _Step to (base, pen): pen is the raw
-# regularizer, before lambda scales it, or None.  A builder returning pen is
+# An objective builder maps a _Step to (base, pen): pen is the regularizer
+# before lambda scales it, or None.  A builder returning pen is
 # base trains on base alone and logs it as its penalty.
 
 def _loss(c: _Step):
-    return ob.mean_domain_loss(c.model, c.weighted, c.tape)
+    return ob.mean_domain_loss(c.model, c.batches, c.tape)
 
 
 def _loss_only(c: _Step):
@@ -424,20 +421,22 @@ def _loss_only(c: _Step):
 
 def _cells(penalty):
     """Mean domain loss plus penalty(model, cell batches, tape)."""
-    return lambda c: (_loss(c), penalty(c.model, c.weighted, c.tape))
+    return lambda c: (_loss(c), penalty(c.model, c.batches, c.tape))
 
 
 def _pairs(penalty, *kind):
-    """Mean domain loss plus penalty(model, source pairs, *kind, tape)."""
-    return lambda c: (_loss(c), penalty(c.model, c.run.pairs, *kind, c.tape))
+    """Mean domain loss plus penalty(model, pair cells, *kind, tape, weights)."""
+    return lambda c: (_loss(c), penalty(c.model, c.run.pairs[0], *kind, c.tape,
+                                        c.run.pairs[1]))
 
 
 def _features(penalty):
-    """Mean loss over the example rows plus penalty(row features, objective)."""
+    """Mean domain loss plus penalty(cell features, weights, counts, objective)."""
     def build(c: _Step):
-        base = ob.mean_domain_loss(c.model, c.raw, c.tape)
-        feats = [dk.forward(c.model, b.inputs, c.tape)[0] for b in c.raw]
-        return base, penalty(feats, c.run.cfg.objective)
+        feats = [dk.forward(c.model, b.inputs, c.tape)[0] for b in c.batches]
+        return _loss(c), penalty(feats, [b.weights for b in c.batches],
+                                 [b.counts for b in c.batches],
+                                 c.run.cfg.objective)
     return build
 
 
@@ -454,11 +453,11 @@ def _adversarial(losses):
 def _sd(model, batches, tape):
     zs = [ob.sd_penalty(dk.forward(model, b.inputs, tape)[1], b.weights)
           for b in batches]
-    return zs[0] if len(zs) == 1 else _mean_nodes(zs)
+    return dk.nmean(dk.stack_list(zs))
 
 
 def _group_dro(c: _Step):
-    worst = ob.group_dro(c.model, c.weighted, c.tape)
+    worst = ob.group_dro(c.model, c.batches, c.tape)
     return worst, worst
 
 
@@ -466,15 +465,15 @@ def _mixup(c: _Step):
     alpha = c.run.cfg.objective.extra("alpha")
     mixed = [ob.mixup(c.model, b, alpha,
                       derive_seed(c.run.seed, f"mixup:{c.step}:{b.domain_id}"))
-             for b in c.raw]
-    return _mean_nodes([ob.soft_label_loss(c.model, mb, c.tape)
-                        for mb in mixed]), None
+             for b in c.batches]
+    return dk.nmean(dk.stack_list([ob.soft_label_loss(c.model, mb, c.tape)
+                                   for mb in mixed])), None
 
 
 def _rsc(c: _Step):
     q = c.run.cfg.objective.extra("q")
-    return _mean_nodes([ob.rsc_mask(c.model, b, q, c.tape)[0]
-                        for b in c.weighted]), None
+    return dk.nmean(dk.stack_list([ob.rsc_mask(c.model, b, q, c.tape)[0]
+                                   for b in c.batches])), None
 
 
 # AND_MASK trains on masked domain gradients (see run_experiment); its entry
@@ -494,37 +493,31 @@ OBJECTIVE_BUILDERS = {
     "IRM": _cells(ob.irm_penalty),
     "SD": _cells(_sd),
     "GROUP_DRO": _group_dro,
-    "CORAL": _features(lambda feats, obj: ob.coral_penalty(feats)),
-    "MMD": _features(lambda feats, obj: ob.mmd_penalty(
-        feats, bandwidth=obj.extra("bandwidth")).node),
+    "CORAL": _features(lambda feats, ws, ms, obj: ob.coral_penalty(
+        feats, ws, ms)),
+    "MMD": _features(lambda feats, ws, ms, obj: ob.mmd_penalty(
+        feats, obj.extra("bandwidth"), ws, ms).node),
     "DANN": _adversarial(lambda c: ob.dann_losses(
-        c.model, c.run.adversaries[0], c.raw, c.tape, c.run.adv_tapes[0])),
+        c.model, c.run.adversaries[0], c.batches, c.tape, c.run.adv_tapes[0])),
     "CDANN": _adversarial(lambda c: ob.cdann_losses(
-        c.model, c.run.adversaries, c.raw, c.tape, c.run.adv_tapes)),
+        c.model, c.run.adversaries, c.batches, c.tape, c.run.adv_tapes)),
     "MIXUP": _mixup,
     "RSC": _rsc,
 }
 
 
-def _penalty_and_total(model, run: _RunState, weighted, raw, step: int, tape):
+def _penalty_and_total(model, run: _RunState, batches, step: int, tape):
     """Build (total_node, penalty_node) for one step on the given tape."""
     base, pen = OBJECTIVE_BUILDERS[run.cfg.objective.kind](
-        _Step(model, tape, run, weighted, raw, step))
+        _Step(model, tape, run, batches, step))
     if pen is None or pen is base:
         return base, pen
     return dk.add(base, dk.mul(dk.constant(run.cfg.objective.lam), pen)), pen
 
 
-def _mean_nodes(nodes):
-    acc = nodes[0]
-    for n in nodes[1:]:
-        acc = dk.add(acc, n)
-    return dk.mul(dk.constant(1.0 / len(nodes)), acc)
-
-
-def _eval_penalty(model, run: _RunState, weighted, raw) -> float:
+def _eval_penalty(model, run: _RunState, batches) -> float:
     """Raw penalty value at the current parameters (no training side effects)."""
-    _, pen = _penalty_and_total(model, run, weighted, raw, -1, dk.Tape(model))
+    _, pen = _penalty_and_total(model, run, batches, -1, dk.Tape(model))
     return 0.0 if pen is None else float(pen.val)
 
 
@@ -636,14 +629,14 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
     model = dk.init_model(s.n_obs, cfg.model.widths, s.n_classes,
                           embedding=cfg.model.embedding,
                           seed=derive_seed(eff_seed, "init"))
-    weighted, raw = _train_batches(family, sources, cfg, eff_seed)
+    batches = _train_batches(family, sources, cfg, eff_seed)
     kind = cfg.objective.kind
 
     run = _RunState(cfg, eff_seed)
     if kind in PAIR_KINDS:
-        run.pairs = sample_pairs(family, sources[0], cfg.pairs.n,
-                                 style=cfg.pairs.style,
-                                 seed=derive_seed(eff_seed, "pairs"))
+        run.pairs = _pair_cells(sample_pairs(
+            family, sources[0], cfg.pairs.n, style=cfg.pairs.style,
+            seed=derive_seed(eff_seed, "pairs")))
     if kind in ("DANN", "CDANN"):
         labels = (["adv"] if kind == "DANN"
                   else [f"adv:{k}" for k in range(s.n_classes + 1)])
@@ -663,23 +656,19 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
     final_model = model
     try:
         for step in range(1, cfg.trainer.steps + 1):
-            if cfg.trainer.batch_size is not None:
-                step_raw = [_minibatch(b, order_rng, cfg.trainer.batch_size)
-                            for b in raw]
-                step_weighted = step_raw
-            else:
-                step_weighted, step_raw = weighted, raw
+            step_batches = batches if cfg.trainer.batch_size is None else [
+                _minibatch(b, order_rng, cfg.trainer.batch_size) for b in batches]
 
             tape = dk.Tape(model)
             if kind == "AND_MASK":
-                losses = ob.domain_losses(model, step_weighted, tape)
+                losses = ob.domain_losses(model, step_batches, tape)
                 per_dom = [np.concatenate([g.val.ravel() for g in
                                            dk.grad_nodes(l, tape.param_nodes)])
                            for l in losses]
                 grads = ob.and_mask(per_dom, cfg.objective.extra("tau"))
             else:
-                total, pen = _penalty_and_total(model, run, step_weighted,
-                                                step_raw, step, tape)
+                total, pen = _penalty_and_total(model, run, step_batches,
+                                                step, tape)
                 grads = dk.backward(tape, total)
                 for adv, adv_tape, adv_opt in zip(run.adversaries,
                                                   run.adv_tapes, run.adv_opts):
@@ -694,7 +683,7 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
 
             if cfg.trainer.eval_every and step % cfg.trainer.eval_every == 0 \
                     and step < cfg.trainer.steps:
-                pen = _eval_penalty(model, run, weighted, raw)
+                pen = _eval_penalty(model, run, batches)
                 rows.extend(_eval_rows(model, family, cfg, sources, target,
                                        step, run_id, chash, eff_seed, pen))
 
@@ -707,7 +696,7 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
                     "status": "numeric-failure", "error": str(exc)})
         raise
 
-    pen_val = _eval_penalty(final_model, run, weighted, raw)
+    pen_val = _eval_penalty(final_model, run, batches)
     rows.extend(_eval_rows(final_model, family, cfg, sources, target,
                            cfg.trainer.steps, run_id, chash, eff_seed,
                            pen_val))

@@ -174,11 +174,11 @@ class FeatureDivergences:
     normalized: tuple[float, float] | None = None
 
 
-def _pairwise(feats: list[np.ndarray], bandwidth: float,
-              weights: list[np.ndarray] | None = None) -> tuple[float, float]:
+def _pairwise(feats: list[np.ndarray], bandwidth: float, weights: list,
+              counts: list) -> tuple[float, float]:
     nodes = [dk.constant(f) for f in feats]
-    mmd = ob.mmd_penalty(nodes, bandwidth=bandwidth, weights=weights).raw
-    return mmd, float(ob.coral_penalty(nodes, weights=weights).val)
+    mmd = ob.mmd_penalty(nodes, bandwidth, weights, counts).raw
+    return mmd, float(ob.coral_penalty(nodes, weights, counts).val)
 
 
 def feature_divergences(model: Model, datasets: list[Dataset],
@@ -189,7 +189,8 @@ def feature_divergences(model: Model, datasets: list[Dataset],
     class and for the pooled marginal reweighted so every class present in
     a domain contributes equally (each example weighted 1 / (K_d * n_dy)).
     Both distances are the training penalties (`objectives.mmd_penalty`,
-    `objectives.coral_penalty`) evaluated on constant features.  The kernel
+    `objectives.coral_penalty`) on constant features of each domain's
+    `objectives.cell_batch`, whose counts give the rows' values.  The kernel
     bandwidth is `objectives.median_bandwidth` of the full marginal clouds
     pooled over all domains, reused for every domain pair and for the
     conditional probes.
@@ -199,35 +200,33 @@ def feature_divergences(model: Model, datasets: list[Dataset],
     for ds in datasets:
         if len(ds) < 2:
             raise TooFewExamples(f"domain {ds.domain_id!r} has {len(ds)} examples")
-    feats = [model_features(model, ds.x) for ds in datasets]
+    cells = [ob.cell_batch(ds.domain_id, ds.x, ds.y) for ds in datasets]
+    feats = [model_features(model, b.inputs) for b in cells]
+    counts = [b.counts for b in cells]
     pooled = dk.constant(np.vstack(feats))
-    bw = float(ob.median_bandwidth(ob.sq_dists(pooled, pooled)).val)
-    mmd, coral = _pairwise(feats, bw)
+    bw = float(ob.median_bandwidth(ob.sq_dists(pooled, pooled),
+                                   np.concatenate(counts)).val)
+    mmd, coral = _pairwise(feats, bw, [b.weights for b in cells], counts)
     if not per_class:
         return FeatureDivergences(mmd=mmd, coral=coral, bandwidth=bw)
 
-    classes = sorted({int(v) for ds in datasets for v in np.unique(ds.y)})
+    classes = sorted({int(v) for b in cells for v in b.labels})
     by_class: dict[int, tuple[float, float]] = {}
     for y in classes:
-        sub = []
-        for k, ds in enumerate(datasets):
-            rows = feats[k][ds.y == y]
-            if rows.shape[0] < 2:
-                raise TooFewExamples(
-                    f"class {y} has {rows.shape[0]} examples in domain "
-                    f"{ds.domain_id!r}"
-                )
-            sub.append(rows)
-        by_class[y] = _pairwise(sub, bw)
+        sub = [b.labels == y for b in cells]
+        ms = [b.counts[sel] for b, sel in zip(cells, sub)]
+        for b, m in zip(cells, ms):
+            if m.sum() < 2:
+                raise TooFewExamples(f"class {y} has {m.sum()} examples in "
+                                     f"domain {b.domain_id!r}")
+        by_class[y] = _pairwise([f[sel] for f, sel in zip(feats, sub)], bw,
+                                [m / m.sum() for m in ms], ms)
 
     balanced = []
-    for ds in datasets:
-        w = np.empty(len(ds))
-        present = np.unique(ds.y)
-        for y in present:
-            sel = ds.y == y
-            w[sel] = 1.0 / (present.size * sel.sum())
-        balanced.append(w)
-    normalized = _pairwise(feats, bw, balanced)
+    for b in cells:
+        present, label_of = np.unique(b.labels, return_inverse=True)
+        per_label = np.bincount(label_of, weights=b.counts)
+        balanced.append(b.counts / (present.size * per_label[label_of]))
+    normalized = _pairwise(feats, bw, balanced, counts)
     return FeatureDivergences(mmd=mmd, coral=coral, bandwidth=bw,
                               per_class=by_class, normalized=normalized)

@@ -7,11 +7,12 @@ Conventions fixed here once:
   * variance across domains is population variance (divide by K);
   * within-group variance for pair groups is the unbiased sample variance
     (so a 2-member group equals half the pair squared difference);
-  * probability matching uses D_KL(p(.|x) || p(.|x~)) as written, with an
-    optional symmetrized mode;
+  * probability matching uses D_KL(p(.|x) || p(.|x~)) as written;
   * Gaussian-kernel MMD bandwidth is the median pooled pairwise squared
     distance (`median_bandwidth`, the one median rule of the package),
-    recomputed per batch and kept inside the graph.
+    recomputed per batch and kept inside the graph;
+  * a batch is a table of (x, y) cells with their probabilities and, for a
+    sample, the rows each stands for, so cells give the values of the rows.
 """
 
 from __future__ import annotations
@@ -39,23 +40,38 @@ KINDS = ("ERM", "PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM", "VREX",
 
 @dataclass(frozen=True)
 class DomainBatch:
-    """One domain's examples; optional weights make it an exact cell batch."""
+    """One domain's rows or (x, y) cells: weights give each entry's
+    probability (uniform if None), counts the sample rows each cell stands
+    for (None: one row each, or an exact population)."""
 
     domain_id: str
     inputs: np.ndarray
     labels: np.ndarray
     weights: np.ndarray | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
-        if np.asarray(self.inputs).shape[0] == 0:
+        if len(self) == 0:
             raise ShapeMismatch("empty domain batch")
-        if np.asarray(self.labels).shape[0] != np.asarray(self.inputs).shape[0]:
+        if np.asarray(self.labels).shape[0] != len(self):
             raise ShapeMismatch("inputs and labels length mismatch")
         if self.weights is not None and abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
             raise ShapeMismatch("batch weights must sum to 1")
+        if self.counts is not None and (np.shape(self.counts) != (len(self),)
+                                        or np.any(np.asarray(self.counts) < 1)):
+            raise ShapeMismatch("batch counts must give each cell >= 1 row")
 
     def __len__(self) -> int:
         return int(np.asarray(self.inputs).shape[0])
+
+
+def cell_batch(domain_id: str, inputs, labels) -> DomainBatch:
+    """Example rows collapsed to their distinct (x, y) cells, each weighted
+    by its share of the rows and carrying its row count."""
+    cells, counts = np.unique(np.stack([inputs, labels], axis=1), axis=0,
+                              return_counts=True)
+    return DomainBatch(domain_id, cells[:, 0], cells[:, 1],
+                       weights=counts / counts.sum(), counts=counts)
 
 
 # Each kind's objective.extras keys with their defaults; no other key is
@@ -171,13 +187,13 @@ def _pair_forward(model: Model, idx_a, idx_b, tape: Tape):
 
 
 def pair_regularizer(model: Model, pairs_or_groups, kind: str,
-                     tape: Tape | None = None, weights=None,
-                     symmetrized: bool = False) -> Node:
+                     tape: Tape | None = None, weights=None) -> Node:
     """Mean divergence over contrastive pairs or the group-variance form.
 
     kind PROB: KL between predicted distributions; LOGIT / FEAT: summed
-    squared differences of logits / features.  Groups use the unbiased
-    within-group variance summed over coordinates.
+    squared differences of logits / features.  weights optionally give each
+    pair's probability (uniform by default), e.g. pair cells' shares.
+    Groups use the unbiased within-group variance summed over coordinates.
     """
     if kind not in ("PROB", "LOGIT", "FEAT"):
         raise ShapeMismatch(f"unknown pair kind {kind!r}")
@@ -197,10 +213,6 @@ def pair_regularizer(model: Model, pairs_or_groups, kind: str,
         la, lb = dk.log_softmax_rows(za), dk.log_softmax_rows(zb)
         pa = dk.exp(la)
         kl = dk.nsum(dk.mul(pa, dk.sub(la, lb)), axis=1)
-        if symmetrized:
-            pb = dk.exp(lb)
-            kl = dk.mul(dk.add(kl, dk.nsum(dk.mul(pb, dk.sub(lb, la)), axis=1)),
-                        dk.constant(0.5))
         return dk.nsum(dk.mul(kl, w))
     diff = dk.sub(za, zb) if kind == "LOGIT" else dk.sub(ha, hb)
     per_pair = dk.nsum(dk.square(diff), axis=1)
@@ -374,13 +386,14 @@ def fishr_from_grads(per_example_by_domain: list[list[list[Node]]],
 
     Componentwise (weighted) population variance per domain, then squared
     Euclidean distance between variance vectors, mean over unordered pairs.
+    Unweighted entries are rows (>= 2 per domain); weighted ones are cells.
     """
     if len(per_example_by_domain) < 2:
         raise TooFewDomains("need >= 2 domains of per-example gradients")
     variance_blocks = []
     for d, per_example in enumerate(per_example_by_domain):
         n = len(per_example)
-        if n < 2:
+        if weights_by_domain is None and n < 2:
             raise TooFewExamples("need >= 2 examples per domain")
         wts = (np.full(n, 1.0 / n) if weights_by_domain is None
                else np.asarray(weights_by_domain[d], dtype=np.float64))
@@ -413,8 +426,8 @@ def fishr_penalty(model: Model, batches: list[DomainBatch],
     exact population form of the same quantity.
     """
     _need_domains(batches)
-    for b in batches:
-        if len(b) < 2:
+    for b in batches:  # rows, not cells
+        if (len(b) if b.counts is None else np.sum(b.counts)) < 2:
             raise TooFewExamples(f"domain {b.domain_id}: need >= 2 examples")
     tape = tape if tape is not None else Tape(model)
     per_domain, weights = [], []
@@ -463,8 +476,8 @@ def rsc_mask(model: Model, batch: DomainBatch, q: float,
     """Mute the feature units whose true-class logit gradients are largest.
 
     Returns (masked loss node, muted unit indices, tape).  The score is the
-    batch mean absolute gradient of the true-class logit w.r.t. H; the top
-    ceil(q*u) units are muted, ties muting higher indices first.
+    batch's weighted mean absolute gradient of the true-class logit w.r.t.
+    H; the top ceil(q*u) units are muted, ties muting higher indices first.
     """
     if not 0.0 < q < 1.0:
         raise ShapeMismatch("q must be in (0,1)")
@@ -473,7 +486,7 @@ def rsc_mask(model: Model, batch: DomainBatch, q: float,
     h, z, _, _ = dk.forward(model, batch.inputs, tape)
     true_logit_sum = dk.nsum(dk.take_cols(z, labels))
     (gh,) = dk.grad_nodes(true_logit_sum, [h])
-    score = np.abs(gh.val).mean(axis=0)
+    score = _weights(batch) @ np.abs(gh.val)
     u = score.shape[0]
     n_mute = int(np.ceil(q * u))
     order = sorted(range(u), key=lambda i: (-score[i], -i))
@@ -488,18 +501,26 @@ def rsc_mask(model: Model, batch: DomainBatch, q: float,
 # Distribution matching on features
 # ---------------------------------------------------------------------------
 
-def _as_feature_nodes(features_by_domain) -> list[Node]:
-    nodes = []
-    for f in features_by_domain:
+def _as_feature_nodes(features_by_domain, counts=None):
+    """Feature matrices as nodes, with the sample rows each feature row
+    stands for (one each for a None entry); each domain needs >= 2 rows."""
+    feats = list(features_by_domain)
+    nodes, ms = [], []
+    for f, m in zip(feats, [None] * len(feats) if counts is None else counts,
+                    strict=True):
         node = f if isinstance(f, Node) else dk.constant(np.asarray(f, dtype=np.float64))
         if node.val.ndim != 2:
             raise ShapeMismatch("features must be [n, u] matrices")
-        if node.val.shape[0] < 2:
+        m = np.ones(node.val.shape[0], dtype=np.int64) if m is None else np.asarray(m)
+        if m.shape != node.val.shape[:1]:
+            raise ShapeMismatch("need one count per feature row")
+        if m.sum() < 2:
             raise TooFewExamples("need >= 2 feature vectors per domain")
         nodes.append(node)
+        ms.append(m)
     if len(nodes) < 2:
         raise TooFewDomains("need >= 2 domains of features")
-    return nodes
+    return nodes, ms
 
 
 def _row_weights(nodes: list[Node], weights) -> list[np.ndarray]:
@@ -517,14 +538,15 @@ def _row_weights(nodes: list[Node], weights) -> list[np.ndarray]:
     return out
 
 
-def coral_penalty(features_by_domain, weights=None) -> Node:
+def coral_penalty(features_by_domain, weights=None, counts=None) -> Node:
     """Squared mean difference plus squared Frobenius difference of
     population covariances, averaged over unordered domain pairs.
 
     weights optionally gives each domain's row weights (uniform by default);
-    means and covariances are then taken under those weights.
+    means and covariances are then taken under those weights.  counts give
+    the sample rows each feature row stands for (one each by default).
     """
-    nodes = _as_feature_nodes(features_by_domain)
+    nodes, _ = _as_feature_nodes(features_by_domain, counts)
     stats = []
     for f, w in zip(nodes, _row_weights(nodes, weights)):
         mean = dk.matmul(dk.constant(w[None, :]), f)  # [1, u]
@@ -553,31 +575,39 @@ def sq_dists(a: Node, b: Node) -> Node:
 BANDWIDTH_FLOOR = 1e-12
 
 
-def _middle(order: np.ndarray) -> np.ndarray:
-    k = order.size
-    return order[k // 2:k // 2 + 1] if k % 2 else order[k // 2 - 1:k // 2 + 1]
+def _middle(order: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The median element(s) of order, element k repeated mult[k] times."""
+    cum = np.cumsum(mult[order])
+    total = int(cum[-1])
+    ranks = [total // 2] if total % 2 else [total // 2 - 1, total // 2]
+    return order[np.searchsorted(cum, ranks, side="right")]
 
 
-def median_bandwidth(dmat: Node) -> Node:
-    """The median heuristic: median pairwise squared distance above the
-    diagonal of the pooled distance matrix, as a graph node.
+def median_bandwidth(dmat: Node, counts=None) -> Node:
+    """The median heuristic: median squared distance over the row pairs of
+    the pooled distance matrix, as a graph node.  counts (one each by
+    default) give the rows each matrix row stands for: entry (i, j) holds
+    m_i m_j row pairs, and m_i (m_i - 1) / 2 on the diagonal.
 
     When that median is at most BANDWIDTH_FLOOR (over half the pairs
     coincide, as on discrete features) the median of the distances above
     the floor is used, so the kernel width does not collapse to a point
     mass; with no such distance the bandwidth is the constant floor.  The
-    median element's position is found on values; the node at that
-    position carries the gradient.
+    node at the median's position carries the gradient.
     """
-    iu, ju = np.triu_indices(dmat.val.shape[0], k=1)
+    n = dmat.val.shape[0]
+    m = np.ones(n, dtype=np.int64) if counts is None else np.asarray(counts)
+    iu, ju = np.triu_indices(n)
+    mult = np.where(iu == ju, m[iu] * (m[iu] - 1) // 2, m[iu] * m[ju])
     vals = dmat.val[iu, ju]
     order = np.argsort(vals, kind="stable")
-    picks = _middle(order)
+    order = order[mult[order] > 0]
+    picks = _middle(order, mult)
     if vals[picks].mean() <= BANDWIDTH_FLOOR:
         order = order[vals[order] > BANDWIDTH_FLOOR]
         if order.size == 0:
             return dk.constant(BANDWIDTH_FLOOR)
-        picks = _middle(order)
+        picks = _middle(order, mult)
     elems = []
     for p in picks:
         row = dk.gather_rows(dmat, np.array([iu[p]]))
@@ -599,17 +629,19 @@ class MmdResult:
 
 
 def mmd_penalty(features_by_domain, bandwidth: float | None = None,
-                weights=None) -> MmdResult:
+                weights=None, counts=None) -> MmdResult:
     """Unbiased Gaussian-kernel MMD^2, averaged over unordered domain pairs.
 
-    weights optionally gives each domain's row weights (uniform by default).
-    Within-domain sums drop their i = j terms, whose kernel value is 1, and
-    renormalize by 1 - sum(w^2).  Without a bandwidth each pair uses the
+    weights optionally gives each domain's row weights (uniform by default),
+    counts the sample rows each feature row stands for (one by default).
+    Within-domain sums drop the pairs of a row with itself (kernel value 1,
+    mass s = sum(w^2 / count)) and renormalize by 1 - s, so cells with
+    counts give their rows' value.  Without a bandwidth each pair uses the
     median heuristic on its pooled rows.  The estimator may dip below zero;
     the returned node is clamped at zero and the raw value is reported
     alongside.
     """
-    nodes = _as_feature_nodes(features_by_domain)
+    nodes, ms = _as_feature_nodes(features_by_domain, counts)
     ws = _row_weights(nodes, weights)
     k = len(nodes)
     terms = []
@@ -620,7 +652,7 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
             pooled = dk.concat_rows([nodes[i], nodes[j]])
             dmat = sq_dists(pooled, pooled)
             h = (dk.constant(float(bandwidth)) if bandwidth is not None
-                 else median_bandwidth(dmat))
+                 else median_bandwidth(dmat, np.concatenate([ms[i], ms[j]])))
             bw_used = float(h.val)
             kmat = dk.exp(dk.div(dmat, dk.neg(h)))
             # side[:, 0] / side[:, 1] put each domain's weights on its rows,
@@ -629,7 +661,7 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
                 np.concatenate([wa, np.zeros(wb.size)]),
                 np.concatenate([np.zeros(wa.size), wb])], axis=1))
             gram = dk.matmul(dk.t2(side), dk.matmul(kmat, side))
-            sa, sb = float(wa @ wa), float(wb @ wb)
+            sa, sb = float(wa @ (wa / ms[i])), float(wb @ (wb / ms[j]))
             coef = dk.constant([[1.0 / (1.0 - sa), -1.0],
                                 [-1.0, 1.0 / (1.0 - sb)]])
             diag = sa / (1.0 - sa) + sb / (1.0 - sb)
@@ -644,8 +676,7 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
 # ---------------------------------------------------------------------------
 
 def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
-                tape: Tape | None = None, adv_tape: Tape | None = None,
-                reversal_scale: float = 1.0):
+                tape: Tape | None = None, adv_tape: Tape | None = None):
     """Label loss plus domain-classification loss behind gradient reversal.
 
     The adversary is a Model with no embedding, consuming feature rows; its
@@ -664,7 +695,7 @@ def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
         dom_ids.append(np.full(len(b), d, dtype=np.int64))
         wparts.append(np.asarray(_weights(b)) / len(batches))
     label_loss = dk.nmean(dk.stack_list(label_losses))
-    pooled = dk.gradient_reversal(dk.concat_rows(feats), reversal_scale)
+    pooled = dk.gradient_reversal(dk.concat_rows(feats), 1.0)
     _, zd, _, _ = dk.forward(adversary, pooled, adv_tape)
     domain_loss = _nll(zd, np.concatenate(dom_ids), np.concatenate(wparts))
     return label_loss, domain_loss, tape, adv_tape
@@ -672,8 +703,7 @@ def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
 
 def cdann_losses(model: Model, adversaries: list[Model],
                  batches: list[DomainBatch], tape: Tape | None = None,
-                 adv_tapes: list[Tape] | None = None,
-                 reversal_scale: float = 1.0):
+                 adv_tapes: list[Tape] | None = None):
     """Class-conditional adversaries plus one on the prior-normalized marginal.
 
     adversaries[y] is the domain classifier for class y; adversaries[-1]
@@ -707,7 +737,7 @@ def cdann_losses(model: Model, adversaries: list[Model],
             wparts.append(wy / wy.sum())
         if len(parts) < 2:
             continue  # class absent almost everywhere; nothing to confuse
-        pooled = dk.gradient_reversal(dk.concat_rows(parts), reversal_scale)
+        pooled = dk.gradient_reversal(dk.concat_rows(parts), 1.0)
         _, zd, _, _ = dk.forward(adversaries[y], pooled, adv_tapes[y])
         adv_terms.append(_nll(zd, np.concatenate(ids),
                               np.concatenate(wparts) / len(parts)))
@@ -725,7 +755,7 @@ def cdann_losses(model: Model, adversaries: list[Model],
         parts.append(feats[d])
         ids.append(np.full(len(b), d, dtype=np.int64))
         wparts.append(w / len(batches))
-    pooled = dk.gradient_reversal(dk.concat_rows(parts), reversal_scale)
+    pooled = dk.gradient_reversal(dk.concat_rows(parts), 1.0)
     _, zd, _, _ = dk.forward(adversaries[-1], pooled, adv_tapes[-1])
     adv_terms.append(_nll(zd, np.concatenate(ids), np.concatenate(wparts)))
     adv_loss = dk.nmean(dk.stack_list(adv_terms))
@@ -743,17 +773,18 @@ class MixupBatch:
     soft_labels: np.ndarray  # [n, n_classes]
 
 
-def mixup(model: Model, batch: DomainBatch, alpha: float, seed: int,
-          n_classes: int | None = None) -> MixupBatch:
-    """Convex combinations of embedded inputs and one-hot labels."""
+def mixup(model: Model, batch: DomainBatch, alpha: float,
+          seed: int) -> MixupBatch:
+    """Convex combinations of embedded inputs and one-hot labels.  A cell
+    batch is first expanded to its rows (each cell repeated count times)."""
     if alpha <= 0:
         raise ShapeMismatch("alpha must be > 0")
-    n_classes = n_classes if n_classes is not None else model.n_classes
     rng = substream(seed, "mixup")
-    emb = dk.embed_inputs(model, batch.inputs)
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    onehot = np.eye(n_classes)[labels]
-    n = len(batch)
+    reps = 1 if batch.counts is None else batch.counts
+    inputs, labels = (np.repeat(a, reps) for a in (batch.inputs, batch.labels))
+    emb = dk.embed_inputs(model, inputs)
+    onehot = np.eye(model.n_classes)[np.asarray(labels, dtype=np.int64)]
+    n = len(labels)
     lam = rng.beta(alpha, alpha, size=n)
     partner = rng.permutation(n)
     mixed_x = lam[:, None] * emb + (1 - lam)[:, None] * emb[partner]

@@ -68,13 +68,21 @@ class TestConfigParsing:
         (lambda d: d["eval"].update(ci_style="shuffled"), "eval.ci_style"),
         (lambda d: d.update(objective={"kind": "GROUP_DRO"}), "source"),
         (lambda d: d.update(source=["source", "target"],
-                            objective={"kind": "CORAL", "lambda": 1.0},
+                            objective={"kind": "MMD", "lambda": 1.0},
                             trainer={"data_mode": "population"}),
          "trainer.data_mode"),
         (lambda d: d["trainer"].update(batch_size=8,
                                        data_mode="population"),
          "trainer.batch_size"),
         (lambda d: d["trainer"].update(batch_size=8, optimizer="gd"),
+         "trainer.batch_size"),
+        (lambda d: d.update(source=["source", "target"],
+                            objective={"kind": "FISHR", "lambda": 1.0},
+                            trainer={"train_n": 1}),
+         "trainer.train_n"),
+        (lambda d: d.update(source=["source", "target"],
+                            objective={"kind": "CORAL", "lambda": 1.0},
+                            trainer={"optimizer": "sgd", "batch_size": 1}),
          "trainer.batch_size"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, mutate, field):
@@ -347,7 +355,7 @@ class TestCli:
 def _accepted_modes(kind):
     """Every optimizer setup the validator accepts for kind."""
     modes = [{"optimizer": "gd"}, {"optimizer": "sgd", "batch_size": 8},
-             {"optimizer": "adam"}]
+             {"optimizer": "sgd", "batch_size": 2}, {"optimizer": "adam"}]
     if kind not in harness.RAW_ROW_KINDS:
         modes.append({"optimizer": "gd", "data_mode": "population"})
     return modes

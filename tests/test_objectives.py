@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cldlab import cld_core, diffkit as dk, objectives as ob
+from cldlab import cld_core, diffkit as dk, harness, metrics, objectives as ob
 from cldlab.errors import ConfigError, ShapeMismatch, TooFewDomains, UnlabeledPair
-from cldlab.pairgen import ContrastivePair, PairGroup
+from cldlab.pairgen import ContrastivePair, PairGroup, sample_pairs
 from cldlab.rng import derive_seed
 
 
@@ -521,3 +521,124 @@ def test_weighted_feature_penalties_match_the_defining_sums():
     coral = ((ma - mb) ** 2).sum() + ((ca - cb) ** 2).sum()
     got = float(ob.coral_penalty([fa, fb], weights=[wa, wb]).val)
     assert got == pytest.approx(coral, rel=1e-12)
+
+
+def _features(m, bs, t):
+    return [dk.forward(m, b.inputs, t)[0] for b in bs]
+
+
+_CELL_ADVERSARIES = [dk.init_raw_model(6, (8,), 2, seed=40 + i) for i in range(4)]
+
+# kind -> scalar node from (model, domain batches, (pairs, weights), tape)
+CELL_CASES = {
+    "ERM": lambda m, bs, ps, t: ob.mean_domain_loss(m, bs, t),
+    "VREX": lambda m, bs, ps, t: ob.vrex_penalty(m, bs, t),
+    "GROUP_DRO": lambda m, bs, ps, t: ob.group_dro(m, bs, t),
+    "FISH": lambda m, bs, ps, t: ob.fish_penalty(m, bs, t),
+    "IGA": lambda m, bs, ps, t: ob.iga_penalty(m, bs, t),
+    "FISHR": lambda m, bs, ps, t: ob.fishr_penalty(m, bs, t),
+    "IRM": lambda m, bs, ps, t: ob.irm_penalty(m, bs, t),
+    "SD": lambda m, bs, ps, t: dk.nsum(dk.stack_list([
+        ob.sd_penalty(dk.forward(m, b.inputs, t)[1], b.weights) for b in bs])),
+    "RSC": lambda m, bs, ps, t: dk.nsum(dk.stack_list([
+        ob.rsc_mask(m, b, 0.33, t)[0] for b in bs])),
+    "CORAL": lambda m, bs, ps, t: ob.coral_penalty(
+        _features(m, bs, t), [b.weights for b in bs], [b.counts for b in bs]),
+    "MMD": lambda m, bs, ps, t: ob.mmd_penalty(
+        _features(m, bs, t), None, [b.weights for b in bs],
+        [b.counts for b in bs]).node,
+    "DANN": lambda m, bs, ps, t: dk.add(*ob.dann_losses(
+        m, _CELL_ADVERSARIES[0], bs, t)[:2]),
+    "CDANN": lambda m, bs, ps, t: dk.add(*ob.cdann_losses(
+        m, _CELL_ADVERSARIES, bs, t)[:2]),
+    "PAIR_PROB": lambda m, bs, ps, t: ob.pair_regularizer(m, ps[0], "PROB", t,
+                                                          ps[1]),
+    "PAIR_LOGIT": lambda m, bs, ps, t: ob.pair_regularizer(m, ps[0], "LOGIT",
+                                                           t, ps[1]),
+    "PAIR_FEAT": lambda m, bs, ps, t: ob.pair_regularizer(m, ps[0], "FEAT", t,
+                                                          ps[1]),
+    "LAM": lambda m, bs, ps, t: ob.lam_regularizer(m, ps[0], t, ps[1]),
+}
+
+
+@pytest.mark.parametrize("kind", list(CELL_CASES))
+def test_cells_give_the_values_of_their_rows(kind):
+    """Every batch-reading term has the same value and parameter gradient
+    on a sample's rows as on its count-weighted (x, y) cells, and on the
+    sampled pairs as on their weighted (x, x~, y) cells."""
+    family, domains = cld_core.random_family(5, variant="CLD2", n_domains=2)
+    model = dk.init_model(family.spaces.n_obs, (6,), family.spaces.n_classes,
+                          embedding="bits", seed=3)
+    rows, cells = [], []
+    for d in domains:
+        ds = cld_core.sample_dataset(family, d, 60,
+                                     derive_seed(7, f"data:{d.domain_id}"))
+        rows.append(ob.DomainBatch(d.domain_id, ds.x, ds.y, np.full(60, 1 / 60)))
+        cells.append(ob.cell_batch(d.domain_id, ds.x, ds.y))
+    pairs = sample_pairs(family, domains[0], 200, seed=7)
+    got = []
+    for batches, pair_view in ((rows, (pairs, None)),
+                               (cells, harness._pair_cells(pairs))):
+        tape = dk.Tape(model)
+        node = CELL_CASES[kind](model, batches, pair_view, tape)
+        got.append((float(node.val), dk.backward(tape, node)))
+    (v_rows, g_rows), (v_cells, g_cells) = got
+    assert sum(len(b) for b in cells) < sum(len(b) for b in rows)
+    assert v_cells == pytest.approx(v_rows, rel=1e-9, abs=0)
+    np.testing.assert_allclose(g_cells, g_rows, rtol=1e-9,
+                               atol=1e-9 * np.abs(g_rows).max())
+
+
+def _row_median_sq_dist(pooled: np.ndarray) -> float:
+    """The median rule over all row pairs i < j, blockwise in plain numpy."""
+    norms = (pooled * pooled).sum(axis=1)
+    tally = {}
+    for i0 in range(0, len(pooled) - 1, 500):
+        block = pooled[i0:i0 + 500]
+        d = np.maximum(norms[i0:i0 + 500, None] - (2.0 * block) @ pooled.T
+                       + norms[None, :], 0.0)
+        ii, jj = np.nonzero(np.arange(len(pooled))[None, :]
+                            > np.arange(i0, i0 + len(block))[:, None])
+        vals, counts = np.unique(d[ii, jj], return_counts=True)
+        for v, c in zip(vals, counts):
+            tally[v] = tally.get(v, 0) + int(c)
+    vals = np.array(sorted(tally))
+    counts = np.array([tally[v] for v in vals])
+
+    def median(vals, counts):
+        cum = np.cumsum(counts)
+        total = int(cum[-1])
+        ranks = [total // 2] if total % 2 else [total // 2 - 1, total // 2]
+        return float(vals[np.searchsorted(cum, ranks, side="right")].mean())
+
+    med = median(vals, counts)
+    if med <= ob.BANDWIDTH_FLOOR:
+        keep = vals > ob.BANDWIDTH_FLOOR
+        med = median(vals[keep], counts[keep])
+    return med
+
+
+def test_feature_divergences_give_the_row_estimators(canon_d):
+    """At 2 x 2000 rows, the cell form of feature_divergences gives the
+    row-pair median bandwidth, the row-form unbiased MMD (kernel sums over
+    rows, i = j dropped) and the row-form CORAL penalty."""
+    family, source, target = canon_d
+    data = [cld_core.sample_dataset(family, d, 2000, seed=s)
+            for s, d in enumerate([source, target])]
+    model = dk.init_model(4, (16,), 2, embedding="bits", seed=1)
+    div = metrics.feature_divergences(model, data)
+    fa, fb = (metrics.model_features(model, ds.x) for ds in data)
+    assert div.bandwidth == pytest.approx(
+        _row_median_sq_dist(np.vstack([fa, fb])), rel=1e-12)
+
+    def ksum(x, y):
+        d = ((x * x).sum(axis=1)[:, None] - (2.0 * x) @ y.T
+             + (y * y).sum(axis=1)[None, :])
+        return np.exp(-np.maximum(d, 0.0) / div.bandwidth).sum()
+
+    n = 2000
+    mmd = ((ksum(fa, fa) - n) / (n * (n - 1)) + (ksum(fb, fb) - n) / (n * (n - 1))
+           - 2.0 * ksum(fa, fb) / n ** 2)
+    assert div.mmd == pytest.approx(mmd, rel=1e-12)
+    assert div.coral == pytest.approx(
+        float(ob.coral_penalty([fa, fb]).val), rel=1e-12)

@@ -8,7 +8,7 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -116,14 +116,6 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _section(doc: dict, name: str, allowed: set) -> dict:
-    sub = doc.get(name, {})
-    _require(isinstance(sub, dict), name, "must be a JSON object")
-    for key in sub:
-        _require(key in allowed, f"{name}.{key}", "unknown field")
-    return sub
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate a config document; ConfigError names the field."""
     _require(isinstance(doc, dict), "", "config must be a JSON object")
@@ -137,42 +129,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     family = doc["family"]
     _require(isinstance(family, str) and family, "family", "must be a name or path")
     src = doc["source"]
-    sources = tuple([src] if isinstance(src, str) else src)
+    sources = tuple([src] if isinstance(src, str) else
+                    src if isinstance(src, list) else [])
     _require(len(sources) >= 1 and all(isinstance(s, str) for s in sources),
              "source", "must be a domain id or list of ids")
     _require(isinstance(doc["target"], str), "target", "must be a domain id")
 
-    obj_doc = doc.get("objective", {"kind": "ERM"})
-    _require(isinstance(obj_doc, dict), "objective", "must be a JSON object")
-    try:
-        objective = ObjectiveConfig.from_dict(obj_doc)
-    except ConfigError:
-        raise
-    except Exception as exc:  # invalid kind/extras surface as ConfigError
-        raise ConfigError("objective", str(exc)) from exc
+    objective = ObjectiveConfig.from_dict(doc.get("objective", {"kind": "ERM"}))
 
-    msub = _section(doc, "model", {"widths", "embedding"})
-    widths = tuple(msub.get("widths", (16,)))
-    _require(all(isinstance(w, int) and w >= 1 for w in widths),
-             "model.widths", "must be positive integers")
-    embedding = msub.get("embedding", "bits")
-    _require(embedding in ("onehot", "bits"), "model.embedding",
+    model = ob.read_spec(doc, "model", ModelSpec)
+    _require(all(w >= 1 for w in model.widths), "model.widths",
+             "must be positive integers")
+    _require(model.embedding in ("onehot", "bits"), "model.embedding",
              "must be 'onehot' or 'bits'")
 
-    tsub = _section(doc, "trainer", {"optimizer", "lr", "steps", "batch_size",
-                                     "seed", "data_mode", "train_n",
-                                     "eval_every", "head_only_steps"})
-    trainer = TrainerSpec(
-        optimizer=tsub.get("optimizer", "gd"),
-        lr=float(tsub.get("lr", 0.1)),
-        steps=int(tsub.get("steps", 2000)),
-        batch_size=tsub.get("batch_size"),
-        seed=int(tsub.get("seed", 0)),
-        data_mode=tsub.get("data_mode", "sample"),
-        train_n=int(tsub.get("train_n", 200)),
-        eval_every=int(tsub.get("eval_every", 0)),
-        head_only_steps=int(tsub.get("head_only_steps", 0)),
-    )
+    trainer = ob.read_spec(doc, "trainer", TrainerSpec)
     _require(trainer.optimizer in ("gd", "sgd", "adam"), "trainer.optimizer",
              "must be one of gd, sgd, adam")
     _require(trainer.steps >= 1, "trainer.steps", "must be >= 1")
@@ -180,8 +151,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     _require(trainer.data_mode in ("sample", "population"),
              "trainer.data_mode", "must be 'sample' or 'population'")
     _require(trainer.train_n >= 1, "trainer.train_n", "must be >= 1")
-    _require(trainer.batch_size is None or
-             (isinstance(trainer.batch_size, int) and trainer.batch_size >= 1),
+    _require(trainer.batch_size is None or trainer.batch_size >= 1,
              "trainer.batch_size", "must be a positive integer")
     _require(not (trainer.data_mode == "population" and
                   trainer.batch_size is not None),
@@ -192,23 +162,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     _require(0 <= trainer.head_only_steps <= trainer.steps,
              "trainer.head_only_steps", "must be within [0, steps]")
 
-    esub = _section(doc, "eval", {"exact", "n_samples", "ci_pairs", "ci_reps",
-                                  "ci_style"})
-    espec = EvalSpec(
-        exact=bool(esub.get("exact", True)),
-        n_samples=int(esub.get("n_samples", 10000)),
-        ci_pairs=int(esub.get("ci_pairs", 2000)),
-        ci_reps=int(esub.get("ci_reps", 1)),
-        ci_style=esub.get("ci_style", "marginal"),
-    )
+    espec = ob.read_spec(doc, "eval", EvalSpec)
     _require(espec.n_samples >= 1, "eval.n_samples", "must be >= 1")
     _require(espec.ci_pairs >= 0, "eval.ci_pairs", "must be >= 0")
     _require(espec.ci_reps >= 1, "eval.ci_reps", "must be >= 1")
     _require(espec.ci_style in ("marginal", "uniform"), "eval.ci_style",
              "must be 'marginal' or 'uniform'")
 
-    psub = _section(doc, "pairs", {"n", "style"})
-    pspec = PairSpec(n=int(psub.get("n", 200)), style=psub.get("style", "marginal"))
+    pspec = ob.read_spec(doc, "pairs", PairSpec)
     _require(pspec.n >= 1, "pairs.n", "must be >= 1")
     _require(pspec.style in ("marginal", "uniform"), "pairs.style",
              "must be 'marginal' or 'uniform'")
@@ -229,41 +190,34 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                  else "trainer.batch_size",
                  f"objective {kind} needs >= 2 rows per domain per step")
     return ExperimentConfig(family=family, sources=sources, target=doc["target"],
-                            objective=objective, model=ModelSpec(widths, embedding),
-                            trainer=trainer, eval=espec, pairs=pspec, out=out)
+                            objective=objective, model=model, trainer=trainer,
+                            eval=espec, pairs=pspec, out=out)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "family": cfg.family,
-        "source": list(cfg.sources),
-        "target": cfg.target,
-        "objective": cfg.objective.to_dict(),
-        "model": {"widths": list(cfg.model.widths),
-                  "embedding": cfg.model.embedding},
-        "trainer": {
-            "optimizer": cfg.trainer.optimizer, "lr": cfg.trainer.lr,
-            "steps": cfg.trainer.steps, "batch_size": cfg.trainer.batch_size,
-            "seed": cfg.trainer.seed, "data_mode": cfg.trainer.data_mode,
-            "train_n": cfg.trainer.train_n, "eval_every": cfg.trainer.eval_every,
-            "head_only_steps": cfg.trainer.head_only_steps,
-        },
-        "eval": {"exact": cfg.eval.exact, "n_samples": cfg.eval.n_samples,
-                 "ci_pairs": cfg.eval.ci_pairs, "ci_reps": cfg.eval.ci_reps,
-                 "ci_style": cfg.eval.ci_style},
-        "pairs": {"n": cfg.pairs.n, "style": cfg.pairs.style},
-        "out": cfg.out,
-    }
+    """The document config_from_dict reads back to cfg (tuples stand for
+    JSON lists)."""
+    doc = asdict(cfg)
+    doc["source"] = list(doc.pop("sources"))
+    doc["objective"] = cfg.objective.to_dict()
+    return doc
 
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def config_hash(cfg: ExperimentConfig, seed: int) -> str:
+def _stamped(cfg: ExperimentConfig, seed: int) -> tuple[str, str]:
+    """(hash, canonical JSON) of the config document with seed stamped in
+    as trainer.seed: what a run is named by and stores."""
     doc = config_to_dict(cfg)
     doc["trainer"]["seed"] = seed
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
+    text = canonical_json(doc)
+    return hashlib.sha256(text.encode()).hexdigest()[:16], text
+
+
+def config_hash(cfg: ExperimentConfig, seed: int) -> str:
+    return _stamped(cfg, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +496,8 @@ def _swa_schedule(cfg: ExperimentConfig) -> tuple[int, int]:
     """(burn-in steps, snapshot interval) of an SWA run."""
     steps = cfg.trainer.steps
     burn_in, every = (cfg.objective.extra(k) for k in ("burn_in", "every"))
-    return (int(steps // 2 if burn_in is None else burn_in),
-            max(1, int(steps // 20 if every is None else every)))
+    return (steps // 2 if burn_in is None else burn_in,
+            max(1, steps // 20 if every is None else every))
 
 
 def _head_only(model, grads: np.ndarray) -> np.ndarray:
@@ -615,15 +569,12 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
     """
     eff_seed = cfg.trainer.seed if seed is None else seed
     out = resolve_out_dir(out_dir, cfg.out)
-    chash = config_hash(cfg, eff_seed)
+    chash, stored = _stamped(cfg, eff_seed)
     run_id = f"{chash}-s{eff_seed}"
 
     family, sources, target = _resolve_domains(cfg)
 
-    cfg_path = os.path.join(out, f"config-{chash}.json")
-    stored = config_to_dict(cfg)
-    stored["trainer"]["seed"] = eff_seed
-    _atomic_write(cfg_path, canonical_json(stored) + "\n")
+    _atomic_write(os.path.join(out, f"config-{chash}.json"), stored + "\n")
 
     s = family.spaces
     model = dk.init_model(s.n_obs, cfg.model.widths, s.n_classes,
@@ -640,7 +591,7 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
     if kind in ("DANN", "CDANN"):
         labels = (["adv"] if kind == "DANN"
                   else [f"adv:{k}" for k in range(s.n_classes + 1)])
-        widths = tuple(cfg.objective.extra("adv_widths"))
+        widths = cfg.objective.extra("adv_widths")
         run.adversaries = [
             dk.init_raw_model(model.u_count, widths, len(sources),
                               seed=derive_seed(eff_seed, label))

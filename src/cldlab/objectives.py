@@ -17,7 +17,8 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,16 +87,70 @@ EXTRAS = {
     "SWA": {"burn_in": None, "every": None},
 }
 
+# The types of the extras whose default is None; every other extra takes
+# its default's type.
+_EXTRA_TYPES = {"bandwidth": "float | None", "burn_in": "int | None",
+                "every": "int | None"}
+
 _EXTRA_RULES = {
     "q": (lambda v: 0.0 < v < 1.0, "q must be in (0,1)"),
     "tau": (lambda v: 0.5 < v <= 1.0, "tau must be in (0.5,1]"),
     "alpha": (lambda v: v > 0, "alpha must be > 0"),
     "bandwidth": (lambda v: v is None or v > 0, "must be > 0"),
-    "adv_widths": (lambda v: all(isinstance(w, int) and w >= 1 for w in v),
-                   "must be positive integers"),
-    "burn_in": (lambda v: v is None or float(v) == v, "must be a number"),
-    "every": (lambda v: v is None or float(v) == v, "must be a number"),
+    "adv_widths": (lambda v: all(w >= 1 for w in v), "must be positive integers"),
 }
+
+
+def _integral(v) -> bool:
+    """v is an integral JSON number; a boolean is not a number."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, int) or v.is_integer()))
+
+
+# Config value types by annotation name: (accepts, converts, message).  An
+# int takes any integral number, a float any finite one, a tuple a list of
+# integral numbers.
+_TYPES = {
+    "int": (_integral, int, "must be an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max, float, "must be a finite number"),
+    "bool": (lambda v: isinstance(v, bool), bool, "must be true or false"),
+    "str": (lambda v: isinstance(v, str), str, "must be a string"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_integral, v)),
+              lambda v: tuple(map(int, v)), "must be a list of integers"),
+}
+
+
+def _typed(path: str, value, annotation: str):
+    """value as the type its field annotation names ("int | None" also
+    takes null); ConfigError(path) if it is not one."""
+    name, _, optional = annotation.partition(" | ")
+    if optional == "None" and value is None:
+        return None
+    accepts, convert, message = _TYPES[name]
+    if not accepts(value):
+        raise ConfigError(path, message)
+    return convert(value)
+
+
+def _object(path: str, value, allowed) -> dict:
+    """value, which must be a JSON object whose keys are all in allowed."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be a JSON object")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    return value
+
+
+def read_spec(doc: dict, section: str, cls):
+    """The config dataclass cls from doc[section]: unknown keys are refused,
+    each given value is typed by its field's annotation (a string, as under
+    `from __future__ import annotations`), absent fields take their
+    defaults."""
+    types = {f.name: f.type for f in fields(cls)}
+    sub = _object(section, doc.get(section, {}), types)
+    return cls(**{k: _typed(f"{section}.{k}", v, types[k]) for k, v in sub.items()})
 
 
 @dataclass(frozen=True)
@@ -107,20 +162,20 @@ class ObjectiveConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError("objective.kind", f"unknown kind {self.kind!r}")
-        if self.lam < 0:
+        lam = _typed("objective.lambda", self.lam, "float")
+        if lam < 0:
             raise ConfigError("objective.lambda", "must be nonnegative")
         allowed = EXTRAS.get(self.kind, {})
-        for key, value in self.extras.items():
+        extras = {}
+        for key, value in _object("objective.extras", self.extras, allowed).items():
             path = f"objective.extras.{key}"
-            if key not in allowed:
-                raise ConfigError(path, f"not an extra of {self.kind}")
-            rule, message = _EXTRA_RULES[key]
-            try:
-                ok = rule(value)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ConfigError(path, message)
+            extras[key] = _typed(path, value, _EXTRA_TYPES.get(
+                key, type(allowed[key]).__name__))
+            rule = _EXTRA_RULES.get(key)
+            if rule and not rule[0](extras[key]):
+                raise ConfigError(path, rule[1])
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "extras", extras)
 
     def extra(self, key: str):
         """The configured extras value for key, else the kind's default."""
@@ -128,10 +183,10 @@ class ObjectiveConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ObjectiveConfig":
+        _object("objective", doc, ("kind", "lambda", "extras"))
         if "kind" not in doc:
             raise ConfigError("objective.kind", "missing")
-        return cls(doc["kind"], float(doc.get("lambda", 0.0)),
-                   dict(doc.get("extras", {})))
+        return cls(doc["kind"], doc.get("lambda", 0.0), doc.get("extras", {}))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "lambda": self.lam, "extras": dict(self.extras)}
@@ -279,19 +334,9 @@ def _need_domains(batches, k: int = 2):
         raise TooFewDomains(f"need at least {k} domains, got {len(batches)}")
 
 
-def vrex(model: Model, batches: list[DomainBatch], lam: float = 1.0,
-         tape: Tape | None = None) -> Node:
-    """Mean domain loss plus lam times the population variance of losses."""
-    _need_domains(batches)
-    tape = tape if tape is not None else Tape(model)
-    losses = dk.stack_list(domain_losses(model, batches, tape))
-    mean = dk.nmean(losses)
-    var = dk.nmean(dk.square(dk.sub(losses, mean)))
-    return dk.add(mean, dk.mul(dk.constant(float(lam)), var))
-
-
 def vrex_penalty(model: Model, batches: list[DomainBatch],
                  tape: Tape | None = None) -> Node:
+    """Population variance of the domain losses (V-REx)."""
     _need_domains(batches)
     tape = tape if tape is not None else Tape(model)
     losses = dk.stack_list(domain_losses(model, batches, tape))
@@ -477,24 +522,22 @@ def rsc_mask(model: Model, batch: DomainBatch, q: float,
 
     Returns (masked loss node, muted unit indices, tape).  The score is the
     batch's weighted mean absolute gradient of the true-class logit w.r.t.
-    H; the top ceil(q*u) units are muted, ties muting higher indices first.
+    H, which for the linear head is |head[unit, y]|; the top ceil(q*u) units
+    are muted, ties muting higher indices first.
     """
     if not 0.0 < q < 1.0:
         raise ShapeMismatch("q must be in (0,1)")
     tape = tape if tape is not None else Tape(model)
+    u = model.u_count
     labels = np.asarray(batch.labels, dtype=np.int64)
-    h, z, _, _ = dk.forward(model, batch.inputs, tape)
-    true_logit_sum = dk.nsum(dk.take_cols(z, labels))
-    (gh,) = dk.grad_nodes(true_logit_sum, [h])
-    score = _weights(batch) @ np.abs(gh.val)
-    u = score.shape[0]
+    score = _weights(batch) @ np.abs(model.head[:u, labels].T)
     n_mute = int(np.ceil(q * u))
     order = sorted(range(u), key=lambda i: (-score[i], -i))
     muted = sorted(order[:n_mute])
     mask = np.ones(u)
     mask[muted] = 0.0
-    _, z2, _, _ = dk.forward(model, batch.inputs, tape, feature_mask=mask)
-    return _nll(z2, batch.labels, _weights(batch)), muted, tape
+    _, z, _, _ = dk.forward(model, batch.inputs, tape, feature_mask=mask)
+    return _nll(z, batch.labels, _weights(batch)), muted, tape
 
 
 # ---------------------------------------------------------------------------

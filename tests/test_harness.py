@@ -1,14 +1,16 @@
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cldlab import cld_core, harness
+from cldlab import cld_core, harness, objectives as ob
 from cldlab.cli import main as cli_main
 from cldlab.errors import ConfigError
-from cldlab.objectives import KINDS
+from cldlab.objectives import EXTRAS, KINDS
 
 CSV_HEADER = ("run_id,config_hash,step,domain_id,split,loss_nats,accuracy,"
               "ci_index,penalty_value,penalty_kind,seed")
@@ -419,3 +421,82 @@ def test_cli_evaluate_and_ci_index_reproduce_train(tmp_path):
     ci = json.loads(res.output)
     assert {d: v["value"] for d, v in ci.items()} == \
         {r["domain_id"]: r["ci_index"] for r in rec.rows}
+
+
+# Values of the wrong JSON type for each field annotation.
+NUMBERS = ["0.5", True, False, math.nan, math.inf, -math.inf, [1]]
+ILL_TYPED = {
+    "int": NUMBERS + [None, 2.5],
+    "int | None": NUMBERS + [2.5],
+    "float": NUMBERS + [None],
+    "float | None": NUMBERS,
+    "bool": ["false", "true", 0, 1, None, [True]],
+    "str": [5, True, None, ["gd"]],
+    "tuple": [16, "16", None, True, [2.5], [True], ["16"], [math.nan]],
+}
+SPECS = {"model": harness.ModelSpec, "trainer": harness.TrainerSpec,
+         "eval": harness.EvalSpec, "pairs": harness.PairSpec}
+
+
+def _ill_typed_cases():
+    """(field path, value, objective section) for every spec field, the
+    objective's lambda and every extras key."""
+    for section, cls in SPECS.items():
+        for f in dataclasses.fields(cls):
+            for value in ILL_TYPED[f.type]:
+                yield f"{section}.{f.name}", value, {"kind": "ERM"}
+    for value in ILL_TYPED["float"]:
+        yield "objective.lambda", value, {"kind": "ERM", "lambda": value}
+    for kind, extras in EXTRAS.items():
+        for key, default in extras.items():
+            annotation = ob._EXTRA_TYPES.get(key, type(default).__name__)
+            for value in ILL_TYPED[annotation]:
+                yield (f"objective.extras.{key}", value,
+                       {"kind": kind, "lambda": 0.5, "extras": {key: value}})
+
+
+ILL_TYPED_CASES = list(_ill_typed_cases())
+
+
+@pytest.mark.parametrize("path,value,objective", ILL_TYPED_CASES,
+                         ids=[f"{o['kind']}-{p}={v!r}"
+                              for p, v, o in ILL_TYPED_CASES])
+def test_ill_typed_values_name_the_field(tmp_path, path, value, objective):
+    doc = base_doc(tmp_path, source=["source", "target"], objective=objective)
+    section, _, name = path.partition(".")
+    if section in SPECS:
+        doc[section][name] = value
+    with pytest.raises(ConfigError) as err:
+        harness.config_from_dict(doc)
+    assert err.value.field == path
+
+
+def test_integral_numbers_are_stored_typed(tmp_path):
+    doc = base_doc(tmp_path, model={"widths": [16.0, 4]},
+                   objective={"kind": "SWA", "lambda": 1,
+                              "extras": {"burn_in": 2.0}})
+    doc["trainer"].update(optimizer="sgd", lr=1, steps=3.0, batch_size=8.0)
+    cfg = harness.config_from_dict(doc)
+    typed = (cfg.model.widths, cfg.trainer.lr, cfg.trainer.steps,
+             cfg.trainer.batch_size, cfg.objective.lam,
+             cfg.objective.extra("burn_in"))
+    assert typed == ((16, 4), 1.0, 3, 8, 1.0, 2)
+    assert [type(v) for v in typed] == [tuple, float, int, int, float, int]
+
+
+def test_unknown_objective_key_is_refused(tmp_path):
+    doc = base_doc(tmp_path, source=["source", "target"],
+                   objective={"kind": "VREX", "lamda": 10})
+    with pytest.raises(ConfigError) as err:
+        harness.config_from_dict(doc)
+    assert err.value.field == "objective.lamda"
+
+
+def test_cli_refuses_an_ill_typed_value(tmp_path):
+    doc = base_doc(tmp_path)
+    doc["trainer"]["lr"] = "fast"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(cli_main, ["train", "--config", str(path)])
+    assert res.exit_code == 2
+    assert "config error: trainer.lr" in res.output

@@ -125,24 +125,25 @@ class TestRiskMatching:
         family, source, target = canon_d
         model = causal_faithful_model(family)
         bs = [population_batch(family, source), population_batch(family, target)]
-        total = ob.vrex(model, bs, lam=7.0).val
-        assert total == pytest.approx(ob.mean_domain_loss(model, bs, dk.Tape(model)).val,
-                                      abs=1e-12)
+        tape = dk.Tape(model)
+        base = ob.mean_domain_loss(model, bs, tape)
+        pen = ob.vrex_penalty(model, bs, tape)
+        assert abs(pen.val) <= 1e-12
+        total = dk.add(base, dk.mul(dk.constant(7.0), pen))
+        assert total.val == pytest.approx(base.val, abs=1e-12)
 
     def test_vrex_population_variance(self):
-        # losses 1 and 3: mean 2, population variance ((1)^2 + (1)^2) / 2 = 1
-        ha, hb = self.two_domain_losses(1.0, 3.0)
-        ma = linear_model(ha)
-        bs = [batch([0], [1], "a"), batch([0], [1], "b")]
-        pen = ob.vrex_penalty(ma, bs)
-        # both batches run the same model here, so build per-domain models by
-        # evaluating vrex on stacked hand-made losses instead
-        la = ob.erm_loss(linear_model(ha), bs[0]).val
-        lb = ob.erm_loss(linear_model(hb), bs[1]).val
-        assert (la, lb) == (pytest.approx(1.0), pytest.approx(3.0))
-        losses = dk.stack_list([dk.constant(np.array(la)), dk.constant(np.array(lb))])
-        var = dk.nmean(dk.square(dk.sub(losses, dk.nmean(losses)))).val
-        assert var == pytest.approx(1.0)
+        # one bias-only model, class-1 prob 1/e: label 1 costs 1 nat,
+        # label 0 costs -log(1 - 1/e)
+        head, _ = self.two_domain_losses(1.0, 1.0)
+        model = linear_model(head)
+        bs = [batch([0], [1], "a"), batch([0], [0], "b")]
+        la, lb = 1.0, -math.log(1.0 - math.exp(-1.0))
+        assert [ob.erm_loss(model, b).val for b in bs] \
+            == [pytest.approx(la), pytest.approx(lb)]
+        mean = (la + lb) / 2
+        var = ((la - mean) ** 2 + (lb - mean) ** 2) / 2
+        assert ob.vrex_penalty(model, bs).val == pytest.approx(var, rel=1e-12)
 
     def test_group_dro_picks_the_worst(self):
         ha, hb = self.two_domain_losses(1.0, 3.0)
@@ -255,6 +256,18 @@ class TestRsc:
                          np.vstack([np.tile([1.0, -1.0], (4, 1)), np.zeros((1, 2))]))
         _, muted, _ = ob.rsc_mask(model, batch([0, 1], [0, 1]), q=0.5)
         assert muted == [2, 3]
+
+    def test_mutes_the_units_with_the_largest_head_weights(self):
+        # score of unit u: 0.25 |head[u, 0]| + 0.75 |head[u, 1]|
+        head = np.array([[4.0, 0.0], [0.0, 2.0], [-8.0, 0.0], [0.0, 0.4],
+                         [2.0, -1.0], [0.0, 0.0]])
+        model = dk.Model(np.eye(2), [np.ones((2, 5))], [np.zeros(5)], head)
+        b = ob.DomainBatch("d", np.array([0, 1]), np.array([0, 1]),
+                           np.array([0.25, 0.75]))
+        scores = np.abs(head[:5]) @ [0.25, 0.75]
+        assert len(set(scores)) == 5
+        _, muted, _ = ob.rsc_mask(model, b, q=0.5)
+        assert muted == sorted(np.argsort(-scores)[:3]) == [1, 2, 4]
 
     def test_tiny_q_mutes_exactly_one(self):
         model = dk.init_model(4, (1,), 2, embedding="bits", seed=0)

@@ -17,6 +17,7 @@ import json
 import os
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,7 +183,8 @@ def nsum(a: Node, axis=None, keepdims: bool = False) -> Node:
 
 
 def nmean(a: Node, axis=None, keepdims: bool = False) -> Node:
-    total = a.val.size if axis is None else a.val.shape[axis]
+    total = a.val.size if axis is None else int(np.prod(
+        [a.val.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]))
     return mul(nsum(a, axis=axis, keepdims=keepdims), constant(1.0 / total))
 
 
@@ -430,8 +432,26 @@ def init_raw_model(d_in: int, widths: tuple, n_classes: int, *, seed: int = 0) -
     return Model(None, weights, biases, head)
 
 
+class ObsTable(NamedTuple):
+    """One forward's rows as graph nodes: features H, logits z, their
+    log-softmax, and the probabilities p = exp(logp)."""
+
+    h: Node
+    z: Node
+    logp: Node
+    p: Node
+
+
 class Tape:
-    """Leaf nodes for one step's parameters; shared across forwards that step."""
+    """Leaf nodes for one step's parameters, and the step's observation
+    table.
+
+    Every term that reads observation indices reads rows of one table: the
+    forward over every observation, `arange(n_obs)`, that `obs_rows` runs
+    the first time a term asks for it and keeps here.  A training step
+    therefore runs one forward whatever its terms (plus one per adversary,
+    whose inputs are feature rows).
+    """
 
     def __init__(self, model: Model):
         self.model = model
@@ -440,6 +460,7 @@ class Tape:
         for name, arr in model.param_blocks():
             self.param_nodes.append(constant(arr.copy()))
             self.names.append(name)
+        self.table: ObsTable | None = None
 
     def node(self, name: str) -> Node:
         return self.param_nodes[self.names.index(name)]
@@ -456,12 +477,16 @@ def embed_inputs(model: Model, inputs) -> np.ndarray:
 
 def forward(model: Model, inputs, tape: Tape | None = None, *,
             feature_mask: np.ndarray | None = None):
-    """Run the network; returns (H, z, probs, tape) as graph nodes.
+    """Run the network; returns (H, z, probs, tape) as graph nodes, with
+    probs = exp(log_softmax_rows(z)).
 
     `inputs` may be observation indices (embedded via the model's fixed map),
     ready real vectors, or a live Node of features from another graph (how
     reversed features reach an adversary).  `feature_mask` multiplies H
-    before the head (selective muting during training).
+    before the head (selective muting).  Training terms do not call this on
+    indices: they read rows of the tape's observation table (`obs_rows`),
+    whose forward is this one over every observation, so the finiteness
+    check covers every observation's row.
     """
     if isinstance(inputs, Node):
         if inputs.val.ndim != 2 or inputs.val.shape[0] == 0:
@@ -486,8 +511,30 @@ def forward(model: Model, inputs, tape: Tape | None = None, *,
     z = matmul(concat_ones(h), tape.node("head"))
     if not (np.all(np.isfinite(h.val)) and np.all(np.isfinite(z.val))):
         raise NonFiniteActivation("non-finite features or logits in forward")
-    probs = softmax_rows(z)
-    return h, z, probs, tape
+    return h, z, softmax_rows(z), tape
+
+
+def obs_rows(model: Model, inputs, tape: Tape) -> tuple[ObsTable, np.ndarray]:
+    """(table, rows): rows `rows` of `table` hold the forward of `inputs`.
+
+    Observation indices, for a model with an embedding, read the tape's
+    observation table, built by one `forward` over every observation on the
+    tape's first call.  Other inputs (ready vectors, or a model with no
+    embedding) get a forward of their own, with rows in input order.
+    """
+    x = np.asarray(inputs)
+    if (model.embedding is not None and x.ndim == 1
+            and np.issubdtype(x.dtype, np.integer)):
+        if tape.table is None:
+            tape.table = _table(forward(
+                model, np.arange(model.embedding.shape[0]), tape))
+        return tape.table, x.astype(np.int64)
+    return _table(forward(model, inputs, tape)), np.arange(x.shape[0])
+
+
+def _table(out) -> ObsTable:
+    h, z, probs, _ = out
+    return ObsTable(h, z, probs.parents[0], probs)  # probs = exp(logp)
 
 
 def backward(tape: Tape, loss_node: Node) -> np.ndarray:

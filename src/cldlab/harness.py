@@ -3,13 +3,13 @@ evaluation rows, verification, sweeps, and atomic result persistence."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -351,7 +351,8 @@ class _RunState:
         self.swa_snapshots = []
 
 
-class _Step(NamedTuple):
+@dataclass
+class _Step:
     """What an objective builder reads for one step."""
 
     model: dk.Model
@@ -360,13 +361,19 @@ class _Step(NamedTuple):
     batches: list  # one cell batch per source
     step: int
 
+    @functools.cached_property
+    def losses(self) -> dk.Node:
+        """The sources' domain losses as one [D] node, built on first use:
+        the base loss and the loss-reading penalties share it."""
+        return ob.domain_loss_vector(self.model, self.batches, self.tape)
+
 
 # An objective builder maps a _Step to (base, pen): pen is the regularizer
 # before lambda scales it, or None.  A builder returning pen is
 # base trains on base alone and logs it as its penalty.
 
 def _loss(c: _Step):
-    return ob.mean_domain_loss(c.model, c.batches, c.tape)
+    return dk.nmean(c.losses)
 
 
 def _loss_only(c: _Step):
@@ -387,7 +394,8 @@ def _pairs(penalty, *kind):
 def _features(penalty):
     """Mean domain loss plus penalty(cell features, weights, counts, objective)."""
     def build(c: _Step):
-        feats = [dk.forward(c.model, b.inputs, c.tape)[0] for b in c.batches]
+        feats = [ob.table_rows(c.model, b.inputs, c.tape, "h")
+                 for b in c.batches]
         return _loss(c), penalty(feats, [b.weights for b in c.batches],
                                  [b.counts for b in c.batches],
                                  c.run.cfg.objective)
@@ -405,13 +413,13 @@ def _adversarial(losses):
 
 
 def _sd(model, batches, tape):
-    zs = [ob.sd_penalty(dk.forward(model, b.inputs, tape)[1], b.weights)
+    zs = [ob.sd_penalty(ob.table_rows(model, b.inputs, tape, "z"), b.weights)
           for b in batches]
     return dk.nmean(dk.stack_list(zs))
 
 
 def _group_dro(c: _Step):
-    worst = ob.group_dro(c.model, c.batches, c.tape)
+    worst = ob.group_dro_from_losses(c.losses)
     return worst, worst
 
 
@@ -420,8 +428,7 @@ def _mixup(c: _Step):
     mixed = [ob.mixup(c.model, b, alpha,
                       derive_seed(c.run.seed, f"mixup:{c.step}:{b.domain_id}"))
              for b in c.batches]
-    return dk.nmean(dk.stack_list([ob.soft_label_loss(c.model, mb, c.tape)
-                                   for mb in mixed])), None
+    return ob.mixup_loss(c.model, mixed, c.tape), None
 
 
 def _rsc(c: _Step):
@@ -440,7 +447,7 @@ OBJECTIVE_BUILDERS = {
     "PAIR_LOGIT": _pairs(ob.pair_regularizer, "LOGIT"),
     "PAIR_FEAT": _pairs(ob.pair_regularizer, "FEAT"),
     "LAM": _pairs(ob.lam_regularizer),
-    "VREX": _cells(ob.vrex_penalty),
+    "VREX": lambda c: (_loss(c), ob.vrex_from_losses(c.losses)),
     "FISH": _cells(ob.fish_penalty),
     "IGA": _cells(ob.iga_penalty),
     "FISHR": _cells(ob.fishr_penalty),
@@ -460,18 +467,17 @@ OBJECTIVE_BUILDERS = {
 }
 
 
-def _penalty_and_total(model, run: _RunState, batches, step: int, tape):
-    """Build (total_node, penalty_node) for one step on the given tape."""
-    base, pen = OBJECTIVE_BUILDERS[run.cfg.objective.kind](
-        _Step(model, tape, run, batches, step))
+def _penalty_and_total(c: _Step):
+    """Build (total_node, penalty_node) for one step on its tape."""
+    base, pen = OBJECTIVE_BUILDERS[c.run.cfg.objective.kind](c)
     if pen is None or pen is base:
         return base, pen
-    return dk.add(base, dk.mul(dk.constant(run.cfg.objective.lam), pen)), pen
+    return dk.add(base, dk.mul(dk.constant(c.run.cfg.objective.lam), pen)), pen
 
 
 def _eval_penalty(model, run: _RunState, batches) -> float:
     """Raw penalty value at the current parameters (no training side effects)."""
-    _, pen = _penalty_and_total(model, run, batches, -1, dk.Tape(model))
+    _, pen = _penalty_and_total(_Step(model, dk.Tape(model), run, batches, -1))
     return 0.0 if pen is None else float(pen.val)
 
 
@@ -610,17 +616,15 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
             step_batches = batches if cfg.trainer.batch_size is None else [
                 _minibatch(b, order_rng, cfg.trainer.batch_size) for b in batches]
 
-            tape = dk.Tape(model)
+            c = _Step(model, dk.Tape(model), run, step_batches, step)
             if kind == "AND_MASK":
-                losses = ob.domain_losses(model, step_batches, tape)
-                per_dom = [np.concatenate([g.val.ravel() for g in
-                                           dk.grad_nodes(l, tape.param_nodes)])
-                           for l in losses]
-                grads = ob.and_mask(per_dom, cfg.objective.extra("tau"))
+                grads = ob.and_mask(
+                    [dk.backward(c.tape, dk.index0(c.losses, d))
+                     for d in range(len(step_batches))],
+                    cfg.objective.extra("tau"))
             else:
-                total, pen = _penalty_and_total(model, run, step_batches,
-                                                step, tape)
-                grads = dk.backward(tape, total)
+                total, pen = _penalty_and_total(c)
+                grads = dk.backward(c.tape, total)
                 for adv, adv_tape, adv_opt in zip(run.adversaries,
                                                   run.adv_tapes, run.adv_opts):
                     adv_opt.step(adv, dk.backward(adv_tape, pen))

@@ -3,6 +3,12 @@
 Each entry either builds a scalar loss node on a shared tape (so one backward
 pass trains everything jointly) or transforms gradients/forwards directly.
 
+Every term that reads observation indices (domain cells, pair cells, group
+members) reads rows of the tape's observation table, `diffkit.obs_rows`:
+one forward over every observation gives H, z, log p and p, and a step runs
+that forward once whatever its terms.  Only inputs that are not indices
+(mixed rows, an adversary's feature rows) get a forward of their own.
+
 Conventions fixed here once:
   * variance across domains is population variance (divide by K);
   * within-group variance for pair groups is the unbiased sample variance
@@ -193,13 +199,20 @@ class ObjectiveConfig:
 
 
 # ---------------------------------------------------------------------------
-# ERM and shared forward plumbing
+# ERM and the observation table
 # ---------------------------------------------------------------------------
 
 def _weights(batch: DomainBatch) -> np.ndarray:
     """The batch's example weights; uniform when it carries none."""
     n = len(batch)
     return batch.weights if batch.weights is not None else np.full(n, 1.0 / n)
+
+
+def table_rows(model: Model, inputs, tape: Tape, part: str) -> Node:
+    """The rows of inputs' forward, part "h", "z", "logp" or "p", gathered
+    from the tape's observation table (see `diffkit.obs_rows`)."""
+    table, rows = dk.obs_rows(model, inputs, tape)
+    return dk.gather_rows(getattr(table, part), rows)
 
 
 def _nll(z: Node, labels, weights) -> Node:
@@ -210,35 +223,64 @@ def _nll(z: Node, labels, weights) -> Node:
     return dk.neg(dk.nsum(dk.mul(picked, w)))
 
 
+def _soft_nll(logp: Node, w: np.ndarray) -> Node:
+    """-sum(w * logp) over the trailing [rows, C] axes of a weight table w:
+    a scalar for one [rows, C] table, a vector for a stack of them."""
+    return dk.neg(dk.nsum(dk.mul(dk.constant(w), logp), axis=(-2, -1)))
+
+
+def _cell_table(batch: DomainBatch, rows: np.ndarray, shape) -> np.ndarray:
+    """The batch's weights on a [table rows, C] grid: entry (r, y) sums the
+    weights of the cells at table row r with label y."""
+    labels = np.asarray(batch.labels, dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= shape[1]:
+        raise ShapeMismatch("label out of range")
+    w = np.zeros(shape)
+    np.add.at(w, (rows, labels), _weights(batch))
+    return w
+
+
 def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node:
     """(Weighted) mean negative log-likelihood of the true classes, in nats."""
     tape = tape if tape is not None else Tape(model)
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= model.n_classes:
-        raise ShapeMismatch("label out of range")
-    return _nll(dk.forward(model, batch.inputs, tape)[1], batch.labels,
-                _weights(batch))
+    table, rows = dk.obs_rows(model, batch.inputs, tape)
+    return _soft_nll(table.logp, _cell_table(batch, rows, table.logp.val.shape))
+
+
+def domain_loss_vector(model: Model, batches: list[DomainBatch],
+                       tape: Tape) -> Node:
+    """The domain losses as one [D] node: -sum(W_d * log p) over a stack of
+    the sources' cell-weight tables W_d and the tape's log-softmax table."""
+    looked = [dk.obs_rows(model, b.inputs, tape) for b in batches]
+    weights = [_cell_table(b, rows, t.logp.val.shape)
+               for b, (t, rows) in zip(batches, looked)]
+    table = looked[0][0]
+    if all(t is table for t, _ in looked):
+        return _soft_nll(table.logp, np.stack(weights))
+    # inputs that are not indices: each batch has a forward of its own
+    return dk.stack_list([_soft_nll(t.logp, w)
+                          for (t, _), w in zip(looked, weights)])
 
 
 def domain_losses(model: Model, batches: list[DomainBatch],
                   tape: Tape) -> list[Node]:
-    return [erm_loss(model, b, tape) for b in batches]
+    losses = domain_loss_vector(model, batches, tape)
+    return [dk.index0(losses, d) for d in range(len(batches))]
 
 
 def mean_domain_loss(model: Model, batches: list[DomainBatch],
                      tape: Tape) -> Node:
-    losses = domain_losses(model, batches, tape)
-    return dk.nmean(dk.stack_list(losses))
+    return dk.nmean(domain_loss_vector(model, batches, tape))
 
 
 # ---------------------------------------------------------------------------
 # Pair-based regularizers
 # ---------------------------------------------------------------------------
 
-def _pair_forward(model: Model, idx_a, idx_b, tape: Tape):
-    ha, za, _, _ = dk.forward(model, np.asarray(idx_a, dtype=np.int64), tape)
-    hb, zb, _, _ = dk.forward(model, np.asarray(idx_b, dtype=np.int64), tape)
-    return ha, za, hb, zb
+def _pair_index(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, x~) index arrays of a pair list."""
+    return (np.asarray([p.x for p in pairs], dtype=np.int64),
+            np.asarray([p.x_tilde for p in pairs], dtype=np.int64))
 
 
 def pair_regularizer(model: Model, pairs_or_groups, kind: str,
@@ -262,14 +304,15 @@ def pair_regularizer(model: Model, pairs_or_groups, kind: str,
         w = dk.constant(np.full(len(items), 1.0 / len(items)))
     else:
         w = dk.constant(np.asarray(weights, dtype=np.float64))
-    ha, za, hb, zb = _pair_forward(model, [p.x for p in items],
-                                   [p.x_tilde for p in items], tape)
+    ia, ib = _pair_index(items)
     if kind == "PROB":
-        la, lb = dk.log_softmax_rows(za), dk.log_softmax_rows(zb)
-        pa = dk.exp(la)
+        la, lb = (table_rows(model, i, tape, "logp") for i in (ia, ib))
+        pa = table_rows(model, ia, tape, "p")
         kl = dk.nsum(dk.mul(pa, dk.sub(la, lb)), axis=1)
         return dk.nsum(dk.mul(kl, w))
-    diff = dk.sub(za, zb) if kind == "LOGIT" else dk.sub(ha, hb)
+    part = "z" if kind == "LOGIT" else "h"
+    diff = dk.sub(table_rows(model, ia, tape, part),
+                  table_rows(model, ib, tape, part))
     per_pair = dk.nsum(dk.square(diff), axis=1)
     return dk.nsum(dk.mul(per_pair, w))
 
@@ -291,8 +334,8 @@ def _group_variance(model: Model, groups: list[PairGroup], kind: str,
         k = len(g.xs)
         if k < 2:
             raise ShapeMismatch("group needs at least 2 members")
-        h, z, _, _ = dk.forward(model, np.asarray(g.xs, dtype=np.int64), tape)
-        rows = z if kind == "LOGIT" else h
+        rows = table_rows(model, np.asarray(g.xs, dtype=np.int64), tape,
+                          "z" if kind == "LOGIT" else "h")
         mean = dk.nmean(rows, axis=0, keepdims=True)
         centered = dk.sub(rows, mean)
         # unbiased: divide by k-1, so 2-member groups give half the pair form
@@ -314,8 +357,7 @@ def lam_regularizer(model: Model, labeled_pairs, tape: Tape | None = None,
         w = dk.constant(np.full(len(pairs), 1.0 / len(pairs)))
     else:
         w = dk.constant(np.asarray(weights, dtype=np.float64))
-    ha, _, hb, _ = _pair_forward(model, [p.x for p in pairs],
-                                 [p.x_tilde for p in pairs], tape)
+    ha, hb = (table_rows(model, i, tape, "h") for i in _pair_index(pairs))
     labels = np.asarray([p.label for p in pairs], dtype=np.int64)
     head = tape.node("head")
     u = model.u_count
@@ -334,13 +376,23 @@ def _need_domains(batches, k: int = 2):
         raise TooFewDomains(f"need at least {k} domains, got {len(batches)}")
 
 
+def vrex_from_losses(losses: Node) -> Node:
+    """Population variance of a [D] vector of domain losses."""
+    return dk.nmean(dk.square(dk.sub(losses, dk.nmean(losses))))
+
+
+def group_dro_from_losses(losses: Node) -> Node:
+    """The worst entry of a [D] vector of domain losses; ties give the
+    subgradient to the lowest index."""
+    return dk.index0(losses, int(np.argmax(losses.val)))
+
+
 def vrex_penalty(model: Model, batches: list[DomainBatch],
                  tape: Tape | None = None) -> Node:
     """Population variance of the domain losses (V-REx)."""
     _need_domains(batches)
     tape = tape if tape is not None else Tape(model)
-    losses = dk.stack_list(domain_losses(model, batches, tape))
-    return dk.nmean(dk.square(dk.sub(losses, dk.nmean(losses))))
+    return vrex_from_losses(domain_loss_vector(model, batches, tape))
 
 
 def group_dro(model: Model, batches: list[DomainBatch],
@@ -348,9 +400,7 @@ def group_dro(model: Model, batches: list[DomainBatch],
     """Worst-domain loss; ties give the subgradient to the lowest index."""
     _need_domains(batches)
     tape = tape if tape is not None else Tape(model)
-    losses = domain_losses(model, batches, tape)
-    worst = int(np.argmax([float(l.val) for l in losses]))
-    return losses[worst]
+    return group_dro_from_losses(domain_loss_vector(model, batches, tape))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +408,8 @@ def group_dro(model: Model, batches: list[DomainBatch],
 # ---------------------------------------------------------------------------
 
 def _domain_grad_blocks(model: Model, batches, tape: Tape) -> list[list[Node]]:
-    return [dk.grad_nodes(erm_loss(model, b, tape), tape.param_nodes)
-            for b in batches]
+    return [dk.grad_nodes(loss, tape.param_nodes)
+            for loss in domain_losses(model, batches, tape)]
 
 
 def _block_dot(ga: list[Node], gb: list[Node]) -> Node:
@@ -478,9 +528,7 @@ def fishr_penalty(model: Model, batches: list[DomainBatch],
     per_domain, weights = [], []
     for b in batches:
         labels = np.asarray(b.labels, dtype=np.int64)
-        _, z, _, _ = dk.forward(model, b.inputs, tape)
-        logp = dk.log_softmax_rows(z)
-        picked = dk.take_cols(logp, labels)
+        picked = dk.take_cols(table_rows(model, b.inputs, tape, "logp"), labels)
         n = len(b)
         per_domain.append([dk.grad_nodes(dk.neg(dk.index0(picked, i)),
                                          tape.param_nodes) for i in range(n)])
@@ -497,7 +545,7 @@ def irm_penalty(model: Model, batches: list[DomainBatch],
     terms = []
     for b in batches:
         scale = dk.constant(1.0)
-        _, z, _, _ = dk.forward(model, b.inputs, tape)
+        z = table_rows(model, b.inputs, tape, "z")
         loss = _nll(dk.mul(z, scale), b.labels, _weights(b))
         (g,) = dk.grad_nodes(loss, [scale])
         terms.append(dk.square(g))
@@ -536,7 +584,8 @@ def rsc_mask(model: Model, batch: DomainBatch, q: float,
     muted = sorted(order[:n_mute])
     mask = np.ones(u)
     mask[muted] = 0.0
-    _, z, _, _ = dk.forward(model, batch.inputs, tape, feature_mask=mask)
+    h = dk.mul(table_rows(model, batch.inputs, tape, "h"), dk.constant(mask))
+    z = dk.matmul(dk.concat_ones(h), tape.node("head"))
     return _nll(z, batch.labels, _weights(batch)), muted, tape
 
 
@@ -718,6 +767,17 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
 # Adversarial objectives
 # ---------------------------------------------------------------------------
 
+def _adversary_loss(model: Model, tape: Tape, adversary: Model,
+                    adv_tape: Tape, parts) -> Node:
+    """The adversary's weighted domain-classification loss on (domain id,
+    inputs, row weights) parts: one forward of the adversary on the parts'
+    feature rows, read from the model's table behind gradient reversal."""
+    rows = table_rows(model, np.concatenate([x for _, x, _ in parts]), tape, "h")
+    _, zd, _, _ = dk.forward(adversary, dk.gradient_reversal(rows, 1.0), adv_tape)
+    ids = np.concatenate([np.full(len(x), d, dtype=np.int64) for d, x, _ in parts])
+    return _nll(zd, ids, np.concatenate([w for _, _, w in parts]))
+
+
 def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
                 tape: Tape | None = None, adv_tape: Tape | None = None):
     """Label loss plus domain-classification loss behind gradient reversal.
@@ -730,18 +790,11 @@ def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
     adv_tape = adv_tape if adv_tape is not None else Tape(adversary)
     if adversary.n_classes != len(batches):
         raise ShapeMismatch("adversary classes must equal the domain count")
-    feats, label_losses, dom_ids, wparts = [], [], [], []
-    for d, b in enumerate(batches):
-        h, z, _, _ = dk.forward(model, b.inputs, tape)
-        label_losses.append(_nll(z, b.labels, _weights(b)))
-        feats.append(h)
-        dom_ids.append(np.full(len(b), d, dtype=np.int64))
-        wparts.append(np.asarray(_weights(b)) / len(batches))
-    label_loss = dk.nmean(dk.stack_list(label_losses))
-    pooled = dk.gradient_reversal(dk.concat_rows(feats), 1.0)
-    _, zd, _, _ = dk.forward(adversary, pooled, adv_tape)
-    domain_loss = _nll(zd, np.concatenate(dom_ids), np.concatenate(wparts))
-    return label_loss, domain_loss, tape, adv_tape
+    parts = [(d, b.inputs, _weights(b) / len(batches))
+             for d, b in enumerate(batches)]
+    return (mean_domain_loss(model, batches, tape),
+            _adversary_loss(model, tape, adversary, adv_tape, parts),
+            tape, adv_tape)
 
 
 def cdann_losses(model: Model, adversaries: list[Model],
@@ -760,32 +813,23 @@ def cdann_losses(model: Model, adversaries: list[Model],
     tape = tape if tape is not None else Tape(model)
     adv_tapes = (adv_tapes if adv_tapes is not None
                  else [Tape(a) for a in adversaries])
-    feats, label_losses = [], []
-    for b in batches:
-        h, z, _, _ = dk.forward(model, b.inputs, tape)
-        label_losses.append(_nll(z, b.labels, _weights(b)))
-        feats.append(h)
-    label_loss = dk.nmean(dk.stack_list(label_losses))
+    label_loss = mean_domain_loss(model, batches, tape)
     adv_terms = []
     # per-class conditional domain classifiers
     for y in range(n_classes):
-        parts, ids, wparts = [], [], []
+        parts = []
         for d, b in enumerate(batches):
             sel = np.flatnonzero(np.asarray(b.labels) == y)
-            if sel.size == 0:
-                continue
-            parts.append(dk.gather_rows(feats[d], sel))
-            ids.append(np.full(sel.size, d, dtype=np.int64))
-            wy = np.asarray(_weights(b))[sel]
-            wparts.append(wy / wy.sum())
+            if sel.size:
+                wy = np.asarray(_weights(b))[sel]
+                parts.append((d, np.asarray(b.inputs)[sel], wy / wy.sum()))
         if len(parts) < 2:
             continue  # class absent almost everywhere; nothing to confuse
-        pooled = dk.gradient_reversal(dk.concat_rows(parts), 1.0)
-        _, zd, _, _ = dk.forward(adversaries[y], pooled, adv_tapes[y])
-        adv_terms.append(_nll(zd, np.concatenate(ids),
-                              np.concatenate(wparts) / len(parts)))
+        adv_terms.append(_adversary_loss(
+            model, tape, adversaries[y], adv_tapes[y],
+            [(d, x, w / len(parts)) for d, x, w in parts]))
     # prior-normalized marginal: each class contributes exactly 1/|Y|
-    parts, ids, wparts = [], [], []
+    parts = []
     for d, b in enumerate(batches):
         labels = np.asarray(b.labels, dtype=np.int64)
         bw = np.asarray(_weights(b))
@@ -795,12 +839,9 @@ def cdann_losses(model: Model, adversaries: list[Model],
             mass = bw[sel].sum()
             if mass > 0:
                 w[sel] = bw[sel] / mass / n_classes
-        parts.append(feats[d])
-        ids.append(np.full(len(b), d, dtype=np.int64))
-        wparts.append(w / len(batches))
-    pooled = dk.gradient_reversal(dk.concat_rows(parts), 1.0)
-    _, zd, _, _ = dk.forward(adversaries[-1], pooled, adv_tapes[-1])
-    adv_terms.append(_nll(zd, np.concatenate(ids), np.concatenate(wparts)))
+        parts.append((d, b.inputs, w / len(batches)))
+    adv_terms.append(_adversary_loss(model, tape, adversaries[-1],
+                                     adv_tapes[-1], parts))
     adv_loss = dk.nmean(dk.stack_list(adv_terms))
     return label_loss, adv_loss, tape, adv_tapes
 
@@ -837,11 +878,19 @@ def mixup(model: Model, batch: DomainBatch, alpha: float,
 
 def soft_label_loss(model: Model, mixed: MixupBatch,
                     tape: Tape | None = None) -> Node:
+    """Mean soft-label cross-entropy over the batch's rows, in nats."""
+    return mixup_loss(model, [mixed], tape)
+
+
+def mixup_loss(model: Model, mixed: list[MixupBatch],
+               tape: Tape | None = None) -> Node:
+    """Mean over the batches of each one's soft_label_loss, from one forward
+    of all their rows."""
     tape = tape if tape is not None else Tape(model)
-    _, z, _, _ = dk.forward(model, mixed.inputs, tape)
-    logp = dk.log_softmax_rows(z)
-    per = dk.nsum(dk.mul(logp, dk.constant(mixed.soft_labels)), axis=1)
-    return dk.neg(dk.nmean(per))
+    logp = table_rows(model, np.concatenate([m.inputs for m in mixed]), tape,
+                      "logp")
+    return _soft_nll(logp, np.concatenate(
+        [m.soft_labels / (len(mixed) * len(m.soft_labels)) for m in mixed]))
 
 
 def swa_average(checkpoints: list[Model]) -> Model:

@@ -120,6 +120,22 @@ class TestFiniteDiff:
         assert dk.finite_diff_check(model, self.batch(), loss, eps=1e-4) < 1e-4
 
 
+@pytest.mark.parametrize("axis", [(1, 2), (0, 2), 1, None])
+def test_nmean_over_axes_matches_numpy(axis):
+    a = np.arange(24.0).reshape(2, 3, 4) ** 1.5
+    leaf = dk.constant(a)
+    out = dk.nmean(leaf, axis=axis)
+    np.testing.assert_allclose(out.val, a.mean(axis=axis), rtol=1e-15)
+    w = np.linspace(-1.0, 2.0, out.val.size).reshape(out.val.shape)
+    (g,) = dk.grad_nodes(dk.nsum(dk.mul(out, dk.constant(w))), [leaf])
+    # d/da of sum(w * mean(a)): each entry gets its cell's w over the count
+    axes = tuple(range(3)) if axis is None else (
+        axis if isinstance(axis, tuple) else (axis,))
+    count = int(np.prod([a.shape[ax] for ax in axes]))
+    want = np.broadcast_to(np.expand_dims(w, axes), a.shape) / count
+    np.testing.assert_allclose(g.val, want, rtol=1e-15)
+
+
 class TestGradientReversal:
     def test_scale_zero_blocks_the_gradient(self):
         model = linear_model([[3.0]], embedding=np.zeros((1, 0)), n_obs=1)

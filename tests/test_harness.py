@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cldlab import cld_core, harness, objectives as ob
+from cldlab import cld_core, diffkit as dk, harness, objectives as ob
 from cldlab.cli import main as cli_main
 from cldlab.errors import ConfigError
 from cldlab.objectives import EXTRAS, KINDS
@@ -500,3 +500,48 @@ def test_cli_refuses_an_ill_typed_value(tmp_path):
     res = CliRunner().invoke(cli_main, ["train", "--config", str(path)])
     assert res.exit_code == 2
     assert "config error: trainer.lr" in res.output
+
+
+def _forward_calls(monkeypatch, doc, steps, out):
+    """The tapes and model kinds of every dk.forward call in one run."""
+    real = dk.forward
+    calls = []
+
+    def counted(model, inputs, tape=None, **kwargs):
+        calls.append((tape, "adversary" if model.embedding is None else "model"))
+        return real(model, inputs, tape, **kwargs)
+
+    monkeypatch.setattr(dk, "forward", counted)
+    doc = json.loads(json.dumps(doc))
+    doc["trainer"]["steps"] = steps
+    harness.run_experiment(harness.config_from_dict(doc), out_dir=str(out))
+    monkeypatch.setattr(dk, "forward", real)
+    return calls
+
+
+FORWARD_MODES = [{"optimizer": "gd"}, {"optimizer": "sgd", "batch_size": 8}]
+
+
+@pytest.mark.parametrize("mode", FORWARD_MODES, ids=["gd", "sgd-8"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_forward_per_step(tmp_path, monkeypatch, kind, mode):
+    """A training step forwards the model once, whatever its terms, and
+    each adversary that runs once: a second step adds exactly one model
+    forward, and no tape (one per step and model) sees two forwards."""
+    trainer = {"lr": 0.1, "train_n": 40, "seed": 2, **mode}
+    doc = base_doc(tmp_path, source=["source", "target"],
+                   objective={"kind": kind, "lambda": 0.5},
+                   trainer=trainer, eval={"ci_pairs": 0})
+    runs = [_forward_calls(monkeypatch, doc, steps, tmp_path / str(steps))
+            for steps in (1, 2)]
+    added = {role: sum(r == role for _, r in runs[1])
+             - sum(r == role for _, r in runs[0])
+             for role in ("model", "adversary")}
+    assert added["model"] == 1
+    n_adv = {"DANN": 1, "CDANN": 3}.get(kind, 0)  # CANON-D has 2 classes
+    # a minibatch may miss a class, whose CDANN adversary then sits out
+    low = 1 if kind == "CDANN" and mode["optimizer"] == "sgd" else n_adv
+    assert low <= added["adversary"] <= n_adv
+    for calls in runs:
+        tapes = [id(t) for t, _ in calls if t is not None]
+        assert len(tapes) == len(set(tapes)), "a tape saw two forwards"

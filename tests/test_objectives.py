@@ -655,3 +655,126 @@ def test_feature_divergences_give_the_row_estimators(canon_d):
     assert div.mmd == pytest.approx(mmd, rel=1e-12)
     assert div.coral == pytest.approx(
         float(ob.coral_penalty([fa, fb]).val), rel=1e-12)
+
+
+def _np_log_softmax(z):
+    m = z.max(axis=1, keepdims=True)
+    return z - m - np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+
+
+def _table_case(family_name, minibatch):
+    """A model with cell batches of both domains, sampled pairs of the
+    first: on CANON-D or a 16-observation CLD2 family, full samples or
+    8-row minibatches."""
+    if family_name == "CANON-D":
+        family, *domains = cld_core.canonical_fixture("CANON-D")
+    else:
+        family, domains = cld_core.random_family(8, variant="CLD2", n_domains=2)
+    s = family.spaces
+    model = dk.init_model(s.n_obs, (6,), s.n_classes, embedding="bits", seed=4)
+    batches = []
+    for d in domains:
+        ds = cld_core.sample_dataset(family, d, 60,
+                                     derive_seed(3, f"data:{d.domain_id}"))
+        batches.append(ob.cell_batch(d.domain_id, ds.x, ds.y))
+    if minibatch:
+        rng = np.random.default_rng(5)
+        batches = [harness._minibatch(b, rng, 8) for b in batches]
+    pairs = sample_pairs(family, domains[0], 50, seed=7)
+    return model, batches, pairs
+
+
+@pytest.mark.parametrize("minibatch", [False, True], ids=["full", "sgd-8"])
+@pytest.mark.parametrize("family_name", ["CANON-D", "CLD2-16"])
+def test_table_path_gives_the_direct_forward_values(family_name, minibatch):
+    """Domain losses and pair terms read from the observation table equal
+    plain-numpy NLLs and divergences of dk.forward on each term's own
+    inputs (rel 1e-12), and their gradients equal those of graphs built on
+    those direct forwards."""
+    model, batches, pairs = _table_case(family_name, minibatch)
+    n_obs = model.embedding.shape[0]
+    if family_name != "CANON-D":
+        assert n_obs == 16
+        seen = np.unique(np.concatenate([b.inputs for b in batches]))
+        if minibatch:
+            assert len(seen) < n_obs  # the table has rows no term reads
+
+    def check(table_fn, direct_fn, numpy_value):
+        tape = dk.Tape(model)
+        node = table_fn(tape)
+        assert float(node.val) == pytest.approx(numpy_value, rel=1e-12, abs=0)
+        direct_tape = dk.Tape(model)
+        want = dk.backward(direct_tape, direct_fn(direct_tape))
+        np.testing.assert_allclose(dk.backward(tape, node), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def direct(inputs, tape):
+        h, z, _, _ = dk.forward(model, np.asarray(inputs), tape)
+        return h, z, dk.log_softmax_rows(z)
+
+    for d, b in enumerate(batches):
+        w = ob._weights(b)
+        logp = _np_log_softmax(dk.forward(model, b.inputs)[1].val)
+        nll = -(w * logp[np.arange(len(b)), b.labels]).sum()
+        check(lambda t: ob.domain_losses(model, batches, t)[d],
+              lambda t: dk.neg(dk.nsum(dk.mul(dk.take_cols(
+                  direct(b.inputs, t)[2], b.labels), dk.constant(w)))),
+              nll)
+
+    cells, w = harness._pair_cells(pairs)
+    ia = np.array([p.x for p in cells])
+    ib = np.array([p.x_tilde for p in cells])
+    labels = np.array([p.label for p in cells])
+    (ha, za), (hb, zb) = (dk.forward(model, i)[:2] for i in (ia, ib))
+    ha, za, hb, zb = ha.val, za.val, hb.val, zb.val
+    la, lb = _np_log_softmax(za), _np_log_softmax(zb)
+    head_y = model.head[:model.u_count, labels].T
+    numpy_values = {
+        "PROB": (w * (np.exp(la) * (la - lb)).sum(axis=1)).sum(),
+        "LOGIT": (w * ((za - zb) ** 2).sum(axis=1)).sum(),
+        "FEAT": (w * ((ha - hb) ** 2).sum(axis=1)).sum(),
+        "LAM": (w * (head_y ** 2 * (ha - hb) ** 2).sum(axis=1)).sum(),
+    }
+
+    def direct_pairs(kind, t):
+        (hat, zat, lat), (hbt, zbt, lbt) = direct(ia, t), direct(ib, t)
+        if kind == "PROB":
+            per = dk.nsum(dk.mul(dk.exp(lat), dk.sub(lat, lbt)), axis=1)
+        elif kind == "LAM":
+            w_y = dk.gather_rows(
+                dk.t2(dk.slice_rows(t.node("head"), 0, model.u_count)), labels)
+            per = dk.nsum(dk.mul(dk.square(w_y), dk.square(dk.sub(hat, hbt))),
+                          axis=1)
+        else:
+            a, b = (zat, zbt) if kind == "LOGIT" else (hat, hbt)
+            per = dk.nsum(dk.square(dk.sub(a, b)), axis=1)
+        return dk.nsum(dk.mul(per, dk.constant(w)))
+
+    for kind, value in numpy_values.items():
+        check(lambda t, k=kind: (ob.lam_regularizer(model, cells, t, w)
+                                 if k == "LAM" else
+                                 ob.pair_regularizer(model, cells, k, t, w)),
+              lambda t, k=kind: direct_pairs(k, t), value)
+
+    groups = [PairGroup((p.x, p.x_tilde), p.label, p.xc, (p.xn, p.xn_tilde))
+              for p in pairs[:2]]
+    groups.append(PairGroup((pairs[2].x, pairs[2].x_tilde, pairs[3].x_tilde),
+                            None, 0, (0, 0, 0)))
+    for kind, part in (("LOGIT", 1), ("FEAT", 0)):
+        variances = []
+        for g in groups:
+            rows = dk.forward(model, np.array(g.xs))[part].val
+            variances.append(((rows - rows.mean(axis=0)) ** 2).sum()
+                             / (len(g.xs) - 1))
+
+        def direct_groups(t, part=part):
+            terms = []
+            for g in groups:
+                rows = direct(g.xs, t)[part]
+                dev = dk.sub(rows, dk.nmean(rows, axis=0, keepdims=True))
+                terms.append(dk.mul(dk.nsum(dk.square(dev)),
+                                    dk.constant(1.0 / (len(g.xs) - 1))))
+            return dk.nmean(dk.stack_list(terms))
+
+        check(lambda t, k=kind: ob.pair_regularizer(model, groups, k, t),
+              direct_groups, np.mean(variances))

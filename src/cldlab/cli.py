@@ -28,16 +28,17 @@ from .harness import (
 )
 
 
-def _load_config(path: str):
+def _load_config(path: str, option: str = "--config"):
+    """The JSON document at path; ConfigError(option) if there is none."""
     if not path:
-        raise ConfigError("--config", "required")
+        raise ConfigError(option, "required")
     if not os.path.exists(path):
-        raise ConfigError("--config", f"no file at {path!r}")
+        raise ConfigError(option, f"no file at {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError("--config", f"invalid JSON: {exc}") from exc
+        raise ConfigError(option, f"invalid JSON: {exc}") from exc
     return doc
 
 
@@ -200,12 +201,7 @@ def verify(family_source, config_path, seed, out_dir):
 def sweep_cmd(config_path, grid_path, out_dir):
     """Cartesian sweep over config fields; one sweep.csv row per run."""
     base = _load_config(config_path)
-    grid = {}
-    if grid_path:
-        if not os.path.exists(grid_path):
-            raise ConfigError("--grid", f"no file at {grid_path!r}")
-        with open(grid_path, "r", encoding="utf-8") as fh:
-            grid = json.load(fh)
+    grid = _load_config(grid_path, "--grid") if grid_path else {}
     records = run_sweep(base, grid, out_dir=out_dir)
     for rec in records:
         click.echo(f"{rec.run_id}: {rec.csv_path}")

@@ -1,9 +1,10 @@
 """Reverse-mode tape on numpy arrays.
 
-Adjoints are built out of Node operations rather than raw arrays, so the
-output of one backward pass is itself a differentiable graph; second-order
-penalties (gradient alignment, gradient variance, the scalar-multiplier
-surrogate) come out of the same machinery with no extra rules.
+The tape is first-order: each op's vjp maps an adjoint array to one array
+per parent, and a backward pass builds no graph.  Penalties on gradients
+(gradient alignment, gradient variance, the scalar-multiplier surrogate)
+differentiate `objectives.cell_grads`, which writes each cell's gradient in
+closed form as ordinary ops on the observation table.
 
 Model decomposition is fixed: a constant embedding of discrete inputs, dense
 rectifier layers producing the feature row H, and a linear head whose bias is
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,7 +28,7 @@ from .rng import substream
 class Node:
     """One value in the graph; vjp maps the output adjoint to parent adjoints."""
 
-    __slots__ = ("val", "parents", "vjp", "__weakref__")
+    __slots__ = ("val", "parents", "vjp")
 
     def __init__(self, val, parents=(), vjp=None):
         self.val = val if isinstance(val, np.ndarray) else np.asarray(val, dtype=np.float64)
@@ -83,19 +83,16 @@ def constant(x) -> Node:
 
 # -- shape plumbing ----------------------------------------------------------
 
-def _unbroadcast(g: Node, shape: tuple) -> Node:
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce an adjoint back to `shape` after numpy broadcasting."""
-    if g.val.shape == shape:
+    if g.shape == shape:
         return g
-    out = g
-    while out.val.ndim > len(shape):
-        out = nsum(out, axis=0)
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
     for ax, dim in enumerate(shape):
-        if dim == 1 and out.val.shape[ax] != 1:
-            out = nsum(out, axis=ax, keepdims=True)
-    if out.val.shape != shape:
-        out = reshape(out, shape)
-    return out
+        if dim == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g.reshape(shape)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -106,13 +103,13 @@ def add(a: Node, b: Node) -> Node:
 def sub(a: Node, b: Node) -> Node:
     return Node(a.val - b.val, (a, b),
                 lambda g: (_unbroadcast(g, a.val.shape),
-                           _unbroadcast(neg(g), b.val.shape)))
+                           _unbroadcast(-g, b.val.shape)))
 
 
 def mul(a: Node, b: Node) -> Node:
     return Node(a.val * b.val, (a, b),
-                lambda g: (_unbroadcast(mul(g, b), a.val.shape),
-                           _unbroadcast(mul(g, a), b.val.shape)))
+                lambda g: (_unbroadcast(g * b.val, a.val.shape),
+                           _unbroadcast(g * a.val, b.val.shape)))
 
 
 def div(a: Node, b: Node) -> Node:
@@ -120,12 +117,11 @@ def div(a: Node, b: Node) -> Node:
 
 
 def neg(a: Node) -> Node:
-    return Node(-a.val, (a,), lambda g: (neg(g),))
+    return Node(-a.val, (a,), lambda g: (-g,))
 
 
 def pow_const(a: Node, p: float) -> Node:
-    return Node(a.val ** p, (a,),
-                lambda g: (mul(g, mul(constant(p), pow_const(a, p - 1.0))),))
+    return Node(a.val ** p, (a,), lambda g: (g * (p * a.val ** (p - 1.0)),))
 
 
 def square(a: Node) -> Node:
@@ -133,53 +129,39 @@ def square(a: Node) -> Node:
 
 
 def exp(a: Node) -> Node:
-    out = Node(np.exp(a.val), (a,), None)
-    # a weak self-reference: a strong one would make every exp node a
-    # reference cycle that only the cyclic collector frees, with its inputs
-    ref = weakref.ref(out)
-    out.vjp = lambda g: (mul(g, ref()),)
-    return out
+    val = np.exp(a.val)
+    return Node(val, (a,), lambda g: (g * val,))
 
 
 def log(a: Node) -> Node:
-    return Node(np.log(a.val), (a,), lambda g: (div(g, a),))
+    return Node(np.log(a.val), (a,), lambda g: (g * a.val ** -1.0,))
 
 
 def relu(a: Node) -> Node:
     # the mask is rebuilt from a on the way back, not kept as a second array
-    return Node(a.val * (a.val > 0.0), (a,),
-                lambda g: (mul(g, constant(a.val > 0.0)),))
+    return Node(a.val * (a.val > 0.0), (a,), lambda g: (g * (a.val > 0.0),))
 
 
 def matmul(a: Node, b: Node) -> Node:
-    return Node(a.val @ b.val, (a, b),
-                lambda g: (matmul(g, t2(b)), matmul(t2(a), g)))
+    return Node(a.val @ b.val, (a, b), lambda g: (g @ b.val.T, a.val.T @ g))
 
 
 def t2(a: Node) -> Node:
-    return Node(a.val.T, (a,), lambda g: (t2(g),))
+    return Node(a.val.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a: Node, shape) -> Node:
     orig = a.val.shape
-    return Node(a.val.reshape(shape), (a,), lambda g: (reshape(g, orig),))
+    return Node(a.val.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
 def nsum(a: Node, axis=None, keepdims: bool = False) -> Node:
     shape = a.val.shape
-
-    def back(g):
-        gv = g
-        if axis is not None and not keepdims:
-            kshape = list(shape)
-            for ax in (axis if isinstance(axis, tuple) else (axis,)):
-                kshape[ax] = 1
-            gv = reshape(gv, tuple(kshape))
-        elif axis is None:
-            gv = reshape(gv, (1,) * len(shape)) if shape else gv
-        return (broadcast(gv, shape),)
-
-    return Node(a.val.sum(axis=axis, keepdims=keepdims), (a,), back)
+    kshape = list(shape)  # the sum's shape with the summed axes kept
+    for ax in range(len(shape)) if axis is None else np.atleast_1d(axis):
+        kshape[ax] = 1
+    return Node(a.val.sum(axis=axis, keepdims=keepdims), (a,),
+                lambda g: (np.broadcast_to(np.reshape(g, kshape), shape).copy(),))
 
 
 def nmean(a: Node, axis=None, keepdims: bool = False) -> Node:
@@ -188,98 +170,51 @@ def nmean(a: Node, axis=None, keepdims: bool = False) -> Node:
     return mul(nsum(a, axis=axis, keepdims=keepdims), constant(1.0 / total))
 
 
-def broadcast(a: Node, shape) -> Node:
-    orig = a.val.shape
-    return Node(np.broadcast_to(a.val, shape).copy(), (a,),
-                lambda g: (_unbroadcast(g, orig),))
+def _placed(shape: tuple, where, g: np.ndarray) -> np.ndarray:
+    """The adjoint of a[where]: zeros of shape with g added at where."""
+    out = np.zeros(shape)
+    np.add.at(out, where, g)
+    return out
 
 
 def gather_rows(a: Node, idx: np.ndarray) -> Node:
     idx = np.asarray(idx, dtype=np.int64)
-    n_rows = a.val.shape[0]
-    return Node(a.val[idx], (a,), lambda g: (scatter_rows(g, idx, n_rows),))
-
-
-def scatter_rows(g: Node, idx: np.ndarray, n_rows: int) -> Node:
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((n_rows,) + g.val.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, g.val)
-    return Node(out, (g,), lambda gg: (gather_rows(gg, idx),))
+    return Node(a.val[idx], (a,), lambda g: (_placed(a.val.shape, idx, g),))
 
 
 def take_cols(a: Node, cols: np.ndarray) -> Node:
-    cols = np.asarray(cols, dtype=np.int64)
-    rows = np.arange(a.val.shape[0])
-    k = a.val.shape[1]
-    return Node(a.val[rows, cols], (a,), lambda g: (scatter_cols(g, cols, k),))
-
-
-def scatter_cols(g: Node, cols: np.ndarray, k: int) -> Node:
-    cols = np.asarray(cols, dtype=np.int64)
-    n = g.val.shape[0]
-    out = np.zeros((n, k), dtype=np.float64)
-    out[np.arange(n), cols] = g.val
-    return Node(out, (g,), lambda gg: (take_cols(gg, cols),))
+    where = (np.arange(a.val.shape[0]), np.asarray(cols, dtype=np.int64))
+    return Node(a.val[where], (a,), lambda g: (_placed(a.val.shape, where, g),))
 
 
 def index0(a: Node, i: int) -> Node:
+    if a.val.ndim != 1:
+        raise ShapeMismatch("index0 supports 1-d stacks only")
     onehot = np.zeros(a.val.shape[0])
     onehot[i] = 1.0
-
-    def back(g):
-        full = mul(constant(onehot), g) if a.val.ndim == 1 else None
-        if full is None:
-            raise ShapeMismatch("index0 supports 1-d stacks only")
-        return (full,)
-
-    return Node(a.val[i], (a,), back)
+    return Node(a.val[i], (a,), lambda g: (onehot * g,))
 
 
 def stack_list(nodes: list[Node]) -> Node:
     vals = np.stack([n.val for n in nodes])
-    return Node(vals, tuple(nodes),
-                lambda g: tuple(index0(g, i) for i in range(len(nodes))))
+    return Node(vals, tuple(nodes), lambda g: tuple(g))
 
 
 def concat_rows(parts: list[Node]) -> Node:
-    sizes = [p.val.shape[0] for p in parts]
-    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-
-    def back(g):
-        return tuple(slice_rows(g, starts[i], starts[i + 1])
-                     for i in range(len(parts)))
-
-    return Node(np.concatenate([p.val for p in parts], axis=0),
-                tuple(parts), back)
+    starts = np.cumsum([0] + [p.val.shape[0] for p in parts])
+    return Node(np.concatenate([p.val for p in parts], axis=0), tuple(parts),
+                lambda g: tuple(np.split(g, starts[1:-1])))
 
 
 def slice_rows(a: Node, i0: int, i1: int) -> Node:
-    n = a.val.shape[0]
-    return Node(a.val[i0:i1].copy(), (a,), lambda g: (pad_rows(g, i0, n),))
-
-
-def pad_rows(g: Node, i0: int, total: int) -> Node:
-    out = np.zeros((total,) + g.val.shape[1:])
-    out[i0:i0 + g.val.shape[0]] = g.val
-    return Node(out, (g,), lambda gg: (slice_rows(gg, i0, i0 + g.val.shape[0]),))
+    return Node(a.val[i0:i1].copy(), (a,),
+                lambda g: (_placed(a.val.shape, slice(i0, i1), g),))
 
 
 def concat_ones(a: Node) -> Node:
     n, d = a.val.shape
     val = np.concatenate([a.val, np.ones((n, 1))], axis=1)
-    return Node(val, (a,), lambda g: (slice_cols(g, 0, d),))
-
-
-def slice_cols(a: Node, j0: int, j1: int) -> Node:
-    total = a.val.shape[1]
-    return Node(a.val[:, j0:j1].copy(), (a,), lambda g: (pad_cols(g, j0, total),))
-
-
-def pad_cols(g: Node, j0: int, total: int) -> Node:
-    n, d = g.val.shape
-    out = np.zeros((n, total))
-    out[:, j0:j0 + d] = g.val
-    return Node(out, (g,), lambda gg: (slice_cols(gg, j0, j0 + d),))
+    return Node(val, (a,), lambda g: (g[:, :d],))
 
 
 def logsumexp_rows(z: Node) -> Node:
@@ -299,7 +234,7 @@ def gradient_reversal(a: Node, scale: float) -> Node:
     """Identity on forward; backward multiplies the adjoint by -scale."""
     if scale < 0:
         raise ShapeMismatch("reversal scale must be nonnegative")
-    return Node(a.val, (a,), lambda g: (mul(constant(-float(scale)), g),))
+    return Node(a.val, (a,), lambda g: (-float(scale) * g,))
 
 
 # -- backward ----------------------------------------------------------------
@@ -324,18 +259,21 @@ def _topo(root: Node) -> list[Node]:
 
 
 def grad_nodes(root: Node, wrt: list[Node]) -> list[Node]:
-    """Adjoints of a scalar root for each node in `wrt`, as graph nodes."""
-    adjoint: dict[int, Node] = {id(root): constant(np.ones_like(root.val))}
+    """Adjoints of a scalar root for each node in `wrt`, as constant nodes.
+
+    The pass is first-order: each vjp maps an adjoint array to one array per
+    parent, and the adjoints of a node's uses are added as arrays, so an
+    adjoint is a value with no graph behind it.
+    """
+    adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.val)}
     for node in reversed(_topo(root)):
         g = adjoint.get(id(node))
         if g is None or node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
-            if contrib is None:
-                continue
             have = adjoint.get(id(parent))
-            adjoint[id(parent)] = contrib if have is None else add(have, contrib)
-    return [adjoint.get(id(w), constant(np.zeros_like(w.val))) for w in wrt]
+            adjoint[id(parent)] = contrib if have is None else have + contrib
+    return [constant(adjoint.get(id(w), np.zeros_like(w.val))) for w in wrt]
 
 
 # -- the model ---------------------------------------------------------------
@@ -434,12 +372,15 @@ def init_raw_model(d_in: int, widths: tuple, n_classes: int, *, seed: int = 0) -
 
 class ObsTable(NamedTuple):
     """One forward's rows as graph nodes: features H, logits z, their
-    log-softmax, and the probabilities p = exp(logp)."""
+    log-softmax, the probabilities p = exp(logp), and each dense layer's
+    input rows, first layer first (the embedded inputs, then the features
+    of every layer but the last)."""
 
     h: Node
     z: Node
     logp: Node
     p: Node
+    layers: tuple
 
 
 class Tape:
@@ -526,15 +467,21 @@ def obs_rows(model: Model, inputs, tape: Tape) -> tuple[ObsTable, np.ndarray]:
     if (model.embedding is not None and x.ndim == 1
             and np.issubdtype(x.dtype, np.integer)):
         if tape.table is None:
-            tape.table = _table(forward(
+            tape.table = _table(model, forward(
                 model, np.arange(model.embedding.shape[0]), tape))
         return tape.table, x.astype(np.int64)
-    return _table(forward(model, inputs, tape)), np.arange(x.shape[0])
+    return _table(model, forward(model, inputs, tape)), np.arange(x.shape[0])
 
 
-def _table(out) -> ObsTable:
+def _table(model: Model, out) -> ObsTable:
+    """The ObsTable of a forward's output, read back through the graph that
+    `forward` builds: probs = exp(logp), and each layer's features are
+    relu(add(matmul(input, W), b))."""
     h, z, probs, _ = out
-    return ObsTable(h, z, probs.parents[0], probs)  # probs = exp(logp)
+    layers = [h]
+    for _ in model.weights:
+        layers.insert(0, layers[0].parents[0].parents[0].parents[0])
+    return ObsTable(h, z, probs.parents[0], probs, tuple(layers[:-1]))
 
 
 def backward(tape: Tape, loss_node: Node) -> np.ndarray:

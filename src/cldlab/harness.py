@@ -565,6 +565,18 @@ def _eval_rows(model, family, cfg, sources, target, step, run_id, chash,
     return rows
 
 
+def _finite(rows: list[dict]) -> list[dict]:
+    """rows, if every loss, CI index and penalty in them is finite; else
+    NonFiniteActivation naming the step, the domain and the field."""
+    for row in rows:
+        for key in ("loss_nats", "ci_index", "penalty_value"):
+            if row[key] is not None and not np.isfinite(row[key]):
+                raise NonFiniteActivation(
+                    f"step {row['step']}, domain {row['domain_id']}: "
+                    f"{key} is {row[key]!r}")
+    return rows
+
+
 def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
                    out_dir: str | None = None) -> ResultRecord:
     """Train per config, evaluate source(s) and target, persist results.
@@ -639,22 +651,22 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
             if cfg.trainer.eval_every and step % cfg.trainer.eval_every == 0 \
                     and step < cfg.trainer.steps:
                 pen = _eval_penalty(model, run, batches)
-                rows.extend(_eval_rows(model, family, cfg, sources, target,
-                                       step, run_id, chash, eff_seed, pen))
+                rows.extend(_finite(_eval_rows(model, family, cfg, sources,
+                                               target, step, run_id, chash,
+                                               eff_seed, pen)))
 
         final_model = model
         if kind == "SWA" and len(run.swa_snapshots) >= 2:
             final_model = ob.swa_average(run.swa_snapshots)
+        pen_val = _eval_penalty(final_model, run, batches)
+        rows.extend(_finite(_eval_rows(final_model, family, cfg, sources,
+                                       target, cfg.trainer.steps, run_id,
+                                       chash, eff_seed, pen_val)))
     except NonFiniteActivation as exc:
         write_json(os.path.join(out, f"run-{run_id}.json"),
                    {"run_id": run_id, "config_hash": chash, "seed": eff_seed,
                     "status": "numeric-failure", "error": str(exc)})
         raise
-
-    pen_val = _eval_penalty(final_model, run, batches)
-    rows.extend(_eval_rows(final_model, family, cfg, sources, target,
-                           cfg.trainer.steps, run_id, chash, eff_seed,
-                           pen_val))
 
     csv_path = os.path.join(out, f"run-{run_id}.csv")
     write_rows_csv(csv_path, rows)
@@ -691,13 +703,17 @@ def verify_suite(family_source: str, *, out_dir: str | None = None,
 
 
 def _set_by_path(doc: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    """Set doc's field at a dotted grid key, making missing objects on the
+    way; ConfigError("grid.<key>") where the path runs through a value
+    that is not an object."""
+    *parents, last = dotted.split(".")
     cur = doc
-    for p in parts[:-1]:
-        if not isinstance(cur, dict) or p not in cur:
-            cur[p] = {}
-        cur = cur[p]
-    cur[parts[-1]] = value
+    for i, p in enumerate(parents):
+        cur = cur.setdefault(p, {})
+        if not isinstance(cur, dict):
+            raise ConfigError(f"grid.{dotted}", f"{'.'.join(parents[:i + 1])} "
+                                                "is not an object")
+    cur[last] = value
 
 
 def sweep(base_doc: dict, grid: dict, *, out_dir: str | None = None) -> list:

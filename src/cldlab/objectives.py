@@ -18,7 +18,10 @@ Conventions fixed here once:
     distance (`median_bandwidth`, the one median rule of the package),
     recomputed per batch and kept inside the graph;
   * a batch is a table of (x, y) cells with their probabilities and, for a
-    sample, the rows each stands for, so cells give the values of the rows.
+    sample, the rows each stands for, so cells give the values of the rows;
+  * penalties on loss gradients read `cell_grads`, each cell's gradient in
+    closed form as ops on the table, so a step needs one first-order
+    backward whatever its terms.
 """
 
 from __future__ import annotations
@@ -407,9 +410,52 @@ def group_dro(model: Model, batches: list[DomainBatch],
 # Gradient matching
 # ---------------------------------------------------------------------------
 
+def _logit_grads(model: Model, batch: DomainBatch, tape: Tape):
+    """(table, rows, r): the batch's rows of the observation table and each
+    cell's gradient r = p - e_y of -log p(y|x) w.r.t. its logits."""
+    table, rows = dk.obs_rows(model, batch.inputs, tape)
+    onehot = np.eye(model.n_classes)[np.asarray(batch.labels, dtype=np.int64)]
+    return table, rows, dk.sub(dk.gather_rows(table.p, rows), dk.constant(onehot))
+
+
+def _outer(a: Node, d: Node) -> Node:
+    """Per-row outer products: [n, i, j] from a [n, i] and d [n, j]."""
+    n = a.val.shape[0]
+    return dk.mul(dk.reshape(a, (n, -1, 1)), dk.reshape(d, (n, 1, -1)))
+
+
+def cell_grads(model: Model, batch: DomainBatch, tape: Tape) -> list[Node]:
+    """Each cell's gradient of -log p(y|x), one [cells, *block] node per
+    parameter block in the tape's order, written as ops on the tape's
+    observation table so that a penalty on them trains like any term.
+
+    With r = p - e_y, the head block is [h; 1] (x) r.  The last layer's
+    pre-activation gradient is delta = (r head_u^T) masked where its relu
+    is off; layer l's blocks are a_{l-1} (x) delta and delta, and delta goes
+    back through W_l^T and layer l-1's mask.
+    """
+    table, rows, delta = _logit_grads(model, batch, tape)
+    a = dk.gather_rows(table.h, rows)
+    blocks = [_outer(dk.concat_ones(a), delta)]
+    w = dk.slice_rows(tape.node("head"), 0, model.u_count)  # no bias unit
+    for layer in reversed(range(len(model.weights))):
+        delta = dk.mul(dk.matmul(delta, dk.t2(w)), dk.constant(a.val > 0.0))
+        a = dk.gather_rows(table.layers[layer], rows)
+        blocks[:0] = [_outer(a, delta), delta]
+        w = tape.node(f"W{layer}")
+    return blocks
+
+
+def _cell_mean(g: Node, w) -> Node:
+    """The mean over the leading (cell) axis of g under cell weights w."""
+    w = dk.constant(np.reshape(w, (-1,) + (1,) * (g.val.ndim - 1)))
+    return dk.nsum(dk.mul(g, w), axis=0)
+
+
 def _domain_grad_blocks(model: Model, batches, tape: Tape) -> list[list[Node]]:
-    return [dk.grad_nodes(loss, tape.param_nodes)
-            for loss in domain_losses(model, batches, tape)]
+    """Each domain's loss gradient blocks: its cells' weighted means."""
+    return [[_cell_mean(g, _weights(b)) for g in cell_grads(model, b, tape)]
+            for b in batches]
 
 
 def _block_dot(ga: list[Node], gb: list[Node]) -> Node:
@@ -485,22 +531,22 @@ def fishr_from_grads(per_example_by_domain: list[list[list[Node]]],
     """
     if len(per_example_by_domain) < 2:
         raise TooFewDomains("need >= 2 domains of per-example gradients")
-    variance_blocks = []
+    stacked, weights = [], []
     for d, per_example in enumerate(per_example_by_domain):
         n = len(per_example)
         if weights_by_domain is None and n < 2:
             raise TooFewExamples("need >= 2 examples per domain")
-        wts = (np.full(n, 1.0 / n) if weights_by_domain is None
-               else np.asarray(weights_by_domain[d], dtype=np.float64))
-        blocks = []
-        for blk in range(len(per_example[0])):
-            gs = dk.stack_list([per_example[i][blk] for i in range(n)])
-            w_shape = (n,) + (1,) * (gs.val.ndim - 1)
-            w = dk.constant(wts.reshape(w_shape))
-            mean = dk.nsum(dk.mul(gs, w), axis=0)
-            var = dk.nsum(dk.mul(dk.square(dk.sub(gs, mean)), w), axis=0)
-            blocks.append(var)
-        variance_blocks.append(blocks)
+        stacked.append([dk.stack_list(list(blk)) for blk in zip(*per_example)])
+        weights.append(np.full(n, 1.0 / n) if weights_by_domain is None
+                       else weights_by_domain[d])
+    return _fishr(stacked, weights)
+
+
+def _fishr(blocks_by_domain: list[list[Node]], weights_by_domain) -> Node:
+    """fishr_from_grads on [entries, *block] nodes, one list per domain."""
+    variance_blocks = [[_cell_mean(dk.square(dk.sub(g, _cell_mean(g, w))), w)
+                        for g in blocks]
+                       for blocks, w in zip(blocks_by_domain, weights_by_domain)]
     k = len(variance_blocks)
     dists = []
     for i in range(k):
@@ -525,30 +571,22 @@ def fishr_penalty(model: Model, batches: list[DomainBatch],
         if (len(b) if b.counts is None else np.sum(b.counts)) < 2:
             raise TooFewExamples(f"domain {b.domain_id}: need >= 2 examples")
     tape = tape if tape is not None else Tape(model)
-    per_domain, weights = [], []
-    for b in batches:
-        labels = np.asarray(b.labels, dtype=np.int64)
-        picked = dk.take_cols(table_rows(model, b.inputs, tape, "logp"), labels)
-        n = len(b)
-        per_domain.append([dk.grad_nodes(dk.neg(dk.index0(picked, i)),
-                                         tape.param_nodes) for i in range(n)])
-        weights.append(_weights(b))
-    return fishr_from_grads(per_domain, weights)
+    return _fishr([cell_grads(model, b, tape) for b in batches],
+                  [_weights(b) for b in batches])
 
 
 def irm_penalty(model: Model, batches: list[DomainBatch],
                 tape: Tape | None = None) -> Node:
-    """Squared loss-gradient w.r.t. a unit logit multiplier, summed over domains."""
+    """Squared loss-gradient w.r.t. a unit logit multiplier, summed over
+    domains: at multiplier 1 that gradient is sum_cells w (p - e_y) . z."""
     if len(batches) < 1:
         raise TooFewDomains("IRM needs at least 1 domain")
     tape = tape if tape is not None else Tape(model)
     terms = []
     for b in batches:
-        scale = dk.constant(1.0)
-        z = table_rows(model, b.inputs, tape, "z")
-        loss = _nll(dk.mul(z, scale), b.labels, _weights(b))
-        (g,) = dk.grad_nodes(loss, [scale])
-        terms.append(dk.square(g))
+        table, rows, r = _logit_grads(model, b, tape)
+        rz = dk.nsum(dk.mul(r, dk.gather_rows(table.z, rows)), axis=1)
+        terms.append(dk.square(_cell_mean(rz, _weights(b))))
     return dk.nsum(dk.stack_list(terms))
 
 

@@ -353,6 +353,37 @@ class TestCli:
         assert len(res.output.strip().splitlines()) == 2
         assert os.path.exists(tmp_path / "sweep.csv")
 
+    @pytest.mark.parametrize("grid, field", [
+        ("{\"trainer.lr\": [0.1,", "--grid"),
+        ('{"trainer.lr.x": [1]}', "grid.trainer.lr.x"),
+    ], ids=["invalid-json", "through-a-number"])
+    def test_sweep_refuses_a_bad_grid(self, tmp_path, grid, field):
+        cfgp = self.write_config(tmp_path, base_doc(tmp_path))
+        gridp = tmp_path / "grid.json"
+        gridp.write_text(grid)
+        res = self.invoke("sweep", "--config", cfgp, "--grid", str(gridp))
+        assert res.exit_code == 2
+        assert f"config error: {field}" in res.output
+
+    def test_non_finite_result_row_exits_three(self, tmp_path):
+        """FISH at lambda 1 drives a target loss to inf by step 50 with
+        finite logits; the run fails as a numeric failure naming the step."""
+        family, domains = cld_core.random_family(7, variant="CLD2",
+                                                 n_domains=3)
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(cld_core.family_to_dict(family, domains)))
+        doc = base_doc(tmp_path, family=str(fam), source=["d0", "d1"],
+                       target="d2", objective={"kind": "FISH", "lambda": 1.0},
+                       model={"widths": [16]},
+                       trainer={"lr": 0.1, "steps": 50, "seed": 0})
+        res = self.invoke("train", "--config", self.write_config(tmp_path, doc))
+        assert res.exit_code == 3
+        (summary,) = [p for p in os.listdir(tmp_path)
+                      if p.startswith("run-") and p.endswith(".json")]
+        got = json.loads((tmp_path / summary).read_text())
+        assert got["status"] == "numeric-failure"
+        assert got["error"].startswith("step 50, domain ")
+
 
 def _accepted_modes(kind):
     """Every optimizer setup the validator accepts for kind."""
@@ -545,3 +576,32 @@ def test_one_forward_per_step(tmp_path, monkeypatch, kind, mode):
     for calls in runs:
         tapes = [id(t) for t, _ in calls if t is not None]
         assert len(tapes) == len(set(tapes)), "a tape saw two forwards"
+
+
+@pytest.mark.parametrize("mode", FORWARD_MODES, ids=["gd", "sgd-8"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_backward_per_step(tmp_path, monkeypatch, kind, mode):
+    """A training step runs one backward pass for the model (one per source
+    for AND_MASK) and one per adversary that ran: a second step adds
+    exactly that many dk.grad_nodes calls, gradient penalties included."""
+    trainer = {"lr": 0.1, "train_n": 40, "seed": 2, **mode}
+    doc = base_doc(tmp_path, source=["source", "target"],
+                   objective={"kind": kind, "lambda": 0.5},
+                   trainer=trainer, eval={"ci_pairs": 0})
+    real = dk.grad_nodes
+    backwards = []
+
+    def counted(root, wrt):
+        backwards.append(root)
+        return real(root, wrt)
+
+    monkeypatch.setattr(dk, "grad_nodes", counted)
+    runs = []
+    for steps in (1, 2):
+        start = len(backwards)
+        calls = _forward_calls(monkeypatch, doc, steps, tmp_path / str(steps))
+        runs.append((len(backwards) - start,
+                     sum(r == "adversary" for _, r in calls)))
+    added_adversaries = runs[1][1] - runs[0][1]
+    model_backwards = 2 if kind == "AND_MASK" else 1  # CANON-D: 2 sources
+    assert runs[1][0] - runs[0][0] == model_backwards + added_adversaries

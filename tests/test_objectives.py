@@ -778,3 +778,51 @@ def test_table_path_gives_the_direct_forward_values(family_name, minibatch):
 
         check(lambda t, k=kind: ob.pair_regularizer(model, groups, k, t),
               direct_groups, np.mean(variances))
+
+
+def _cell_case(widths, inputs):
+    """A model and a batch: every CANON-D source (x, y) cell with its
+    probability, or real rows fed to a model with no embedding."""
+    if inputs == "canon-d":
+        family, source, _ = cld_core.canonical_fixture("CANON-D")
+        model = dk.init_model(4, widths, 2, embedding="bits", seed=5)
+        return model, population_batch(family, source)
+    rng = np.random.default_rng(5)
+    model = dk.init_raw_model(3, widths, 3, seed=5)
+    return model, ob.DomainBatch("d", rng.normal(size=(6, 3)),
+                                 np.array([0, 1, 2, 1, 0, 2]))
+
+
+@pytest.mark.parametrize("inputs", ["canon-d", "raw-rows"])
+@pytest.mark.parametrize("widths", [(), (6,), (8, 5)], ids=str)
+def test_cell_grads_are_each_cells_nll_gradient(widths, inputs):
+    """cell_grads gives, for each cell, the gradient of -log p(y|x) that
+    dk.backward computes on a fresh tape holding that cell alone."""
+    model, b = _cell_case(widths, inputs)
+    blocks = ob.cell_grads(model, b, dk.Tape(model))
+    assert [g.val.shape[1:] for g in blocks] == [
+        a.shape for _, a in model.param_blocks()]
+    got = np.concatenate([g.val.reshape(len(b), -1) for g in blocks], axis=1)
+    want = []
+    for x, y in zip(b.inputs, b.labels):
+        tape = dk.Tape(model)
+        _, z, _, _ = dk.forward(model, np.asarray(x)[None], tape)
+        nll = dk.neg(dk.nsum(dk.take_cols(dk.log_softmax_rows(z), np.array([y]))))
+        want.append(dk.backward(tape, nll))
+    want = np.array(want)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("widths", [(), (8, 5)], ids=str)
+@pytest.mark.parametrize("kind", ["FISH", "IGA", "FISHR", "IRM"])
+def test_gradient_penalties_match_finite_differences(kind, widths):
+    """The parameter gradients of the penalties built on cell_grads agree
+    with central differences (criterion 3's check at other widths)."""
+    model = dk.init_model(4, widths, 3, embedding="bits", seed=11)
+    ba = ob.DomainBatch("a", np.array([0, 0, 1, 1, 0]), np.array([0, 1, 2, 0, 1]))
+    bb = ob.DomainBatch("b", np.array([2, 3, 3, 2, 2]), np.array([1, 0, 2, 2, 0]))
+    penalty = CELL_CASES[kind]
+    err = dk.finite_diff_check(model, [ba, bb],
+                               lambda m, bs, t: penalty(m, bs, None, t), eps=1e-4)
+    assert err < 1e-4

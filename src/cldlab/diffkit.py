@@ -35,47 +35,6 @@ class Node:
         self.parents = parents
         self.vjp = vjp
 
-    # Arithmetic sugar; right-hand numbers become constants.
-    def __add__(self, other):
-        return add(self, as_node(other))
-
-    def __radd__(self, other):
-        return add(as_node(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_node(other))
-
-    def __rsub__(self, other):
-        return sub(as_node(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_node(other))
-
-    def __rmul__(self, other):
-        return mul(as_node(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_node(other))
-
-    def __rtruediv__(self, other):
-        return div(as_node(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_const(self, float(p))
-
-    def __matmul__(self, other):
-        return matmul(self, as_node(other))
-
-    def item(self) -> float:
-        return float(self.val)
-
-
-def as_node(x) -> Node:
-    return x if isinstance(x, Node) else Node(np.asarray(x, dtype=np.float64))
-
 
 def constant(x) -> Node:
     return Node(np.asarray(x, dtype=np.float64))

@@ -507,14 +507,10 @@ def _swa_schedule(cfg: ExperimentConfig) -> tuple[int, int]:
 
 
 def _head_only(model, grads: np.ndarray) -> np.ndarray:
-    """Zero every gradient block except the head (linear-probe phase)."""
+    """Zero every gradient block except the head, the last block (linear-probe
+    phase)."""
     out = grads.copy()
-    offset = 0
-    for name, arr in model.param_blocks():
-        size = arr.size
-        if name != "head":
-            out[offset:offset + size] = 0.0
-        offset += size
+    out[:grads.size - model.head.size] = 0.0
     return out
 
 

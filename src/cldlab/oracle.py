@@ -4,7 +4,8 @@ Everything here is computed by summation over the finite latent and observed
 spaces: cross-entropy losses, Bayes and causal-faithful optima, fused
 conditionals, the causal-invariance index, and an executable suite of the
 framework's theorems and propositions.  No estimation, no tolerance juggling
-beyond float arithmetic.
+beyond float arithmetic: every claim of the suite is computed in closed form
+and judged against the suite's one `tol`.
 
 Log conventions: losses are in nats; the invariance index uses base-2
 Jensen-Shannon divergence.  The two bases coexist deliberately.
@@ -116,23 +117,19 @@ def contrastive_components(family: CldFamily):
     return comp, next_id, owners
 
 
-def recoverable_core_map(family: CldFamily, core_support=None):
+def recoverable_core_map(family: CldFamily, support=True):
     """Map x -> generating core value when that value is unique, else None.
 
-    `core_support` restricts which core values count as generators (used for
-    claims quantified over a source's core support); default is all of them.
+    `support` is a boolean latent-pair mask that broadcasts to [C, N]; only
+    the pairs it marks count as generators (a source's core support is
+    `(core_marginal > 0)[:, None]`, its joint support `p_cn > 0`).
     """
     s = family.spaces
-    cores = range(s.n_core) if core_support is None else [int(c) for c in core_support]
-    reach = core_reach_sets(family)
-    owner = np.full(s.n_obs, -1, dtype=np.int64)
-    for c in cores:
-        for x in reach[c]:
-            if owner[x] == -1:
-                owner[x] = c
-            elif owner[x] != c:
-                return None
-    return owner
+    pairs = np.broadcast_to(support, (s.n_core, s.n_noncore))
+    reach = ((family.p_x_given_cn > 0.0) & pairs[:, :, None]).any(axis=1)  # [C, X]
+    if np.any(reach.sum(axis=0) > 1):
+        return None
+    return np.where(reach.any(axis=0), reach.argmax(axis=0), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +193,8 @@ def optimal_causal_faithful(family: CldFamily, source: DomainSpec) -> CausalFait
     (the source label marginal) with the degeneracy flag set.
     """
     s = family.spaces
-    core_supp = np.flatnonzero(source.core_marginal() > 0.0)
-    owner = recoverable_core_map(family, core_supp) if family.deterministic else None
+    owner = (recoverable_core_map(family, (source.core_marginal() > 0.0)[:, None])
+             if family.deterministic else None)
     if owner is None:
         marginal = domain_p_xy(family, source).sum(axis=0)
         marginal = marginal / marginal.sum()
@@ -366,9 +363,8 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
                 for _ in range(n_random)]
     results: dict[str, ClaimResult] = {}
 
-    def record(cid, deviation, witness=None, claim_tol=None):
-        t = tol if claim_tol is None else claim_tol
-        status = PASS if deviation <= t else FAIL
+    def record(cid, deviation, witness=None):
+        status = PASS if deviation <= tol else FAIL
         results[cid] = ClaimResult(cid, status, float(deviation),
                                    witness if status == FAIL else None)
 
@@ -490,37 +486,23 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
         record("P4", dev, wit)
 
     # P5: gradients of the two domain losses agree on an explicitly
-    # causal-faithful logit chart (finite differences).
+    # causal-faithful logit chart.  The chart loss -sum p(x, y) log
+    # softmax(L_g(x))_y has gradient m_g softmax(L_g) - Q_g in L_g, where Q_g
+    # sums p(x, .) over the chart group g and m_g = sum_y Q_g.
     if len(cld2) < 2:
         not_applicable("P5", "fewer than two CLD2 domains")
     else:
         owner = recoverable_core_map(family)
         chart_groups = owner if owner is not None else comp
         n_groups = int(chart_groups.max()) + 1
+        qs = [_group_sum(domain_p_xy(family, d), chart_groups, n_groups)
+              for d in cld2[:2]]
         dev = 0.0
-        eps = 1e-6
         for _ in range(2):
             logits = 0.5 * rng.standard_normal((n_groups, s.n_classes))
-
-            def chart_loss(L, dom):
-                z = L - L.max(axis=1, keepdims=True)
-                p = np.exp(z)
-                p /= p.sum(axis=1, keepdims=True)
-                rows = np.full((s.n_obs, s.n_classes), 1.0 / s.n_classes)
-                rows[chart_groups >= 0] = p[chart_groups[chart_groups >= 0]]
-                return exact_loss(family, dom, predictor_table(rows, tol=1e-9))
-
-            grads = []
-            for dom in cld2[:2]:
-                g = np.zeros_like(logits)
-                for idx in np.ndindex(logits.shape):
-                    bump = np.zeros_like(logits)
-                    bump[idx] = eps
-                    g[idx] = (chart_loss(logits + bump, dom) -
-                              chart_loss(logits - bump, dom)) / (2 * eps)
-                grads.append(g)
+            grads = [_chart_grad(logits, q) for q in qs]
             dev = max(dev, float(np.abs(grads[0] - grads[1]).max()))
-        record("P5", dev, claim_tol=1e-5)
+        record("P5", dev)
 
     # P6: invariant feature table => equal feature marginals across CLD2.
     if len(cld2) < 2:
@@ -530,14 +512,9 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
         for _ in range(6):
             n_feat = int(rng.integers(1, n_comp + 1))
             g = rng.integers(0, n_feat, size=max(n_comp, 1))
-            dists = []
-            for d in cld2:
-                p_x = domain_p_xy(family, d).sum(axis=1)
-                ph = np.zeros(n_feat)
-                for x in range(s.n_obs):
-                    if comp[x] >= 0:
-                        ph[g[comp[x]]] += p_x[x]
-                dists.append(ph)
+            feat = np.where(comp >= 0, g[comp], -1)
+            dists = [_group_sum(domain_p_xy(family, d).sum(axis=1), feat, n_feat)
+                     for d in cld2]
             for i in range(1, len(dists)):
                 dev = max(dev, float(np.abs(dists[i] - dists[0]).max()))
         record("P6", dev)
@@ -551,17 +528,12 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
         for _ in range(6):
             n_feat = int(rng.integers(1, n_comp + 1))
             g = rng.integers(0, n_feat, size=max(n_comp, 1))
-            onehot = np.zeros((s.n_obs, n_feat))
-            for x in range(s.n_obs):
-                if comp[x] >= 0:
-                    onehot[x, g[comp[x]]] = 1.0
-            per_domain = []
-            for d in cld3:
-                # chain form: defined for every class, no Bayes division
-                p_h_given_y = np.einsum("yc,cn,cnx,xv->yv", d.p_c_given_y,
-                                        d.p_n_given_c, family.p_x_given_cn,
-                                        onehot)
-                per_domain.append(p_h_given_y)
+            feat = np.where(comp >= 0, g[comp], -1)
+            onehot = _group_sum(np.eye(s.n_obs), feat, n_feat).T  # [X, n_feat]
+            # chain form: defined for every class, no Bayes division
+            per_domain = [np.einsum("yc,cn,cnx,xv->yv", d.p_c_given_y,
+                                    d.p_n_given_c, family.p_x_given_cn, onehot)
+                          for d in cld3]
             for i in range(1, len(per_domain)):
                 dev = max(dev, float(np.abs(per_domain[i] - per_domain[0]).max()))
                 bar_a = per_domain[0].mean(axis=0)
@@ -570,36 +542,29 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
         record("P7", dev)
 
     # P8: deterministic shared-core family: every domain's optimal head
-    # weights over a fixed causal-faithful feature table coincide.
+    # weights over a fixed causal-faithful feature table coincide.  A
+    # component's optimal free logits against its label law q are log q, and
+    # zero-mean logits fix the shift gauge.
     if not family.deterministic:
         not_applicable("P8", "family is not deterministic")
     elif len(cld2) < 2:
         not_applicable("P8", "fewer than two CLD2 domains")
     else:
-        qs = []
-        masses = []
-        for d in cld2:
-            p_xy = domain_p_xy(family, d)
-            q = np.zeros((n_comp, s.n_classes))
-            for x in range(s.n_obs):
-                if comp[x] >= 0:
-                    q[comp[x]] += p_xy[x]
-            masses.append(q.sum(axis=1))
-            qs.append(q)
+        qs = [_group_sum(domain_p_xy(family, d), comp, n_comp) for d in cld2]
         active = np.ones(n_comp, dtype=bool)
-        for mass in masses:
-            active &= mass > 0.0
+        for q in qs:
+            active &= q.sum(axis=1) > 0.0
         cond_rows = [q[active] / np.maximum(q[active].sum(axis=1, keepdims=True),
                                             1e-300) for q in qs]
         if any(np.any(r == 0.0) for r in cond_rows):
             not_applicable("P8", "a head optimum is unbounded (zero class mass)")
         else:
-            weights = [np.stack([_newton_logit_fit(row) for row in rows])
-                       for rows in cond_rows]
+            weights = [np.log(r) - np.log(r).mean(axis=1, keepdims=True)
+                       for r in cond_rows]
             dev = 0.0
             for i in range(1, len(weights)):
                 dev = max(dev, float(np.abs(weights[i] - weights[0]).max()))
-            record("P8", dev, claim_tol=max(tol, 1e-6))
+            record("P8", dev)
 
     # T5: the unconstrained source optimum already matches the core label
     # law pointwise, provided each generated observation identifies its core
@@ -614,8 +579,7 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
             not_applicable("T5", "joint support containment fails")
         else:
             src_cores = np.flatnonzero(source.core_marginal() > 0.0)
-            owner = _source_unique_owner(family, source)
-            if owner is None:
+            if recoverable_core_map(family, source.p_cn > 0.0) is None:
                 not_applicable(
                     "T5", "an observation is generated by several core values")
             else:
@@ -637,41 +601,15 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
     return TheoremReport(tuple(results[cid] for cid in CLAIM_IDS))
 
 
-def _source_unique_owner(family: CldFamily, source: DomainSpec):
-    """x -> unique generating core value under the source, else None."""
-    s = family.spaces
-    owner = np.full(s.n_obs, -1, dtype=np.int64)
-    for c in range(s.n_core):
-        for n in range(s.n_noncore):
-            if source.p_cn[c, n] <= 0.0:
-                continue
-            for x in np.flatnonzero(family.p_x_given_cn[c, n] > 0.0):
-                if owner[x] == -1:
-                    owner[x] = c
-                elif owner[x] != c:
-                    return None
-    return owner
+def _group_sum(values: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of `values` into `n` groups by id; id -1 is dropped."""
+    out = np.zeros((n,) + values.shape[1:])
+    keep = groups >= 0
+    np.add.at(out, groups[keep], values[keep])
+    return out
 
 
-def _newton_logit_fit(q: np.ndarray, grad_tol: float = 1e-10) -> np.ndarray:
-    """Minimize cross-entropy against q over logits; zero-mean representative.
-
-    The head objective per feature component is softmax regression with a
-    free logit vector; the minimizer is unique once the per-example shift
-    gauge is fixed by zero-mean logits.  Plain Newton converges in a
-    handful of steps at these sizes.
-    """
-    k = q.shape[0]
-    z = np.zeros(k - 1)  # last logit pinned to 0
-    for _ in range(200):
-        full = np.append(z, 0.0)
-        full -= full.max()
-        p = np.exp(full)
-        p /= p.sum()
-        grad = p[:-1] - q[:-1]
-        if float(np.abs(grad).max()) <= grad_tol:
-            break
-        h = np.diag(p[:-1]) - np.outer(p[:-1], p[:-1])
-        z = z - np.linalg.solve(h + 1e-14 * np.eye(k - 1), grad)
-    full = np.append(z, 0.0)
-    return full - full.mean()
+def _chart_grad(logits: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Gradient in the chart logits of -sum_g sum_y q[g, y] log softmax(L_g)_y."""
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return q.sum(axis=1, keepdims=True) * (z / z.sum(axis=1, keepdims=True)) - q

@@ -160,6 +160,26 @@ def test_joint_sums_to_one(canon_d):
     assert cld_core.joint_cnxy(family, source).sum() == pytest.approx(1.0)
 
 
+def test_cld3_round_trip_through_json():
+    family, domains = cld_core.random_family(3, variant="CLD3", n_domains=3)
+    doc = json.loads(json.dumps(cld_core.family_to_dict(family, domains)))
+    _, doms2 = cld_core.family_from_dict(doc)
+    assert [d.variant for d in doms2] == ["CLD3"] * 3
+    for a, b in zip(domains, doms2):
+        for name in ("p_y", "p_c_given_y", "p_n_given_c"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_cld3_joint_keeps_the_label_chain():
+    family, domains = cld_core.random_family(3, variant="CLD3", n_domains=3)
+    for d in domains:
+        p_cy = cld_core.joint_cnxy(family, d).sum(axis=(1, 2))  # [C, Y]
+        p_y = p_cy.sum(axis=0)
+        assert np.allclose(p_y, d.p_y, rtol=0, atol=1e-15)
+        assert np.allclose(p_cy.T / p_y[:, None], d.p_c_given_y,
+                           rtol=0, atol=1e-14)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_random_families_are_well_formed(seed):

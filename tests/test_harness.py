@@ -11,6 +11,7 @@ from cldlab import cld_core, diffkit as dk, harness, objectives as ob
 from cldlab.cli import main as cli_main
 from cldlab.errors import ConfigError
 from cldlab.objectives import EXTRAS, KINDS
+from cldlab.rng import derive_seed
 
 CSV_HEADER = ("run_id,config_hash,step,domain_id,split,loss_nats,accuracy,"
               "ci_index,penalty_value,penalty_kind,seed")
@@ -209,6 +210,22 @@ class TestRunExperiment:
         doc = json.load(open(tmp_path / diags[0]))
         assert doc["status"] == "numeric-failure"
         assert "error" in doc
+
+    @pytest.mark.parametrize("head_only", [0, 5])
+    def test_head_only_steps_freeze_the_extractor(self, tmp_path, head_only):
+        doc = base_doc(tmp_path, trainer={"optimizer": "gd", "lr": 0.5,
+                                          "steps": 5, "train_n": 40, "seed": 0,
+                                          "head_only_steps": head_only})
+        cfg = harness.config_from_dict(doc)
+        rec = harness.run_experiment(cfg)
+        trained = dk.load_checkpoint(rec.checkpoint_path)
+        init = dk.init_model(4, cfg.model.widths, 2,
+                             embedding=cfg.model.embedding,
+                             seed=derive_seed(0, "init"))
+        frozen = head_only == 5
+        assert np.array_equal(trained.weights[0], init.weights[0]) == frozen
+        assert np.array_equal(trained.biases[0], init.biases[0]) == frozen
+        assert not np.array_equal(trained.head, init.head)
 
 
 class TestVerifySuite:

@@ -227,6 +227,69 @@ class TestTheoremSuite:
         assert not report.all_pass
         assert report.claim("P4").status == "FAIL"
 
+    @pytest.mark.parametrize("seed", [None, *range(20)])
+    def test_p5_and_p8_are_exact(self, canon_d, seed):
+        if seed is None:
+            family, domains = canon_d[0], list(canon_d[1:])
+        else:
+            family, domains = cld_core.random_family(seed)
+        report = oracle.verify_theorems(family, domains)
+        for cid in ("P5", "P8"):
+            assert report.claim(cid).status == "PASS"
+            assert report.claim(cid).deviation <= 1e-12
+
+    @pytest.mark.parametrize("domain", ["source", "skew"])
+    def test_chart_gradient_matches_finite_differences(self, canon_d, domain):
+        family, source, _ = canon_d
+        dom = source if domain == "source" else cld_core.make_domain(
+            family, "CLD2", domain_id="skew",
+            p_cn=np.array([[0.35, 0.35], [0.15, 0.15]]))
+        s = family.spaces
+        groups = oracle.recoverable_core_map(family)
+        n_groups = int(groups.max()) + 1
+        q = oracle._group_sum(oracle.domain_p_xy(family, dom), groups, n_groups)
+
+        def chart_loss(logits):
+            z = np.exp(logits - logits.max(axis=1, keepdims=True))
+            rows = np.full((s.n_obs, s.n_classes), 1.0 / s.n_classes)
+            rows[groups >= 0] = (z / z.sum(axis=1, keepdims=True))[groups[groups >= 0]]
+            return oracle.exact_loss(family, dom, oracle.predictor_table(rows, tol=1e-9))
+
+        rng = substream(0, "chart")
+        eps = 1e-6
+        for _ in range(3):
+            logits = 0.5 * rng.standard_normal((n_groups, s.n_classes))
+            fd = np.zeros_like(logits)
+            for idx in np.ndindex(logits.shape):
+                bump = np.zeros_like(logits)
+                bump[idx] = eps
+                fd[idx] = (chart_loss(logits + bump) -
+                           chart_loss(logits - bump)) / (2 * eps)
+            assert np.abs(oracle._chart_grad(logits, q) - fd).max() <= 1e-8
+
+
+class TestAntiCausal:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shared_mechanism_passes_p7(self, seed):
+        family, domains = cld_core.random_family(seed, variant="CLD3",
+                                                 n_domains=3)
+        report = oracle.verify_theorems(family, domains)
+        assert report.claim("P7").status == "PASS"
+        for cid in ("T2", "T3", "T5"):
+            assert report.claim(cid).status == "NOT-APPLICABLE"
+
+    def test_rolled_mechanism_fails_p7(self):
+        family, domains = cld_core.random_family(3, variant="CLD3", n_domains=3)
+        d0 = domains[0]
+        rolled = cld_core.make_domain(
+            family, "CLD3", domain_id="rolled", p_y=d0.p_y,
+            p_c_given_y=np.roll(d0.p_c_given_y, 1, axis=1),
+            p_n_given_c=d0.p_n_given_c)
+        p7 = oracle.verify_theorems(family, [d0, rolled]).claim("P7")
+        assert p7.status == "FAIL"
+        assert p7.deviation == pytest.approx(0.40, abs=5e-3)
+        assert not cld_core.check_family_coherence([d0, rolled], "CLD3")["pass"]
+
 
 def test_predictor_table_rejects_bad_rows():
     from cldlab.errors import NotStochastic

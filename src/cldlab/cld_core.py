@@ -40,8 +40,9 @@ def _freeze(a) -> np.ndarray:
 
 
 def _check_rows(name: str, table: np.ndarray, tol: float) -> None:
-    if np.any(table < 0.0) or np.any(table > 1.0):
-        bad = int(np.argwhere((table < 0.0) | (table > 1.0))[0][0])
+    out_of_range = ~np.isfinite(table) | (table < 0.0) | (table > 1.0)
+    if np.any(out_of_range):
+        bad = int(np.argwhere(out_of_range)[0][0])
         raise NotStochastic(name, bad, float(table.reshape(table.shape[0], -1)[bad].sum()))
     sums = table.sum(axis=-1)
     flat = sums.reshape(-1)
@@ -318,9 +319,8 @@ def random_family(seed: int, *, variant: str = "CLD2", n_domains: int = 2,
     spaces = LatentSpaces(n_core, n_noncore, n_obs, n_classes)
     perm = rng.permutation(n_obs)
     px = np.zeros((n_core, n_noncore, n_obs))
-    for c in range(n_core):
-        for n in range(n_noncore):
-            px[c, n, perm[c * n_noncore + n]] = 1.0
+    # latent pair (c, n), flat index i = c * n_noncore + n, generates perm[i]
+    px.reshape(-1, n_obs)[np.arange(n_obs), perm] = 1.0
     py = 0.05 + rng.random((n_core, n_classes))
     py /= py.sum(axis=1, keepdims=True)
     family = build_family(spaces, px, py, tol=INTERNAL_TOL)
@@ -360,8 +360,8 @@ def bit_coords(n_obs: int) -> np.ndarray:
     canonical fixtures: index 2A + B maps to the vector (A, B).
     """
     width = max(1, int(np.ceil(np.log2(max(n_obs, 2)))))
-    rows = [[(i >> (width - 1 - b)) & 1 for b in range(width)] for i in range(n_obs)]
-    return np.array(rows, dtype=np.float64)
+    shifts = np.arange(width - 1, -1, -1)  # most significant bit first
+    return ((np.arange(n_obs)[:, None] >> shifts) & 1).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

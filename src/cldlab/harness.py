@@ -16,7 +16,7 @@ import numpy as np
 from . import diffkit as dk
 from . import objectives as ob
 from .cld_core import canonical_fixture, load_family_json, sample_dataset
-from .errors import ConfigError, NonFiniteActivation, UnknownFixture
+from .errors import ConfigError, NonFiniteActivation
 from .metrics import ci_index_mc, evaluate, evaluate_exact
 from .objectives import DomainBatch, ObjectiveConfig
 from .oracle import domain_p_xy, verify_theorems
@@ -234,7 +234,7 @@ def resolve_family(source: str):
                                     f"{source!r}")
     try:
         family, domains = load_family_json(source)
-    except (KeyError, ValueError, UnknownFixture) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ConfigError("family", f"could not parse {source!r}: {exc}") from exc
     if not domains:
         raise ConfigError("family", f"{source!r} declares no domains")

@@ -34,6 +34,8 @@ def _check_dist(name: str, v: np.ndarray) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidDistribution(f"{name} must be a vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidDistribution(f"{name} has a non-finite entry")
     if np.any(arr < 0):
         raise InvalidDistribution(f"{name} has a negative entry")
     if abs(float(arr.sum()) - 1.0) > 1e-9:

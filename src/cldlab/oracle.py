@@ -44,7 +44,7 @@ class FusedTable:
 def predictor_table(rows, tol: float = 1e-12) -> PredictorTable:
     arr = np.asarray(rows, dtype=np.float64)
     sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tol
+    bad = ~(np.abs(sums - 1.0) <= tol)  # a non-finite entry makes its sum bad
     if np.any(bad) or np.any(arr < 0):
         i = int(np.argmax(bad)) if np.any(bad) else int(np.argwhere(arr < 0)[0][0])
         raise NotStochastic("p_yhat_given_x", i, float(sums[i]))
@@ -63,58 +63,26 @@ def random_predictor(spaces: LatentSpaces, rng: np.random.Generator,
 # Reachability and contrastive structure
 # ---------------------------------------------------------------------------
 
-def core_reach_sets(family: CldFamily) -> list[np.ndarray]:
-    """For each core value c, the observations reachable from (c, any n)."""
-    reach = family.p_x_given_cn.max(axis=1) > 0.0  # [C, X]
-    return [np.flatnonzero(reach[c]) for c in range(family.spaces.n_core)]
-
-
 def contrastive_components(family: CldFamily):
     """Partition observations into contrastive-equivalence components.
 
     Two observations land in one component when a chain of shared core
     values forces any causal-invariant predictor to treat them identically.
-    Returns (comp, n_components, owners) where comp[x] is the component id
-    (or -1 for observations no latent pair can generate) and owners[x] is
-    the list of core values that can generate x.
+    Returns (comp, n_components) where comp[x] is the component id, numbered
+    by each component's lowest observation, or -1 for observations no latent
+    pair can generate.
     """
-    n_obs = family.spaces.n_obs
-    parent = list(range(n_obs))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    reach = core_reach_sets(family)
-    for xs in reach:
-        for x in xs[1:]:
-            union(int(xs[0]), int(x))
-    reachable_any = np.zeros(n_obs, dtype=bool)
-    for xs in reach:
-        reachable_any[xs] = True
-    comp = np.full(n_obs, -1, dtype=np.int64)
-    next_id = 0
-    roots: dict[int, int] = {}
-    for x in range(n_obs):
-        if not reachable_any[x]:
-            continue
-        r = find(x)
-        if r not in roots:
-            roots[r] = next_id
-            next_id += 1
-        comp[x] = roots[r]
-    owners = [[] for _ in range(n_obs)]
-    for c, xs in enumerate(reach):
-        for x in xs:
-            owners[int(x)].append(c)
-    return comp, next_id, owners
+    reach = (family.p_x_given_cn > 0.0).any(axis=1)  # [C, X]
+    linked = reach.T @ reach  # [X, X]: x and x' share a generating core value
+    while True:  # transitive closure by squaring
+        closed = linked @ linked
+        if np.array_equal(closed, linked):
+            break
+        linked = closed
+    hit = linked.any(axis=1)
+    comp = np.full(family.spaces.n_obs, -1, dtype=np.int64)
+    lowest, comp[hit] = np.unique(linked[hit].argmax(axis=1), return_inverse=True)
+    return comp, lowest.size
 
 
 def recoverable_core_map(family: CldFamily, support=True):
@@ -217,7 +185,7 @@ def fuse(family: CldFamily, predictor: PredictorTable) -> FusedTable:
 class InvarianceResult(NamedTuple):
     invariant: bool
     deviation: float
-    witness: tuple | None  # (x^c, x^n, x~^n) of the worst violation
+    witness: tuple | None  # (x^c, x^n, x~^n) of the first worst violation
 
 
 def is_causal_invariant(family: CldFamily, predictor: PredictorTable,
@@ -229,26 +197,20 @@ def is_causal_invariant(family: CldFamily, predictor: PredictorTable,
     predicted distribution (within `tol` total variation).  Observations no
     latent pair can generate are exempt.
     """
-    s = family.spaces
     pred = predictor.p_yhat_given_x
     tv = 0.5 * np.abs(pred[:, None, :] - pred[None, :, :]).sum(axis=2)
     supp = family.p_x_given_cn > 0.0  # [C, N, X]
-    worst = 0.0
-    witness = None
-    for c in range(s.n_core):
-        for n in range(s.n_noncore):
-            xs = np.flatnonzero(supp[c, n])
-            if xs.size == 0:
-                continue
-            for m in range(s.n_noncore):
-                xt = np.flatnonzero(supp[c, m])
-                if xt.size == 0:
-                    continue
-                dev = float(tv[np.ix_(xs, xt)].max())
-                if dev > worst:
-                    worst = dev
-                    witness = (c, n, m)
-    return InvarianceResult(worst <= tol, worst, witness if worst > tol else None)
+    # dev[c, n, m]: the largest TV between an x of (c, n) and an x' of (c, m);
+    # TVs are >= 0, so zeroing the unmarked entries leaves each max unchanged.
+    dev = np.zeros(supp.shape[:2] + supp.shape[1:2])  # [C, N, N]
+    for c, sc in enumerate(supp):  # sc[n, x]: (c, n) can generate x
+        near = (sc[:, :, None] * tv).max(axis=1)  # [N, X]: max over x of (c, n)
+        dev[c] = (sc[None, :, :] * near[:, None, :]).max(axis=2)
+    worst = float(dev.max())
+    if worst <= tol:
+        return InvarianceResult(True, worst, None)
+    return InvarianceResult(False, worst, tuple(
+        int(i) for i in np.unravel_index(dev.argmax(), dev.shape)))
 
 
 def jsd2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -354,7 +316,7 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
         raise TooFewDomains("verify_theorems needs at least a source domain")
     rng = substream(seed, "verify")
     s = family.spaces
-    comp, n_comp, _ = contrastive_components(family)
+    comp, n_comp = contrastive_components(family)
     source = domains[0]
     target = domains[1] if len(domains) > 1 else None
     cld2 = [d for d in domains if d.variant == "CLD2"]
@@ -371,12 +333,13 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
     def not_applicable(cid, why):
         results[cid] = ClaimResult(cid, NOT_APPLICABLE, None, why)
 
+    fused = [fuse(family, pred).p_yhat_given_cn for pred in ci_preds]
+
     # P1: invariant predictor => fused rows constant across non-core values.
     dev = 0.0
     wit = None
-    for k, pred in enumerate(ci_preds):
-        fused = fuse(family, pred).p_yhat_given_cn
-        tv = 0.5 * np.abs(fused[:, :, None, :] - fused[:, None, :, :]).sum(axis=3)
+    for k, f in enumerate(fused):
+        tv = 0.5 * np.abs(f[:, :, None, :] - f[:, None, :, :]).sum(axis=3)
         d = float(tv.max())
         if d > dev:
             dev, wit = d, ("predictor", k) + tuple(
@@ -384,19 +347,13 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
     record("P1", dev, wit)
 
     # P2: invariance <=> factoring through the core, via a uniform
-    # full-support reference domain.
+    # full-support reference domain (the fused rows' mean over non-core).
     dev = 0.0
     wit = None
-    for k, pred in enumerate(ci_preds):
-        fused = fuse(family, pred).p_yhat_given_cn
-        factored = fused.mean(axis=1)  # uniform reference over non-core
-        for c in range(s.n_core):
-            xs = np.flatnonzero(family.p_x_given_cn[c].max(axis=0) > 0.0)
-            if xs.size == 0:
-                continue
-            d = float(np.abs(pred.p_yhat_given_x[xs] - factored[c]).max())
-            if d > dev:
-                dev, wit = d, ("predictor", k, "core", c)
+    for k, (pred, f) in enumerate(zip(ci_preds, fused)):
+        d, pair = _worst_gap(family, pred.p_yhat_given_x, f.mean(axis=1))
+        if d > dev:
+            dev, wit = d, ("predictor", k, "core", pair[0])
     owner_all = recoverable_core_map(family)
     if owner_all is not None:
         # converse direction: any table factoring through the core is invariant
@@ -440,15 +397,8 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
             dev = float(np.abs(pred - marginal).max())
             record("T2", dev, "constant branch differs from source marginal")
         else:
-            core_supp = np.flatnonzero(source.core_marginal() > 0.0)
-            dev = 0.0
-            wit = None
-            for c in core_supp:
-                for n in range(s.n_noncore):
-                    xs = np.flatnonzero(family.p_x_given_cn[c, n] > 0.0)
-                    d = float(np.abs(pred[xs] - family.p_y_given_c[c]).max())
-                    if d > dev:
-                        dev, wit = d, (int(c), int(n))
+            dev, wit = _worst_gap(family, pred, family.p_y_given_c,
+                                  (source.core_marginal() > 0.0)[:, None])
             loss_ocf = exact_loss(family, source, ocf.table)
             best_rand = min(
                 exact_loss(family, source,
@@ -577,28 +527,35 @@ def verify_theorems(family: CldFamily, domains: list[DomainSpec],
         cond = support_condition(family, source, target)
         if not cond["cond3prime"]:
             not_applicable("T5", "joint support containment fails")
+        elif recoverable_core_map(family, source.p_cn > 0.0) is None:
+            not_applicable("T5", "an observation is generated by several core values")
         else:
-            src_cores = np.flatnonzero(source.core_marginal() > 0.0)
-            if recoverable_core_map(family, source.p_cn > 0.0) is None:
-                not_applicable(
-                    "T5", "an observation is generated by several core values")
-            else:
-                bayes_s, _ = bayes_predictor(family, source)
-                dev = 0.0
-                wit = None
-                for c in src_cores:
-                    for n in np.flatnonzero(source.p_cn[c] > 0.0):
-                        xs = np.flatnonzero(family.p_x_given_cn[c, n] > 0.0)
-                        d = float(np.abs(bayes_s.p_yhat_given_x[xs] -
-                                         family.p_y_given_c[c]).max())
-                        if d > dev:
-                            dev, wit = d, (int(c), int(n))
-                loss_t = exact_loss(family, target, bayes_s)
-                ref = exact_loss(family, target, bayes_predictor(family, target)[0])
-                dev = max(dev, max(0.0, loss_t - ref))
-                record("T5", dev, wit)
+            bayes_s, _ = bayes_predictor(family, source)
+            dev, wit = _worst_gap(family, bayes_s.p_yhat_given_x,
+                                  family.p_y_given_c, source.p_cn > 0.0)
+            loss_t = exact_loss(family, target, bayes_s)
+            ref = exact_loss(family, target, bayes_predictor(family, target)[0])
+            dev = max(dev, max(0.0, loss_t - ref))
+            record("T5", dev, wit)
 
     return TheoremReport(tuple(results[cid] for cid in CLAIM_IDS))
+
+
+def _worst_gap(family: CldFamily, pred: np.ndarray, rows: np.ndarray,
+               pairs=True):
+    """Largest |pred[x] - rows[c]| over the x that marked latent pairs generate.
+
+    `pairs` is a boolean latent-pair mask, [C, N], [C, 1] or a scalar.
+    Returns the deviation and the first (c, n) pair attaining it, or None
+    when it is 0.
+    """
+    marked = (family.p_x_given_cn > 0.0) & np.asarray(pairs)[..., None]
+    gap = np.abs(pred[None, :, :] - rows[:, None, :]).max(axis=2)  # [C, X]
+    dev = (marked * gap[:, None, :]).max(axis=2)  # [C, N]; gaps are >= 0
+    worst = float(dev.max())
+    if worst == 0.0:
+        return worst, None
+    return worst, tuple(int(i) for i in np.unravel_index(dev.argmax(), dev.shape))
 
 
 def _group_sum(values: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:

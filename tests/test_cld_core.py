@@ -23,6 +23,18 @@ def test_row_summing_short_rejected():
         cld_core.build_family(spaces, px, np.eye(2))
 
 
+@pytest.mark.parametrize("table", ["p_x_given_cn", "p_y_given_c"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_entry_rejected(table, value):
+    spaces = cld_core.LatentSpaces(2, 2, 4, 2)
+    tables = {"p_x_given_cn": np.full((2, 2, 4), 0.25),
+              "p_y_given_c": np.full((2, 2), 0.5)}
+    tables[table][1, 0] = value
+    with pytest.raises(NotStochastic) as err:
+        cld_core.build_family(spaces, **tables)
+    assert err.value.table_name == table and err.value.row_index == 1
+
+
 def test_canon_d_tables(canon_d):
     family, source, target = canon_d
     assert family.spaces == cld_core.LatentSpaces(2, 2, 4, 2)
@@ -153,6 +165,16 @@ def test_load_family_json(tmp_path, canon_d):
 def test_bit_coords_cover_the_plane():
     assert np.array_equal(cld_core.bit_coords(4),
                           [[0, 0], [0, 1], [1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("n_obs", [1, 2, 3, 4, 5, 8, 9, 17])
+def test_bit_coords_match_a_digit_loop(n_obs):
+    width = max(1, int(np.ceil(np.log2(max(n_obs, 2)))))
+    rows = [[(i >> (width - 1 - b)) & 1 for b in range(width)]
+            for i in range(n_obs)]
+    coords = cld_core.bit_coords(n_obs)
+    assert coords.dtype == np.float64
+    assert np.array_equal(coords, rows)
 
 
 def test_joint_sums_to_one(canon_d):

@@ -313,6 +313,30 @@ class TestCli:
         assert res.exit_code == 1
         assert ": FAIL" in res.output
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"spaces": 5},
+        {"spaces": {"n_core": 2, "n_noncore": 2, "n_obs": 4, "n_classes": 2},
+         "p_x_given_cn": np.eye(4).reshape(2, 2, 4).tolist(),
+         "p_y_given_c": [[0.5, 0.5], [0.5, 0.5]], "domains": [5]},
+    ], ids=["list", "int-spaces", "int-domain"])
+    def test_verify_refuses_a_malformed_family(self, tmp_path, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        res = self.invoke("verify", "--family", str(path), "--out", str(tmp_path))
+        assert res.exit_code == 2
+        assert "config error: family: " in res.output
+
+    def test_verify_refuses_a_nan_probability(self, tmp_path, canon_d):
+        doc = cld_core.family_to_dict(canon_d[0], list(canon_d[1:]))
+        doc["p_y_given_c"][1][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json writes and reads NaN
+        res = self.invoke("verify", "--family", str(path), "--out", str(tmp_path))
+        assert res.exit_code == 2
+        assert "config error: family: " in res.output
+        assert "p_y_given_c" in res.output
+
     def test_missing_config_is_a_usage_error(self):
         res = self.invoke("train", "--config", "/nope.json")
         assert res.exit_code == 2

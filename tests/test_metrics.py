@@ -34,6 +34,8 @@ class TestJsd:
         ([-0.1, 1.1], [0.5, 0.5]),      # negative mass
         ([[0.5, 0.5]], [0.5, 0.5]),     # not 1-d
         ([0.5, 0.5], [0.3, 0.3, 0.4]),  # length mismatch
+        ([math.nan, 1.0], [0.5, 0.5]),  # not a number
+        ([0.5, 0.5], [math.inf, -math.inf]),  # infinite mass
     ])
     def test_invalid_inputs(self, p, q):
         with pytest.raises(InvalidDistribution):

@@ -155,6 +155,68 @@ class TestInvariance:
             assert res.invariant == (len(set(code >> i & 1 for i in range(4))) == 1)
 
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_a_plain_latent_triple_loop(self, seed):
+        family = many_to_one_family(seed)
+        s = family.spaces
+        supp = family.p_x_given_cn > 0.0
+        rng = substream(seed, "invariance-rows")
+        palette = rng.dirichlet(np.ones(s.n_classes), size=3)
+        for k in range(6):
+            # few distinct rows, so TVs tie and the witness order matters
+            rows = palette[rng.integers(0, 3 if k else 1, size=s.n_obs)]
+            pred = oracle.predictor_table(rows)
+            tv = 0.5 * np.abs(rows[:, None] - rows[None, :]).sum(axis=2)
+            worst, witness = 0.0, None
+            for c in range(s.n_core):
+                for n in range(s.n_noncore):
+                    for m in range(s.n_noncore):
+                        dev = tv[np.ix_(supp[c, n], supp[c, m])].max()
+                        if dev > worst:
+                            worst, witness = dev, (c, n, m)
+            res = oracle.is_causal_invariant(family, pred)
+            assert res.deviation == worst
+            assert res.witness == (witness if worst > 1e-9 else None)
+            assert res.invariant == (worst <= 1e-9)
+
+
+def many_to_one_family(seed):
+    """A stochastic family whose latent pairs share observations."""
+    rng = substream(seed, "many-to-one")
+    n_core, n_noncore, n_obs = (int(v) for v in rng.integers(2, 5, size=3))
+    px = rng.random((n_core, n_noncore, n_obs))
+    px *= rng.random(px.shape) < 0.4
+    px[np.arange(n_core)[:, None], np.arange(n_noncore),
+       rng.integers(0, n_obs, size=(n_core, n_noncore))] += 0.5
+    px /= px.sum(axis=2, keepdims=True)
+    spaces = cld_core.LatentSpaces(n_core, n_noncore, n_obs, 3)
+    py = rng.dirichlet(np.ones(3), size=n_core)
+    return cld_core.build_family(spaces, px, py)
+
+
+class TestContrastiveComponents:
+    def test_chained_lone_and_unreachable_observations(self):
+        # c0 alone reaches x4; c1 reaches {x1, x2} and c2 {x0, x1}, chaining
+        # x0-x1-x2; nothing generates x3.
+        px = np.zeros((3, 2, 5))
+        px[0, :, 4] = 1.0
+        px[1, 0, [1, 2]] = 0.5
+        px[1, 1, 2] = 1.0
+        px[2, 0, 0] = 1.0
+        px[2, 1, [0, 1]] = [0.3, 0.7]
+        family = cld_core.build_family(cld_core.LatentSpaces(3, 2, 5, 2), px,
+                                       np.full((3, 2), 0.5))
+        comp, n_comp = oracle.contrastive_components(family)[:2]
+        assert comp.tolist() == [0, 0, 0, -1, 1]
+        assert n_comp == 2
+
+    def test_canon_fixtures(self, canon_d, canon_n):
+        comp, n_comp = oracle.contrastive_components(canon_d[0])[:2]
+        assert comp.tolist() == [0, 0, 1, 1] and n_comp == 2
+        comp, n_comp = oracle.contrastive_components(canon_n[0])[:2]
+        assert comp.tolist() == [0, 0, 0, 0] and n_comp == 1
+
+
 class TestCiIndex:
     def test_causal_invariant_scores_one(self, canon_d):
         family, source, _ = canon_d
@@ -297,3 +359,7 @@ def test_predictor_table_rejects_bad_rows():
         oracle.predictor_table([[0.7, 0.2], [0.5, 0.5]])
     with pytest.raises(NotStochastic):
         oracle.predictor_table([[1.2, -0.2], [0.5, 0.5]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotStochastic) as err:
+            oracle.predictor_table([[0.5, 0.5], [bad, 0.5]])
+        assert err.value.row_index == 1

@@ -368,11 +368,21 @@ def bit_coords(n_obs: int) -> np.ndarray:
 # JSON document interface
 # ---------------------------------------------------------------------------
 
+def _cardinality(spaces: dict, name: str) -> int:
+    """spaces[name] as an int: an integral number reads as one (3.0 as 3);
+    a fraction, a boolean or a string is refused."""
+    v = spaces[name]
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not float(v).is_integer()):
+        raise ShapeMismatch(f"spaces.{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def family_from_dict(doc: dict):
     """Parse {"spaces", "p_x_given_cn", "p_y_given_c", "domains": [...]}."""
     sp = doc["spaces"]
-    spaces = LatentSpaces(int(sp["n_core"]), int(sp["n_noncore"]),
-                          int(sp["n_obs"]), int(sp["n_classes"]))
+    spaces = LatentSpaces(*(_cardinality(sp, name) for name in
+                            ("n_core", "n_noncore", "n_obs", "n_classes")))
     family = build_family(spaces, doc["p_x_given_cn"], doc["p_y_given_c"])
     domains = []
     for i, d in enumerate(doc.get("domains", [])):

@@ -10,11 +10,17 @@ Model decomposition is fixed: a constant embedding of discrete inputs, dense
 rectifier layers producing the feature row H, and a linear head whose bias is
 a dummy always-one feature unit, so logits are exactly z[y] = sum_u w[u, y] *
 h[u] with h running over the augmented features.
+
+Ops act on the trailing axes, so a model whose parameter arrays carry a
+leading run axis (`stack_runs`) trains R runs on one tape: every value
+gains that axis, a loss is one entry per run, and each run's slice of the
+gradient is the gradient of its own loss.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,12 +107,19 @@ def relu(a: Node) -> Node:
     return Node(a.val * (a.val > 0.0), (a,), lambda g: (g * (a.val > 0.0),))
 
 
+def _t(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
 def matmul(a: Node, b: Node) -> Node:
-    return Node(a.val @ b.val, (a, b), lambda g: (g @ b.val.T, a.val.T @ g))
+    return Node(a.val @ b.val, (a, b),
+                lambda g: (_unbroadcast(g @ _t(b.val), a.val.shape),
+                           _unbroadcast(_t(a.val) @ g, b.val.shape)))
 
 
 def t2(a: Node) -> Node:
-    return Node(a.val.T, (a,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    return Node(_t(a.val), (a,), lambda g: (_t(g),))
 
 
 def reshape(a: Node, shape) -> Node:
@@ -114,18 +127,24 @@ def reshape(a: Node, shape) -> Node:
     return Node(a.val.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
+def _axes(shape: tuple, axis) -> tuple:
+    """The axes an `axis` argument names: all for None, an int or a tuple."""
+    if axis is None:
+        return tuple(range(len(shape)))
+    return axis if isinstance(axis, tuple) else (axis,)
+
+
 def nsum(a: Node, axis=None, keepdims: bool = False) -> Node:
     shape = a.val.shape
     kshape = list(shape)  # the sum's shape with the summed axes kept
-    for ax in range(len(shape)) if axis is None else np.atleast_1d(axis):
+    for ax in _axes(shape, axis):
         kshape[ax] = 1
     return Node(a.val.sum(axis=axis, keepdims=keepdims), (a,),
                 lambda g: (np.broadcast_to(np.reshape(g, kshape), shape).copy(),))
 
 
 def nmean(a: Node, axis=None, keepdims: bool = False) -> Node:
-    total = a.val.size if axis is None else int(np.prod(
-        [a.val.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]))
+    total = math.prod(a.val.shape[ax] for ax in _axes(a.val.shape, axis))
     return mul(nsum(a, axis=axis, keepdims=keepdims), constant(1.0 / total))
 
 
@@ -137,12 +156,14 @@ def _placed(shape: tuple, where, g: np.ndarray) -> np.ndarray:
 
 
 def gather_rows(a: Node, idx: np.ndarray) -> Node:
-    idx = np.asarray(idx, dtype=np.int64)
-    return Node(a.val[idx], (a,), lambda g: (_placed(a.val.shape, idx, g),))
+    """Rows idx of a: entries idx of axis -2."""
+    where = (..., np.asarray(idx, dtype=np.int64), slice(None))
+    return Node(a.val[where], (a,), lambda g: (_placed(a.val.shape, where, g),))
 
 
 def take_cols(a: Node, cols: np.ndarray) -> Node:
-    where = (np.arange(a.val.shape[0]), np.asarray(cols, dtype=np.int64))
+    """Entry cols[i] of each row i: [..., n, k] to [..., n]."""
+    where = (..., np.arange(a.val.shape[-2]), np.asarray(cols, dtype=np.int64))
     return Node(a.val[where], (a,), lambda g: (_placed(a.val.shape, where, g),))
 
 
@@ -166,19 +187,21 @@ def concat_rows(parts: list[Node]) -> Node:
 
 
 def slice_rows(a: Node, i0: int, i1: int) -> Node:
-    return Node(a.val[i0:i1].copy(), (a,),
-                lambda g: (_placed(a.val.shape, slice(i0, i1), g),))
+    where = (..., slice(i0, i1), slice(None))
+    return Node(a.val[where].copy(), (a,),
+                lambda g: (_placed(a.val.shape, where, g),))
 
 
 def concat_ones(a: Node) -> Node:
-    n, d = a.val.shape
-    val = np.concatenate([a.val, np.ones((n, 1))], axis=1)
-    return Node(val, (a,), lambda g: (g[:, :d],))
+    """a with a column of ones appended on the last axis."""
+    d = a.val.shape[-1]
+    val = np.concatenate([a.val, np.ones(a.val.shape[:-1] + (1,))], axis=-1)
+    return Node(val, (a,), lambda g: (g[..., :d],))
 
 
 def logsumexp_rows(z: Node) -> Node:
-    m = constant(z.val.max(axis=1, keepdims=True))  # shift, exact gradient
-    return add(log(nsum(exp(sub(z, m)), axis=1, keepdims=True)), m)
+    m = constant(z.val.max(axis=-1, keepdims=True))  # shift, exact gradient
+    return add(log(nsum(exp(sub(z, m)), axis=-1, keepdims=True)), m)
 
 
 def log_softmax_rows(z: Node) -> Node:
@@ -218,7 +241,8 @@ def _topo(root: Node) -> list[Node]:
 
 
 def grad_nodes(root: Node, wrt: list[Node]) -> list[Node]:
-    """Adjoints of a scalar root for each node in `wrt`, as constant nodes.
+    """Adjoints of a root for each node in `wrt`, as constant nodes; a root
+    with entries (one per run of a stack) is seeded with ones.
 
     The pass is first-order: each vjp maps an adjoint array to one array per
     parent, and the adjoints of a node's uses are added as arrays, so an
@@ -239,7 +263,12 @@ def grad_nodes(root: Node, wrt: list[Node]) -> list[Node]:
 
 @dataclass
 class Model:
-    """Embedding + dense rectifier extractor + linear head with dummy-unit bias."""
+    """Embedding + dense rectifier extractor + linear head with dummy-unit bias.
+
+    A stack of R runs (`stack_runs`) puts a leading run axis on every
+    parameter array and shares the embedding; shapes, sizes and flat
+    parameters below are per run, flat parameters [R, n_params] on a stack.
+    """
 
     embedding: np.ndarray | None  # [n_obs, e]; None means inputs arrive embedded
     weights: list[np.ndarray]  # per layer, [d_in, d_out]
@@ -247,12 +276,17 @@ class Model:
     head: np.ndarray  # [u_count + 1, n_classes]
 
     @property
+    def runs(self) -> tuple:
+        """The run axis: () for one run, (R,) for a stack of R."""
+        return self.head.shape[:-2]
+
+    @property
     def u_count(self) -> int:
-        return self.head.shape[0] - 1
+        return self.head.shape[-2] - 1
 
     @property
     def n_classes(self) -> int:
-        return self.head.shape[1]
+        return self.head.shape[-1]
 
     def param_blocks(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -262,22 +296,41 @@ class Model:
         out.append(("head", self.head))
         return out
 
+    def _run_size(self, a: np.ndarray) -> int:
+        return a.size // math.prod(self.runs)
+
     def n_params(self) -> int:
-        return sum(a.size for _, a in self.param_blocks())
+        return sum(self._run_size(a) for _, a in self.param_blocks())
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for _, a in self.param_blocks()])
+        return np.concatenate([a.reshape(self.runs + (-1,))
+                               for _, a in self.param_blocks()], axis=-1)
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         i = 0
         for _, a in self.param_blocks():
-            a[...] = flat[i:i + a.size].reshape(a.shape)
-            i += a.size
+            n = self._run_size(a)
+            a[...] = flat[..., i:i + n].reshape(a.shape)
+            i += n
 
     def clone(self) -> "Model":
         emb = None if self.embedding is None else self.embedding.copy()
         return Model(emb, [w.copy() for w in self.weights],
                      [b.copy() for b in self.biases], self.head.copy())
+
+    def run(self, r: int) -> "Model":
+        """Run r of a stack as a model of its own: copies of its parameter
+        arrays, and the shared embedding."""
+        return Model(self.embedding, [w[r].copy() for w in self.weights],
+                     [b[r].copy() for b in self.biases], self.head[r].copy())
+
+
+def stack_runs(model: Model, r: int) -> Model:
+    """r copies of a one-run model on a leading run axis; the embedding,
+    a constant of the inputs, stays shared."""
+    return Model(model.embedding, [np.stack([w] * r) for w in model.weights],
+                 [np.stack([b] * r) for b in model.biases],
+                 np.stack([model.head] * r))
 
 
 def make_embedding(spec, n_obs: int) -> np.ndarray | None:
@@ -357,7 +410,10 @@ class Tape:
         self.model = model
         self.param_nodes: list[Node] = []
         self.names: list[str] = []
+        stacked = bool(model.runs)
         for name, arr in model.param_blocks():
+            if stacked and name.startswith("b"):
+                arr = arr[..., None, :]  # [R, 1, d]: broadcasts over rows
             self.param_nodes.append(constant(arr.copy()))
             self.names.append(name)
         self.table: ObsTable | None = None
@@ -444,11 +500,15 @@ def _table(model: Model, out) -> ObsTable:
 
 
 def backward(tape: Tape, loss_node: Node) -> np.ndarray:
-    """Flat gradient over the tape's canonical parameter ordering."""
-    if loss_node.val.shape != ():
-        raise ShapeMismatch("loss node must be scalar")
+    """Flat gradient over the tape's canonical parameter ordering; on a
+    stack of R runs the loss holds one entry per run and the gradient is
+    [R, n_params], row r the gradient of run r's loss."""
+    runs = tape.model.runs
+    if loss_node.val.shape != runs:
+        raise ShapeMismatch("loss node must be scalar, or one entry per run "
+                            "of a stack")
     grads = grad_nodes(loss_node, tape.param_nodes)
-    return np.concatenate([g.val.ravel() for g in grads])
+    return np.concatenate([g.val.reshape(runs + (-1,)) for g in grads], axis=-1)
 
 
 def finite_diff_check(model: Model, batch, loss_fn, eps: float = 1e-5, *,

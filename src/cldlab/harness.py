@@ -58,6 +58,10 @@ MULTI_DOMAIN_KINDS = frozenset({
 RAW_ROW_KINDS = frozenset({"MMD", "MIXUP"})
 TWO_ROW_KINDS = frozenset({"FISHR", "CORAL", "MMD"})
 PAIR_KINDS = frozenset({"PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM"})
+# Kinds whose terms build on a leading run axis (diffkit.stack_runs): sweep
+# trains the runs of one of these that differ only in objective.lambda as
+# one stack.
+STACKED_KINDS = frozenset({"ERM", *PAIR_KINDS})
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +345,10 @@ def _pair_cells(pairs):
 class _RunState:
     """Mutable per-run context threaded through the step loop."""
 
-    def __init__(self, cfg: ExperimentConfig, seed: int):
+    def __init__(self, cfg: ExperimentConfig, seed: int, lam):
         self.cfg = cfg
         self.seed = seed
+        self.lam = lam  # objective.lambda; one per run on a stack
         self.pairs = None  # (pair cells, their weights)
         self.adversaries = []  # DANN: one; CDANN: one per class plus one
         self.adv_opts = []
@@ -373,7 +378,7 @@ class _Step:
 # base trains on base alone and logs it as its penalty.
 
 def _loss(c: _Step):
-    return dk.nmean(c.losses)
+    return dk.nmean(c.losses, axis=0)
 
 
 def _loss_only(c: _Step):
@@ -472,12 +477,13 @@ def _penalty_and_total(c: _Step):
     base, pen = OBJECTIVE_BUILDERS[c.run.cfg.objective.kind](c)
     if pen is None or pen is base:
         return base, pen
-    return dk.add(base, dk.mul(dk.constant(c.run.cfg.objective.lam), pen)), pen
+    return dk.add(base, dk.mul(dk.constant(c.run.lam), pen)), pen
 
 
 def _eval_penalty(model, run: _RunState, batches) -> float:
     """Raw penalty value at the current parameters (no training side effects)."""
-    _, pen = _penalty_and_total(_Step(model, dk.Tape(model), run, batches, -1))
+    _, pen = OBJECTIVE_BUILDERS[run.cfg.objective.kind](
+        _Step(model, dk.Tape(model), run, batches, -1))
     return 0.0 if pen is None else float(pen.val)
 
 
@@ -510,7 +516,7 @@ def _head_only(model, grads: np.ndarray) -> np.ndarray:
     """Zero every gradient block except the head, the last block (linear-probe
     phase)."""
     out = grads.copy()
-    out[:grads.size - model.head.size] = 0.0
+    out[..., :grads.shape[-1] - (model.u_count + 1) * model.n_classes] = 0.0
     return out
 
 
@@ -573,6 +579,138 @@ def _finite(rows: list[dict]) -> list[dict]:
     return rows
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """One run before it trains: its config, seed, output directory, names
+    and resolved domains."""
+
+    cfg: ExperimentConfig
+    seed: int
+    out: str
+    chash: str
+    stored: str  # the config's canonical JSON with the seed stamped in
+    domains: tuple  # (family, source domains, target domain)
+
+    @property
+    def run_id(self) -> str:
+        return f"{self.chash}-s{self.seed}"
+
+
+def _plan(cfg: ExperimentConfig, seed: int, out_dir: str | None) -> _Plan:
+    out = resolve_out_dir(out_dir, cfg.out)
+    chash, stored = _stamped(cfg, seed)
+    return _Plan(cfg, seed, out, chash, stored, _resolve_domains(cfg))
+
+
+def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
+    """Train the runs of plans, whose configs differ at most in
+    objective.lambda and which share seed and domains: one run with no run
+    axis, several as one stack on a leading run axis that shares init,
+    data, pairs and minibatch draws.  Returns each run's result rows and
+    final model; evaluation reads each run's own slice."""
+    cfg, seed = plans[0].cfg, plans[0].seed
+    family, sources, target = plans[0].domains
+    s = family.spaces
+    model = dk.init_model(s.n_obs, cfg.model.widths, s.n_classes,
+                          embedding=cfg.model.embedding,
+                          seed=derive_seed(seed, "init"))
+    lam = cfg.objective.lam
+    if len(plans) > 1:
+        model = dk.stack_runs(model, len(plans))
+        lam = np.array([p.cfg.objective.lam for p in plans])
+    batches = _train_batches(family, sources, cfg, seed)
+    kind = cfg.objective.kind
+
+    run = _RunState(cfg, seed, lam)
+    if kind in PAIR_KINDS:
+        run.pairs = _pair_cells(sample_pairs(
+            family, sources[0], cfg.pairs.n, style=cfg.pairs.style,
+            seed=derive_seed(seed, "pairs")))
+    if kind in ("DANN", "CDANN"):
+        labels = (["adv"] if kind == "DANN"
+                  else [f"adv:{k}" for k in range(s.n_classes + 1)])
+        widths = cfg.objective.extra("adv_widths")
+        run.adversaries = [
+            dk.init_raw_model(model.u_count, widths, len(sources),
+                              seed=derive_seed(seed, label))
+            for label in labels]
+        run.adv_opts = [_Opt(cfg.trainer.optimizer, cfg.trainer.lr)
+                        for _ in labels]
+
+    opt = _Opt(cfg.trainer.optimizer, cfg.trainer.lr)
+    order_rng = substream(seed, "data")
+    swa = _swa_schedule(cfg) if kind == "SWA" else None
+    rows: list = [[] for _ in plans]
+
+    def runs_of(m: dk.Model) -> list:
+        return [m.run(r) for r in range(len(plans))] if m.runs else [m]
+
+    def evaluate(models: list, step: int) -> None:
+        for plan, out, m in zip(plans, rows, models):
+            pen = _eval_penalty(m, run, batches)
+            out.extend(_finite(_eval_rows(m, family, plan.cfg, sources, target,
+                                          step, plan.run_id, plan.chash, seed,
+                                          pen)))
+
+    for step in range(1, cfg.trainer.steps + 1):
+        step_batches = batches if cfg.trainer.batch_size is None else [
+            _minibatch(b, order_rng, cfg.trainer.batch_size) for b in batches]
+
+        c = _Step(model, dk.Tape(model), run, step_batches, step)
+        if kind == "AND_MASK":
+            grads = ob.and_mask(
+                [dk.backward(c.tape, dk.index0(c.losses, d))
+                 for d in range(len(step_batches))],
+                cfg.objective.extra("tau"))
+        else:
+            total, pen = _penalty_and_total(c)
+            grads = dk.backward(c.tape, total)
+            for adv, adv_tape, adv_opt in zip(run.adversaries,
+                                              run.adv_tapes, run.adv_opts):
+                adv_opt.step(adv, dk.backward(adv_tape, pen))
+
+        if step <= cfg.trainer.head_only_steps:
+            grads = _head_only(model, grads)
+        opt.step(model, grads)
+
+        if swa and step > swa[0] and (step - swa[0]) % swa[1] == 0:
+            run.swa_snapshots.append(model.clone())
+
+        if cfg.trainer.eval_every and step % cfg.trainer.eval_every == 0 \
+                and step < cfg.trainer.steps:
+            evaluate(runs_of(model), step)
+
+    final_model = model
+    if kind == "SWA" and len(run.swa_snapshots) >= 2:
+        final_model = ob.swa_average(run.swa_snapshots)
+    finals = runs_of(final_model)
+    evaluate(finals, cfg.trainer.steps)
+    return list(zip(rows, finals))
+
+
+def _write_config(plan: _Plan) -> None:
+    _atomic_write(os.path.join(plan.out, f"config-{plan.chash}.json"),
+                  plan.stored + "\n")
+
+
+def _write_run(plan: _Plan, rows: list, model: dk.Model) -> ResultRecord:
+    """A trained run's CSV, checkpoint and summary."""
+    run_id, out = plan.run_id, plan.out
+    csv_path = os.path.join(out, f"run-{run_id}.csv")
+    write_rows_csv(csv_path, rows)
+    ckpt_path = os.path.join(out, f"model-{run_id}.json")
+    dk.save_checkpoint(model, ckpt_path)
+    summary_path = os.path.join(out, f"run-{run_id}.json")
+    write_json(summary_path, {
+        "run_id": run_id, "config_hash": plan.chash, "seed": plan.seed,
+        "status": "ok", "rows": rows, "csv": os.path.basename(csv_path),
+        "checkpoint": os.path.basename(ckpt_path),
+    })
+    return ResultRecord(run_id=run_id, config_hash=plan.chash, rows=rows,
+                        csv_path=csv_path, summary_path=summary_path,
+                        checkpoint_path=ckpt_path)
+
+
 def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
                    out_dir: str | None = None) -> ResultRecord:
     """Train per config, evaluate source(s) and target, persist results.
@@ -581,102 +719,17 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int | None = None,
     is written, files are written atomically, floats use repr round-trip
     formatting.
     """
-    eff_seed = cfg.trainer.seed if seed is None else seed
-    out = resolve_out_dir(out_dir, cfg.out)
-    chash, stored = _stamped(cfg, eff_seed)
-    run_id = f"{chash}-s{eff_seed}"
-
-    family, sources, target = _resolve_domains(cfg)
-
-    _atomic_write(os.path.join(out, f"config-{chash}.json"), stored + "\n")
-
-    s = family.spaces
-    model = dk.init_model(s.n_obs, cfg.model.widths, s.n_classes,
-                          embedding=cfg.model.embedding,
-                          seed=derive_seed(eff_seed, "init"))
-    batches = _train_batches(family, sources, cfg, eff_seed)
-    kind = cfg.objective.kind
-
-    run = _RunState(cfg, eff_seed)
-    if kind in PAIR_KINDS:
-        run.pairs = _pair_cells(sample_pairs(
-            family, sources[0], cfg.pairs.n, style=cfg.pairs.style,
-            seed=derive_seed(eff_seed, "pairs")))
-    if kind in ("DANN", "CDANN"):
-        labels = (["adv"] if kind == "DANN"
-                  else [f"adv:{k}" for k in range(s.n_classes + 1)])
-        widths = cfg.objective.extra("adv_widths")
-        run.adversaries = [
-            dk.init_raw_model(model.u_count, widths, len(sources),
-                              seed=derive_seed(eff_seed, label))
-            for label in labels]
-        run.adv_opts = [_Opt(cfg.trainer.optimizer, cfg.trainer.lr)
-                        for _ in labels]
-
-    opt = _Opt(cfg.trainer.optimizer, cfg.trainer.lr)
-    order_rng = substream(eff_seed, "data")
-    swa = _swa_schedule(cfg) if kind == "SWA" else None
-
-    rows: list = []
-    final_model = model
+    plan = _plan(cfg, cfg.trainer.seed if seed is None else seed, out_dir)
+    _write_config(plan)
     try:
-        for step in range(1, cfg.trainer.steps + 1):
-            step_batches = batches if cfg.trainer.batch_size is None else [
-                _minibatch(b, order_rng, cfg.trainer.batch_size) for b in batches]
-
-            c = _Step(model, dk.Tape(model), run, step_batches, step)
-            if kind == "AND_MASK":
-                grads = ob.and_mask(
-                    [dk.backward(c.tape, dk.index0(c.losses, d))
-                     for d in range(len(step_batches))],
-                    cfg.objective.extra("tau"))
-            else:
-                total, pen = _penalty_and_total(c)
-                grads = dk.backward(c.tape, total)
-                for adv, adv_tape, adv_opt in zip(run.adversaries,
-                                                  run.adv_tapes, run.adv_opts):
-                    adv_opt.step(adv, dk.backward(adv_tape, pen))
-
-            if step <= cfg.trainer.head_only_steps:
-                grads = _head_only(model, grads)
-            opt.step(model, grads)
-
-            if swa and step > swa[0] and (step - swa[0]) % swa[1] == 0:
-                run.swa_snapshots.append(model.clone())
-
-            if cfg.trainer.eval_every and step % cfg.trainer.eval_every == 0 \
-                    and step < cfg.trainer.steps:
-                pen = _eval_penalty(model, run, batches)
-                rows.extend(_finite(_eval_rows(model, family, cfg, sources,
-                                               target, step, run_id, chash,
-                                               eff_seed, pen)))
-
-        final_model = model
-        if kind == "SWA" and len(run.swa_snapshots) >= 2:
-            final_model = ob.swa_average(run.swa_snapshots)
-        pen_val = _eval_penalty(final_model, run, batches)
-        rows.extend(_finite(_eval_rows(final_model, family, cfg, sources,
-                                       target, cfg.trainer.steps, run_id,
-                                       chash, eff_seed, pen_val)))
+        [(rows, final_model)] = _train([plan])
     except NonFiniteActivation as exc:
-        write_json(os.path.join(out, f"run-{run_id}.json"),
-                   {"run_id": run_id, "config_hash": chash, "seed": eff_seed,
-                    "status": "numeric-failure", "error": str(exc)})
+        write_json(os.path.join(plan.out, f"run-{plan.run_id}.json"),
+                   {"run_id": plan.run_id, "config_hash": plan.chash,
+                    "seed": plan.seed, "status": "numeric-failure",
+                    "error": str(exc)})
         raise
-
-    csv_path = os.path.join(out, f"run-{run_id}.csv")
-    write_rows_csv(csv_path, rows)
-    ckpt_path = os.path.join(out, f"model-{run_id}.json")
-    dk.save_checkpoint(final_model, ckpt_path)
-    summary_path = os.path.join(out, f"run-{run_id}.json")
-    write_json(summary_path, {
-        "run_id": run_id, "config_hash": chash, "seed": eff_seed,
-        "status": "ok", "rows": rows, "csv": os.path.basename(csv_path),
-        "checkpoint": os.path.basename(ckpt_path),
-    })
-    return ResultRecord(run_id=run_id, config_hash=chash, rows=rows,
-                        csv_path=csv_path, summary_path=summary_path,
-                        checkpoint_path=ckpt_path)
+    return _write_run(plan, rows, final_model)
 
 
 # ---------------------------------------------------------------------------
@@ -712,12 +765,31 @@ def _set_by_path(doc: dict, dotted: str, value) -> None:
     cur[last] = value
 
 
+def _lambda_group(plan: _Plan):
+    """The key shared by the runs that train as one stack: a stacked kind's
+    config without objective.lambda, and the run seed; None for a run that
+    trains alone."""
+    cfg = plan.cfg
+    if cfg.objective.kind not in STACKED_KINDS:
+        return None
+    doc = config_to_dict(cfg)
+    del doc["objective"]["lambda"]
+    return canonical_json(doc), plan.seed
+
+
 def sweep(base_doc: dict, grid: dict, *, out_dir: str | None = None) -> list:
     """Cartesian product over dotted config paths; one run per combination.
 
     Seeds derive as base seed + run index unless the grid itself addresses
     trainer.seed.  Returns the ResultRecords; sweep.csv holds one row per
     run (its final target-domain row), full detail stays in per-run CSVs.
+
+    Every combination is parsed and resolved before the first run.  Runs
+    of a kind in STACKED_KINDS whose configs differ only in
+    objective.lambda and whose seeds agree train as one stack; each run's
+    artifacts are those of its own run_experiment.  A stack that meets a
+    non-finite value is discarded unwritten and its runs train one at a
+    time, so the files and the error are those of run_experiment in turn.
     """
     if not isinstance(grid, dict):
         raise ConfigError("grid", "must be an object of field -> value list")
@@ -726,18 +798,39 @@ def sweep(base_doc: dict, grid: dict, *, out_dir: str | None = None) -> list:
             raise ConfigError(f"grid.{key}", "must be a nonempty list")
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys)))
-    records = []
-    summary_rows = []
     base_cfg = config_from_dict(base_doc)  # validate before deep-copying
     base_seed = base_cfg.trainer.seed
     explicit_seed = "trainer.seed" in keys
+    plans = []
     for idx, combo in enumerate(combos):
         doc = json.loads(canonical_json(base_doc))
         for key, val in zip(keys, combo):
             _set_by_path(doc, key, val)
         cfg = config_from_dict(doc)
         run_seed = cfg.trainer.seed if explicit_seed else base_seed + idx
-        rec = run_experiment(cfg, seed=run_seed, out_dir=out_dir)
+        plans.append(_plan(cfg, run_seed, out_dir))
+    groups: dict = {}
+    for i, plan in enumerate(plans):
+        groups.setdefault(_lambda_group(plan) or i, []).append(i)
+    members = {i: group for group in groups.values() for i in group}
+    trained: dict = {}
+    records = []
+    summary_rows = []
+    for i, plan in enumerate(plans):
+        group = members[i]
+        if len(group) > 1 and group[0] not in trained:
+            # a stack that meets a non-finite value is dropped unwritten,
+            # and its runs train one at a time below
+            try:
+                trained[group[0]] = _train([plans[j] for j in group])
+            except NonFiniteActivation:
+                trained[group[0]] = None
+        result = trained.get(group[0])
+        if result is None:
+            rec = run_experiment(plan.cfg, seed=plan.seed, out_dir=out_dir)
+        else:
+            _write_config(plan)
+            rec = _write_run(plan, *result[group.index(i)])
         records.append(rec)
         summary_rows.append([r for r in rec.rows if r["split"] == "target"][-1])
     out = resolve_out_dir(out_dir, base_cfg.out)

@@ -21,7 +21,10 @@ Conventions fixed here once:
     sample, the rows each stands for, so cells give the values of the rows;
   * penalties on loss gradients read `cell_grads`, each cell's gradient in
     closed form as ops on the table, so a step needs one first-order
-    backward whatever its terms.
+    backward whatever its terms;
+  * the domain losses, the pair regularizers and LAM read the table on its
+    trailing axes, so they build unchanged on a stack of runs
+    (`diffkit.stack_runs`), one entry per run.
 """
 
 from __future__ import annotations
@@ -228,7 +231,7 @@ def _nll(z: Node, labels, weights) -> Node:
 
 def _soft_nll(logp: Node, w: np.ndarray) -> Node:
     """-sum(w * logp) over the trailing [rows, C] axes of a weight table w:
-    a scalar for one [rows, C] table, a vector for a stack of them."""
+    one entry for each [rows, C] table left after broadcasting."""
     return dk.neg(dk.nsum(dk.mul(dk.constant(w), logp), axis=(-2, -1)))
 
 
@@ -247,19 +250,24 @@ def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node
     """(Weighted) mean negative log-likelihood of the true classes, in nats."""
     tape = tape if tape is not None else Tape(model)
     table, rows = dk.obs_rows(model, batch.inputs, tape)
-    return _soft_nll(table.logp, _cell_table(batch, rows, table.logp.val.shape))
+    return _soft_nll(table.logp, _cell_table(batch, rows,
+                                             table.logp.val.shape[-2:]))
 
 
 def domain_loss_vector(model: Model, batches: list[DomainBatch],
                        tape: Tape) -> Node:
     """The domain losses as one [D] node: -sum(W_d * log p) over a stack of
-    the sources' cell-weight tables W_d and the tape's log-softmax table."""
+    the sources' cell-weight tables W_d and the tape's log-softmax table.
+    On a stack of R runs the table is [R, n, C] and the node [D, R]."""
     looked = [dk.obs_rows(model, b.inputs, tape) for b in batches]
-    weights = [_cell_table(b, rows, t.logp.val.shape)
+    weights = [_cell_table(b, rows, t.logp.val.shape[-2:])
                for b, (t, rows) in zip(batches, looked)]
     table = looked[0][0]
     if all(t is table for t, _ in looked):
-        return _soft_nll(table.logp, np.stack(weights))
+        w = np.stack(weights)  # [D, n, C]
+        if model.runs:  # [D, 1, n, C] against the [R, n, C] table
+            w = w[:, None]
+        return _soft_nll(table.logp, w)
     # inputs that are not indices: each batch has a forward of its own
     return dk.stack_list([_soft_nll(t.logp, w)
                           for (t, _), w in zip(looked, weights)])
@@ -311,13 +319,13 @@ def pair_regularizer(model: Model, pairs_or_groups, kind: str,
     if kind == "PROB":
         la, lb = (table_rows(model, i, tape, "logp") for i in (ia, ib))
         pa = table_rows(model, ia, tape, "p")
-        kl = dk.nsum(dk.mul(pa, dk.sub(la, lb)), axis=1)
-        return dk.nsum(dk.mul(kl, w))
+        kl = dk.nsum(dk.mul(pa, dk.sub(la, lb)), axis=-1)
+        return dk.nsum(dk.mul(kl, w), axis=-1)
     part = "z" if kind == "LOGIT" else "h"
     diff = dk.sub(table_rows(model, ia, tape, part),
                   table_rows(model, ib, tape, part))
-    per_pair = dk.nsum(dk.square(diff), axis=1)
-    return dk.nsum(dk.mul(per_pair, w))
+    per_pair = dk.nsum(dk.square(diff), axis=-1)
+    return dk.nsum(dk.mul(per_pair, w), axis=-1)
 
 
 def _group_variance(model: Model, groups: list[PairGroup], kind: str,
@@ -365,9 +373,10 @@ def lam_regularizer(model: Model, labeled_pairs, tape: Tape | None = None,
     head = tape.node("head")
     u = model.u_count
     real_units = dk.slice_rows(head, 0, u)  # drop the dummy bias unit
-    w_y = dk.gather_rows(dk.t2(real_units), labels)  # [n_pairs, u]
-    contrib = dk.nsum(dk.mul(dk.square(w_y), dk.square(dk.sub(ha, hb))), axis=1)
-    return dk.nsum(dk.mul(contrib, w))
+    w_y = dk.gather_rows(dk.t2(real_units), labels)  # [..., n_pairs, u]
+    contrib = dk.nsum(dk.mul(dk.square(w_y), dk.square(dk.sub(ha, hb))),
+                      axis=-1)
+    return dk.nsum(dk.mul(contrib, w), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -214,3 +214,24 @@ def test_random_families_are_well_formed(seed):
     assert np.allclose(flat.sum(axis=1), 1.0)
     report = cld_core.check_family_coherence(domains, "CLD2")
     assert report["pass"]
+
+
+@pytest.mark.parametrize("field, value", [("n_core", 2.9), ("n_obs", 4.5),
+                                          ("n_classes", True),
+                                          ("n_noncore", "2")])
+def test_family_from_dict_refuses_a_non_integral_cardinality(canon_d, field,
+                                                             value):
+    family, source, target = canon_d
+    doc = cld_core.family_to_dict(family, [source, target])
+    doc["spaces"][field] = value
+    with pytest.raises(ShapeMismatch, match=f"spaces.{field}"):
+        cld_core.family_from_dict(doc)
+
+
+def test_family_from_dict_reads_an_integral_float(canon_d):
+    family, source, target = canon_d
+    doc = cld_core.family_to_dict(family, [source, target])
+    doc["spaces"]["n_core"] = 2.0
+    fam2, _ = cld_core.family_from_dict(doc)
+    assert fam2.spaces == family.spaces
+    assert type(fam2.spaces.n_core) is int

@@ -6,7 +6,13 @@ import pytest
 from cldlab import cld_core, diffkit as dk, oracle
 from cldlab.errors import NonFiniteActivation, ShapeMismatch
 from cldlab.metrics import tabulate
-from cldlab.objectives import DomainBatch, erm_loss, lam_regularizer, sd_penalty
+from cldlab.objectives import (
+    DomainBatch,
+    erm_loss,
+    lam_regularizer,
+    pair_regularizer,
+    sd_penalty,
+)
 from cldlab.pairgen import ContrastivePair
 
 
@@ -213,3 +219,116 @@ def test_feature_mask_mutes_units():
     mask[2] = 0.0
     h, _, _, _ = dk.forward(model, np.array([1, 2]), feature_mask=mask)
     assert np.array_equal(h.val[:, 2], [0.0, 0.0])
+
+
+# -- the run axis --------------------------------------------------------------
+
+# op, and each operand's shape: a leading 3 is the run axis, and a shape
+# without it is an operand that every run shares.
+RUN_AXIS_OPS = {
+    "matmul": (dk.matmul, [(3, 4, 5), (3, 5, 2)]),
+    "matmul-shared-left": (dk.matmul, [(4, 5), (3, 5, 2)]),
+    "t2": (dk.t2, [(3, 4, 5)]),
+    "gather_rows": (lambda a: dk.gather_rows(a, np.array([2, 0, 2, 3])),
+                    [(3, 4, 5)]),
+    "take_cols": (lambda a: dk.take_cols(a, np.array([1, 0, 4, 4])),
+                  [(3, 4, 5)]),
+    "slice_rows": (lambda a: dk.slice_rows(a, 1, 3), [(3, 4, 5)]),
+    "concat_ones": (dk.concat_ones, [(3, 4, 5)]),
+    "nsum-last": (lambda a: dk.nsum(a, axis=-1), [(3, 4, 5)]),
+    "nsum-last-keepdims": (lambda a: dk.nsum(a, axis=-1, keepdims=True),
+                           [(3, 4, 5)]),
+    "nsum-last-two": (lambda a: dk.nsum(a, axis=(-2, -1)), [(3, 4, 5)]),
+    "nmean-last": (lambda a: dk.nmean(a, axis=-1), [(3, 4, 5)]),
+    "log_softmax_rows": (dk.log_softmax_rows, [(3, 4, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_AXIS_OPS))
+def test_op_on_a_run_stack_equals_each_run(name):
+    """On a [3, ...] stack each run's value and adjoint are bitwise those
+    of the op on that run alone; a shared operand's adjoint is the sum of
+    the runs' adjoints."""
+    op, shapes = RUN_AXIS_OPS[name]
+    rng = np.random.default_rng(7)
+    arrays = [rng.normal(size=s) for s in shapes]
+    leaves = [dk.constant(a) for a in arrays]
+    out = op(*leaves)
+    g = rng.normal(size=out.val.shape)
+    grads = dk.grad_nodes(dk.nsum(dk.mul(out, dk.constant(g))), leaves)
+    shared = [np.zeros(a.shape) for a in arrays]
+    for r in range(3):
+        run_leaves = [dk.constant(a[r] if len(s) == 3 else a)
+                      for a, s in zip(arrays, shapes)]
+        run_out = op(*run_leaves)
+        assert np.array_equal(out.val[r], run_out.val)
+        run_grads = dk.grad_nodes(dk.nsum(dk.mul(run_out, dk.constant(g[r]))),
+                                  run_leaves)
+        for i, (s, have, want) in enumerate(zip(shapes, grads, run_grads)):
+            if len(s) == 3:
+                assert np.array_equal(have.val[r], want.val)
+            else:
+                shared[i] = shared[i] + want.val
+    for s, have, total in zip(shapes, grads, shared):
+        if len(s) != 3:
+            assert np.array_equal(have.val, total)
+
+
+def _stack_of_distinct_runs(seed=5, widths=(6, 5)):
+    """init_model stacked three times, each run nudged apart."""
+    model = dk.stack_runs(dk.init_model(4, widths, 2, embedding="bits",
+                                        seed=seed), 3)
+    rng = np.random.default_rng(seed)
+    model.set_flat_params(model.flat_params()
+                          + 0.3 * rng.normal(size=(3, model.n_params())))
+    return model
+
+
+def _erm_plus_pairs(m, b, t):
+    pairs = [ContrastivePair(0, 2, 1, 0, 0, 1),
+             ContrastivePair(1, 3, 0, 0, 0, 1),
+             ContrastivePair(0, 2, 1, 0, 0, 1)]
+    return dk.add(erm_loss(m, b, t), dk.add(
+        lam_regularizer(m, pairs, t), pair_regularizer(m, pairs, "PROB", t)))
+
+
+class TestRunStack:
+    def batch(self):
+        return TestFiniteDiff().batch()
+
+    def test_shapes_and_flat_parameters_are_per_run(self):
+        one = dk.init_model(4, (6, 5), 2, embedding="bits", seed=5)
+        model = dk.stack_runs(one, 3)
+        assert model.runs == (3,) and one.runs == ()
+        assert (model.u_count, model.n_classes) == (one.u_count, one.n_classes)
+        assert model.n_params() == one.n_params()
+        assert model.flat_params().shape == (3, one.n_params())
+        assert np.array_equal(model.run(1).flat_params(), one.flat_params())
+        assert model.run(0).embedding is model.embedding
+
+    def test_forward_and_gradient_equal_each_run(self):
+        model = _stack_of_distinct_runs()
+        tape = dk.Tape(model)
+        loss = _erm_plus_pairs(model, self.batch(), tape)
+        assert loss.val.shape == (3,)
+        grads = dk.backward(tape, loss)
+        for r in range(3):
+            one = model.run(r)
+            run_tape = dk.Tape(one)
+            run_loss = _erm_plus_pairs(one, self.batch(), run_tape)
+            assert loss.val[r] == run_loss.val
+            assert np.array_equal(grads[r], dk.backward(run_tape, run_loss))
+
+    def test_backward_wants_one_loss_per_run(self):
+        model = _stack_of_distinct_runs()
+        tape = dk.Tape(model)
+        total = dk.nsum(_erm_plus_pairs(model, self.batch(), tape))
+        with pytest.raises(ShapeMismatch):
+            dk.backward(tape, total)
+
+    def test_finite_differences_on_a_stack(self):
+        model = _stack_of_distinct_runs()
+        err = dk.finite_diff_check(
+            model, self.batch(),
+            lambda m, b, t: dk.nsum(_erm_plus_pairs(m, b, t)), eps=1e-4)
+        assert err < 1e-4

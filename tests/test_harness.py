@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from cldlab import cld_core, diffkit as dk, harness, objectives as ob
 from cldlab.cli import main as cli_main
-from cldlab.errors import ConfigError
+from cldlab.errors import ConfigError, NonFiniteActivation
 from cldlab.objectives import EXTRAS, KINDS
 from cldlab.rng import derive_seed
 
@@ -273,6 +273,131 @@ class TestSweep:
         with pytest.raises(ConfigError):
             harness.sweep(base_doc(tmp_path), {"trainer.lr": []})
 
+    def test_whole_grid_is_validated_before_the_first_run(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            harness.sweep(base_doc(out), {"objective.lambda": [0.1, -1.0]},
+                          out_dir=str(out))
+        assert err.value.field == "objective.lambda"
+        assert not out.exists() or os.listdir(out) == []
+
+
+def _files(out) -> dict:
+    return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+
+def _lambda_runs(tmp_path, kind, trainer, lams, **extra):
+    """(sweep's files, the files of one run_experiment per lambda, and each
+    side's error) for a lambda grid on one explicit seed."""
+    doc = base_doc("results", objective={"kind": kind, "lambda": lams[0]},
+                   trainer=trainer, **extra)
+    sides = []
+    for name in ("sweep", "runs"):
+        out = tmp_path / name
+        out.mkdir()
+        error = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                if name == "sweep":
+                    harness.sweep(doc, {"objective.lambda": lams,
+                                        "trainer.seed": [trainer["seed"]]},
+                                  out_dir=str(out))
+                    (out / "sweep.csv").unlink()
+                else:
+                    for lam in lams:
+                        one = json.loads(json.dumps(doc))
+                        one["objective"]["lambda"] = lam
+                        harness.run_experiment(harness.config_from_dict(one),
+                                               out_dir=str(out))
+            except Exception as exc:  # compared below
+                error = (type(exc), str(exc))
+        sides.append((_files(out), error))
+    return sides
+
+
+GROUP_TRAINERS = {
+    "gd": {"optimizer": "gd", "lr": 0.3, "eval_every": 4},
+    "sgd-16": {"optimizer": "sgd", "lr": 0.3, "batch_size": 16,
+               "head_only_steps": 3},
+    "adam": {"optimizer": "adam", "lr": 0.05, "eval_every": 5,
+             "head_only_steps": 2},
+}
+
+
+@pytest.mark.parametrize("opt", sorted(GROUP_TRAINERS))
+@pytest.mark.parametrize("kind", sorted(harness.STACKED_KINDS))
+def test_lambda_group_matches_one_run_per_lambda(tmp_path, monkeypatch,
+                                                 kind, opt):
+    """A sweep trains its lambda values as one stack, and each run's
+    files are byte for byte those of its own run_experiment."""
+    stacks = []
+    real = dk.stack_runs
+    monkeypatch.setattr(dk, "stack_runs",
+                        lambda m, r: stacks.append(r) or real(m, r))
+    trainer = {"steps": 12, "train_n": 60, "seed": 3, **GROUP_TRAINERS[opt]}
+    (swept, err_a), (single, err_b) = _lambda_runs(
+        tmp_path, kind, trainer, [0.1, 1.0, 10.0], pairs={"n": 30})
+    assert stacks == [3]
+    assert err_a is None and err_b is None
+    assert len(swept) == 12
+    assert swept == single
+
+
+# PAIR_LOGIT at 1e200 overflows a training forward; PAIR_PROB at 1e10
+# trains to an infinite source loss in the final evaluation.
+@pytest.mark.parametrize("kind, lam", [("PAIR_LOGIT", 1e200),
+                                       ("PAIR_PROB", 1e10)])
+def test_a_diverging_lambda_leaves_the_files_of_one_run_at_a_time(
+        tmp_path, kind, lam):
+    trainer = {"optimizer": "gd", "lr": 0.5, "steps": 5, "train_n": 40,
+               "seed": 0}
+    (swept, err_a), (single, err_b) = _lambda_runs(
+        tmp_path, kind, trainer, [0.1, lam, 1.0])
+    assert err_a is not None and err_a == err_b
+    assert err_a[0] is NonFiniteActivation
+    assert swept == single
+    statuses = sorted(json.loads(v)["status"] for k, v in swept.items()
+                      if k.startswith("run-") and k.endswith(".json"))
+    assert statuses == ["numeric-failure", "ok"]
+
+
+def _nodes(monkeypatch, run) -> int:
+    """Graph nodes built while run() runs."""
+    count = [0]
+    real = dk.Node.__init__
+
+    def counted(node, *args, **kwargs):
+        count[0] += 1
+        real(node, *args, **kwargs)
+
+    monkeypatch.setattr(dk.Node, "__init__", counted)
+    run()
+    monkeypatch.setattr(dk.Node, "__init__", real)
+    return count[0]
+
+
+@pytest.mark.parametrize("kind", sorted(harness.STACKED_KINDS))
+def test_a_stacked_step_builds_as_many_nodes_as_one_run(tmp_path,
+                                                         monkeypatch, kind):
+    """A second step of a 3-run stack adds exactly the nodes that a second
+    step of one run adds."""
+    def step_nodes(lams):
+        counts = []
+        for steps in (1, 2):
+            doc = base_doc(tmp_path, objective={"kind": kind,
+                                                "lambda": lams[0]},
+                           eval={"ci_pairs": 0})
+            doc["trainer"]["steps"] = steps
+            out = tmp_path / f"{len(lams)}-{steps}"
+            counts.append(_nodes(monkeypatch, lambda: harness.sweep(
+                doc, {"objective.lambda": lams, "trainer.seed": [0]},
+                out_dir=str(out))))
+        return counts[1] - counts[0]
+
+    one = step_nodes([0.5])
+    assert one > 0
+    assert step_nodes([0.1, 0.5, 2.0]) == one
+
 
 class TestGenerateArtifacts:
     def test_jsonl_outputs(self, tmp_path):
@@ -326,6 +451,18 @@ class TestCli:
         res = self.invoke("verify", "--family", str(path), "--out", str(tmp_path))
         assert res.exit_code == 2
         assert "config error: family: " in res.output
+
+    @pytest.mark.parametrize("spaces", [{"n_core": 2.9}, {"n_obs": 4.5}])
+    def test_verify_refuses_a_fractional_cardinality(self, tmp_path, canon_d,
+                                                     spaces):
+        doc = cld_core.family_to_dict(canon_d[0], list(canon_d[1:]))
+        doc["spaces"].update(spaces)
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(doc))
+        res = self.invoke("verify", "--family", str(path), "--out", str(tmp_path))
+        assert res.exit_code == 2
+        assert "config error: family: " in res.output
+        assert f"spaces.{next(iter(spaces))}" in res.output
 
     def test_verify_refuses_a_nan_probability(self, tmp_path, canon_d):
         doc = cld_core.family_to_dict(canon_d[0], list(canon_d[1:]))

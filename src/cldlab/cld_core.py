@@ -82,11 +82,6 @@ class CldFamily:
         """True iff every generation row is a point mass (an exact f*)."""
         return bool(np.all(self.p_x_given_cn.max(axis=-1) == 1.0))
 
-    def forced_x(self) -> np.ndarray:
-        """For a deterministic family, the [n_core, n_noncore] map f*."""
-        assert self.deterministic
-        return self.p_x_given_cn.argmax(axis=-1)
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -119,25 +114,21 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.x.shape[0])
 
-    @property
-    def has_provenance(self) -> bool:
-        return self.xc is not None
+
+def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape; ShapeMismatch if it is not."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise ShapeMismatch(f"{name} shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def build_family(spaces: LatentSpaces, p_x_given_cn, p_y_given_c,
                  tol: float = USER_TOL) -> CldFamily:
     """Validate and freeze the two mechanism tables into a family."""
-    px = np.asarray(p_x_given_cn, dtype=np.float64)
-    py = np.asarray(p_y_given_c, dtype=np.float64)
-    if px.shape != (spaces.n_core, spaces.n_noncore, spaces.n_obs):
-        raise ShapeMismatch(
-            f"p_x_given_cn shape {px.shape}, expected "
-            f"{(spaces.n_core, spaces.n_noncore, spaces.n_obs)}"
-        )
-    if py.shape != (spaces.n_core, spaces.n_classes):
-        raise ShapeMismatch(
-            f"p_y_given_c shape {py.shape}, expected {(spaces.n_core, spaces.n_classes)}"
-        )
+    px = _shaped("p_x_given_cn", p_x_given_cn,
+                 (spaces.n_core, spaces.n_noncore, spaces.n_obs))
+    py = _shaped("p_y_given_c", p_y_given_c, (spaces.n_core, spaces.n_classes))
     _check_rows("p_x_given_cn", px, tol)
     _check_rows("p_y_given_c", py, tol)
     return CldFamily(spaces, _freeze(px), _freeze(py))
@@ -157,19 +148,9 @@ def make_domain(family: CldFamily, variant: str, *, domain_id: str = "d",
     if variant == "CLD3":
         if p_y is None or p_c_given_y is None or p_n_given_c is None:
             raise ShapeMismatch("CLD3 needs p_y, p_c_given_y and p_n_given_c")
-        py = np.asarray(p_y, dtype=np.float64)
-        pcy = np.asarray(p_c_given_y, dtype=np.float64)
-        pnc = np.asarray(p_n_given_c, dtype=np.float64)
-        if py.shape != (s.n_classes,):
-            raise ShapeMismatch(f"p_y shape {py.shape}, expected {(s.n_classes,)}")
-        if pcy.shape != (s.n_classes, s.n_core):
-            raise ShapeMismatch(
-                f"p_c_given_y shape {pcy.shape}, expected {(s.n_classes, s.n_core)}"
-            )
-        if pnc.shape != (s.n_core, s.n_noncore):
-            raise ShapeMismatch(
-                f"p_n_given_c shape {pnc.shape}, expected {(s.n_core, s.n_noncore)}"
-            )
+        py = _shaped("p_y", p_y, (s.n_classes,))
+        pcy = _shaped("p_c_given_y", p_c_given_y, (s.n_classes, s.n_core))
+        pnc = _shaped("p_n_given_c", p_n_given_c, (s.n_core, s.n_noncore))
         _check_rows("p_y", py[None, :], tol)
         _check_rows("p_c_given_y", pcy, tol)
         _check_rows("p_n_given_c", pnc, tol)
@@ -180,11 +161,7 @@ def make_domain(family: CldFamily, variant: str, *, domain_id: str = "d",
                           _freeze(pcy), _freeze(pnc))
     if p_cn is None:
         raise ShapeMismatch(f"{variant} needs p_cn")
-    pcn = np.asarray(p_cn, dtype=np.float64)
-    if pcn.shape != (s.n_core, s.n_noncore):
-        raise ShapeMismatch(
-            f"p_cn shape {pcn.shape}, expected {(s.n_core, s.n_noncore)}"
-        )
+    pcn = _shaped("p_cn", p_cn, (s.n_core, s.n_noncore))
     _check_rows("p_cn", pcn.reshape(1, -1), tol)  # whole table sums to 1
     return DomainSpec(variant, domain_id, _freeze(pcn))
 

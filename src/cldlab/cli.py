@@ -99,12 +99,9 @@ def train(config_path, seed, out_dir, fmt):
     """Run one training experiment and persist CSV + JSON + checkpoint."""
     cfg = config_from_dict(_load_config(config_path))
     rec = run_experiment(cfg, seed=seed, out_dir=out_dir)
-    if fmt == "json":
-        with open(rec.summary_path, "r", encoding="utf-8") as fh:
-            click.echo(fh.read().rstrip("\n"))
-    else:
-        with open(rec.csv_path, "r", encoding="utf-8") as fh:
-            click.echo(fh.read().rstrip("\n"))
+    with open(rec.summary_path if fmt == "json" else rec.csv_path, "r",
+              encoding="utf-8") as fh:
+        click.echo(fh.read().rstrip("\n"))
 
 
 def _checkpoint_model(model_path: str):

@@ -527,18 +527,12 @@ def finite_diff_check(model: Model, batch, loss_fn, eps: float = 1e-5, *,
                                grad_nodes(node, tape.param_nodes)])
     evaluate = fd_fn if fd_fn is not None else (
         lambda m, b: float(loss_fn(m, b, Tape(m)).val))
-    names = tape.names
-    offsets = {}
-    i = 0
-    for name, arr in model.param_blocks():
-        offsets[name] = (i, i + arr.size)
-        i += arr.size
-    wanted = names if blocks is None else blocks
+    wanted = tape.names if blocks is None else blocks
     worst = 0.0
-    for name, arr in model.param_blocks():
+    starts = np.cumsum([0] + [arr.size for _, arr in model.param_blocks()])
+    for (name, arr), lo in zip(model.param_blocks(), starts):
         if name not in wanted:
             continue
-        lo, _ = offsets[name]
         flat = arr.ravel()
         for j in range(flat.size):
             keep = flat[j]

@@ -20,7 +20,7 @@ from .errors import ConfigError, NonFiniteActivation
 from .metrics import ci_index_mc, evaluate, evaluate_exact
 from .objectives import DomainBatch, ObjectiveConfig
 from .oracle import domain_p_xy, verify_theorems
-from .pairgen import sample_pairs, write_pairs_jsonl
+from .pairgen import pair_law, pair_table, sample_pairs, write_pairs_jsonl
 from .rng import derive_seed, substream
 
 __all__ = [
@@ -331,13 +331,6 @@ def _minibatch(batch: DomainBatch, rng, k: int) -> DomainBatch:
                        draws[keep] / k, draws[keep])
 
 
-def _pair_cells(pairs):
-    """Sampled pairs as distinct (x, x~, y) cells weighted by their share."""
-    _, first, counts = np.unique([(p.x, p.x_tilde, p.label) for p in pairs],
-                                 axis=0, return_index=True, return_counts=True)
-    return [pairs[i] for i in first], counts / len(pairs)
-
-
 # ---------------------------------------------------------------------------
 # Objective dispatch
 
@@ -349,7 +342,7 @@ class _RunState:
         self.cfg = cfg
         self.seed = seed
         self.lam = lam  # objective.lambda; one per run on a stack
-        self.pairs = None  # (pair cells, their weights)
+        self.pairs = None  # the pair table W[x, x~, y]
         self.adversaries = []  # DANN: one; CDANN: one per class plus one
         self.adv_opts = []
         self.adv_tapes = []  # the adversaries' tapes of the latest build
@@ -390,10 +383,10 @@ def _cells(penalty):
     return lambda c: (_loss(c), penalty(c.model, c.batches, c.tape))
 
 
-def _pairs(penalty, *kind):
-    """Mean domain loss plus penalty(model, pair cells, *kind, tape, weights)."""
-    return lambda c: (_loss(c), penalty(c.model, c.run.pairs[0], *kind, c.tape,
-                                        c.run.pairs[1]))
+def _pairs(kind):
+    """Mean domain loss plus the pair term of kind on the run's pair table."""
+    return lambda c: (_loss(c), ob.pair_penalty(c.model, c.run.pairs, kind,
+                                                c.tape))
 
 
 def _features(penalty):
@@ -448,10 +441,10 @@ OBJECTIVE_BUILDERS = {
     "ERM": _loss_only,
     "SWA": _loss_only,
     "AND_MASK": _loss_only,
-    "PAIR_PROB": _pairs(ob.pair_regularizer, "PROB"),
-    "PAIR_LOGIT": _pairs(ob.pair_regularizer, "LOGIT"),
-    "PAIR_FEAT": _pairs(ob.pair_regularizer, "FEAT"),
-    "LAM": _pairs(ob.lam_regularizer),
+    "PAIR_PROB": _pairs("PROB"),
+    "PAIR_LOGIT": _pairs("LOGIT"),
+    "PAIR_FEAT": _pairs("FEAT"),
+    "LAM": _pairs("LAM"),
     "VREX": lambda c: (_loss(c), ob.vrex_from_losses(c.losses)),
     "FISH": _cells(ob.fish_penalty),
     "IGA": _cells(ob.iga_penalty),
@@ -622,10 +615,14 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
     kind = cfg.objective.kind
 
     run = _RunState(cfg, seed, lam)
-    if kind in PAIR_KINDS:
-        run.pairs = _pair_cells(sample_pairs(
-            family, sources[0], cfg.pairs.n, style=cfg.pairs.style,
-            seed=derive_seed(seed, "pairs")))
+    if kind in PAIR_KINDS:  # the first source's pair table: the exact pair
+        # law in population mode, else the sampled pairs' counts over n
+        run.pairs = (pair_law(family, sources[0], cfg.pairs.style)
+                     if cfg.trainer.data_mode == "population" else pair_table(
+                         sample_pairs(family, sources[0], cfg.pairs.n,
+                                      style=cfg.pairs.style,
+                                      seed=derive_seed(seed, "pairs")),
+                         s.n_obs, s.n_classes))
     if kind in ("DANN", "CDANN"):
         labels = (["adv"] if kind == "DANN"
                   else [f"adv:{k}" for k in range(s.n_classes + 1)])
@@ -780,9 +777,11 @@ def _lambda_group(plan: _Plan):
 def sweep(base_doc: dict, grid: dict, *, out_dir: str | None = None) -> list:
     """Cartesian product over dotted config paths; one run per combination.
 
-    Seeds derive as base seed + run index unless the grid itself addresses
-    trainer.seed.  Returns the ResultRecords; sweep.csv holds one row per
-    run (its final target-domain row), full detail stays in per-run CSVs.
+    Unless the grid itself addresses trainer.seed, a run's seed is base
+    seed + the index of its combination of the keys other than
+    objective.lambda, so the runs that differ only in lambda share data,
+    init and pairs.  Returns the ResultRecords; sweep.csv holds one row
+    per run (its final target-domain row), full detail stays in per-run CSVs.
 
     Every combination is parsed and resolved before the first run.  Runs
     of a kind in STACKED_KINDS whose configs differ only in
@@ -797,17 +796,19 @@ def sweep(base_doc: dict, grid: dict, *, out_dir: str | None = None) -> list:
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"grid.{key}", "must be a nonempty list")
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys)))
     base_cfg = config_from_dict(base_doc)  # validate before deep-copying
     base_seed = base_cfg.trainer.seed
     explicit_seed = "trainer.seed" in keys
+    seed_index: dict = {}  # non-lambda value indices -> their combination's index
     plans = []
-    for idx, combo in enumerate(combos):
+    for combo in itertools.product(*(range(len(grid[k])) for k in keys)):
         doc = json.loads(canonical_json(base_doc))
-        for key, val in zip(keys, combo):
-            _set_by_path(doc, key, val)
+        for key, i in zip(keys, combo):
+            _set_by_path(doc, key, grid[key][i])
         cfg = config_from_dict(doc)
-        run_seed = cfg.trainer.seed if explicit_seed else base_seed + idx
+        rest = tuple(i for key, i in zip(keys, combo) if key != "objective.lambda")
+        run_seed = (cfg.trainer.seed if explicit_seed
+                    else base_seed + seed_index.setdefault(rest, len(seed_index)))
         plans.append(_plan(cfg, run_seed, out_dir))
     groups: dict = {}
     for i, plan in enumerate(plans):

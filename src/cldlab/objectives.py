@@ -3,14 +3,16 @@
 Each entry either builds a scalar loss node on a shared tape (so one backward
 pass trains everything jointly) or transforms gradients/forwards directly.
 
-Every term that reads observation indices (domain cells, pair cells, group
-members) reads rows of the tape's observation table, `diffkit.obs_rows`:
+Every term that reads observation indices (domain cells, pair tables)
+reads rows of the tape's observation table, `diffkit.obs_rows`:
 one forward over every observation gives H, z, log p and p, and a step runs
 that forward once whatever its terms.  Only inputs that are not indices
 (mixed rows, an adversary's feature rows) get a forward of their own.
 
 Conventions fixed here once:
   * variance across domains is population variance (divide by K);
+  * every pair term reads one dense pair table W[x, x~, y] (`pair_penalty`);
+    pair and group lists are converted to one (`pairgen.pair_table`);
   * within-group variance for pair groups is the unbiased sample variance
     (so a 2-member group equals half the pair squared difference);
   * probability matching uses D_KL(p(.|x) || p(.|x~)) as written;
@@ -29,8 +31,10 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .errors import (
     TooFewExamples,
     UnlabeledPair,
 )
-from .pairgen import ContrastivePair, PairGroup
+from .pairgen import PairGroup, pair_table
 from .rng import substream
 
 KINDS = ("ERM", "PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM", "VREX",
@@ -288,10 +292,50 @@ def mean_domain_loss(model: Model, batches: list[DomainBatch],
 # Pair-based regularizers
 # ---------------------------------------------------------------------------
 
-def _pair_index(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, x~) index arrays of a pair list."""
-    return (np.asarray([p.x for p in pairs], dtype=np.int64),
-            np.asarray([p.x_tilde for p in pairs], dtype=np.int64))
+def _n_obs(model: Model) -> int:
+    if model.embedding is None:
+        raise ShapeMismatch("pair terms need a model with an embedding")
+    return model.embedding.shape[0]
+
+
+def pair_penalty(model: Model, table: np.ndarray, kind: str,
+                 tape: Tape | None = None) -> Node:
+    """The pair term of kind over a pair table W[x, x~, y] (`pair_table`,
+    `pair_law`): the sum over (x, x~) of the pairs' weight times their
+    divergence, read from the tape's observation table on its trailing axes.
+
+    kind PROB: D_KL(p(.|x) || p(.|x~)), formed per pair as
+    sum_c p_x (log p_x - log p_x~); LOGIT / FEAT: summed squared differences
+    of logits / features; LAM: sum_u head[u, y]^2 (h_x[u] - h_x~[u])^2,
+    each label's slice of W weighed by its squared head column.
+    """
+    if kind not in ("PROB", "LOGIT", "FEAT", "LAM"):
+        raise ShapeMismatch(f"unknown pair kind {kind!r}")
+    n = _n_obs(model)
+    if np.shape(table) != (n, n, model.n_classes):
+        raise ShapeMismatch(f"pair table of shape {np.shape(table)} on {n} observations")
+    tape = tape if tape is not None else Tape(model)
+    obs, _ = dk.obs_rows(model, np.arange(n), tape)
+
+    def on(a: Node, pair_axes: tuple) -> Node:
+        """a's rows over the pair axes: (n, 1) for x, (1, n) for x~."""
+        return dk.reshape(a, a.val.shape[:-2] + pair_axes + a.val.shape[-1:])
+
+    if kind == "PROB":
+        la, lb = on(obs.logp, (n, 1)), on(obs.logp, (1, n))
+        per_pair = dk.nsum(dk.mul(on(obs.p, (n, 1)), dk.sub(la, lb)), axis=-1)
+    else:
+        part = obs.z if kind == "LOGIT" else obs.h
+        a, b = on(part, (n, 1)), on(part, (1, n))
+        sq = dk.square(dk.sub(a, b))  # [..., n, n, d]
+        if kind == "LAM":
+            head = dk.square(dk.slice_rows(tape.node("head"), 0, model.u_count))
+            head = dk.reshape(head, head.val.shape[:-2] + (1,) + head.val.shape[-2:])
+            per_label = dk.matmul(sq, head)  # [..., n, n, C]
+            return dk.nsum(dk.mul(per_label, dk.constant(table)), axis=(-3, -2, -1))
+        per_pair = dk.nsum(sq, axis=-1)
+    return dk.nsum(dk.mul(per_pair, dk.constant(np.sum(table, axis=-1))),
+                   axis=(-2, -1))
 
 
 def pair_regularizer(model: Model, pairs_or_groups, kind: str,
@@ -300,83 +344,29 @@ def pair_regularizer(model: Model, pairs_or_groups, kind: str,
 
     kind PROB: KL between predicted distributions; LOGIT / FEAT: summed
     squared differences of logits / features.  weights optionally give each
-    pair's probability (uniform by default), e.g. pair cells' shares.
-    Groups use the unbiased within-group variance summed over coordinates.
+    item's probability (uniform by default), e.g. pair cells' shares.
+    Groups use the unbiased within-group variance summed over coordinates,
+    half the mean of the pair form over ordered member pairs; PROB, which
+    has no variance form, takes that mean.
     """
     if kind not in ("PROB", "LOGIT", "FEAT"):
         raise ShapeMismatch(f"unknown pair kind {kind!r}")
     items = list(pairs_or_groups)
-    if not items:
-        raise ShapeMismatch("no pairs given")
-    tape = tape if tape is not None else Tape(model)
-    if isinstance(items[0], PairGroup):
-        return _group_variance(model, items, kind, tape)
-    if weights is None:
-        w = dk.constant(np.full(len(items), 1.0 / len(items)))
-    else:
-        w = dk.constant(np.asarray(weights, dtype=np.float64))
-    ia, ib = _pair_index(items)
-    if kind == "PROB":
-        la, lb = (table_rows(model, i, tape, "logp") for i in (ia, ib))
-        pa = table_rows(model, ia, tape, "p")
-        kl = dk.nsum(dk.mul(pa, dk.sub(la, lb)), axis=-1)
-        return dk.nsum(dk.mul(kl, w), axis=-1)
-    part = "z" if kind == "LOGIT" else "h"
-    diff = dk.sub(table_rows(model, ia, tape, part),
-                  table_rows(model, ib, tape, part))
-    per_pair = dk.nsum(dk.square(diff), axis=-1)
-    return dk.nsum(dk.mul(per_pair, w), axis=-1)
-
-
-def _group_variance(model: Model, groups: list[PairGroup], kind: str,
-                    tape: Tape) -> Node:
-    if kind == "PROB":
-        # KL has no variance form; average it over ordered in-group pairs
-        pairs = []
-        for g in groups:
-            for i in range(len(g.xs)):
-                for j in range(len(g.xs)):
-                    if i != j:
-                        pairs.append(ContrastivePair(g.xs[i], g.xs[j], g.label,
-                                                     g.xc, g.xns[i], g.xns[j]))
-        return pair_regularizer(model, pairs, "PROB", tape)
-    totals = []
-    for g in groups:
-        k = len(g.xs)
-        if k < 2:
-            raise ShapeMismatch("group needs at least 2 members")
-        rows = table_rows(model, np.asarray(g.xs, dtype=np.int64), tape,
-                          "z" if kind == "LOGIT" else "h")
-        mean = dk.nmean(rows, axis=0, keepdims=True)
-        centered = dk.sub(rows, mean)
-        # unbiased: divide by k-1, so 2-member groups give half the pair form
-        var = dk.mul(dk.nsum(dk.square(centered)), dk.constant(1.0 / (k - 1)))
-        totals.append(var)
-    return dk.nmean(dk.stack_list(totals))
+    pen = pair_penalty(model, pair_table(items, _n_obs(model), model.n_classes,
+                                         weights), kind, tape)
+    if kind != "PROB" and isinstance(items[0], PairGroup):
+        return dk.mul(pen, dk.constant(0.5))
+    return pen
 
 
 def lam_regularizer(model: Model, labeled_pairs, tape: Tape | None = None,
                     weights=None) -> Node:
     """Head-weighted feature matching: mean of sum_u w[u,y]^2 (df_u)^2."""
     pairs = list(labeled_pairs)
-    if not pairs:
-        raise ShapeMismatch("no pairs given")
     if any(p.label is None for p in pairs):
         raise UnlabeledPair("LAM needs labeled pairs")
-    tape = tape if tape is not None else Tape(model)
-    if weights is None:
-        w = dk.constant(np.full(len(pairs), 1.0 / len(pairs)))
-    else:
-        w = dk.constant(np.asarray(weights, dtype=np.float64))
-    ha, hb = (table_rows(model, i, tape, "h") for i in _pair_index(pairs))
-    labels = np.asarray([p.label for p in pairs], dtype=np.int64)
-    head = tape.node("head")
-    u = model.u_count
-    real_units = dk.slice_rows(head, 0, u)  # drop the dummy bias unit
-    w_y = dk.gather_rows(dk.t2(real_units), labels)  # [..., n_pairs, u]
-    contrib = dk.nsum(dk.mul(dk.square(w_y), dk.square(dk.sub(ha, hb))),
-                      axis=-1)
-    return dk.nsum(dk.mul(contrib, w), axis=-1)
+    return pair_penalty(model, pair_table(pairs, _n_obs(model), model.n_classes,
+                                          weights), "LAM", tape)
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +546,10 @@ def _fishr(blocks_by_domain: list[list[Node]], weights_by_domain) -> Node:
     variance_blocks = [[_cell_mean(dk.square(dk.sub(g, _cell_mean(g, w))), w)
                         for g in blocks]
                        for blocks, w in zip(blocks_by_domain, weights_by_domain)]
-    k = len(variance_blocks)
     dists = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            parts = [dk.nsum(dk.square(dk.sub(a, b)))
-                     for a, b in zip(variance_blocks[i], variance_blocks[j])]
-            dists.append(dk.nsum(dk.stack_list(parts)))
+    for va, vb in itertools.combinations(variance_blocks, 2):
+        parts = [dk.nsum(dk.square(dk.sub(a, b))) for a, b in zip(va, vb)]
+        dists.append(dk.nsum(dk.stack_list(parts)))
     return dk.nmean(dk.stack_list(dists))
 
 
@@ -693,13 +680,10 @@ def coral_penalty(features_by_domain, weights=None, counts=None) -> Node:
         cov = dk.matmul(dk.t2(dk.mul(centered, dk.constant(w[:, None]))),
                         centered)
         stats.append((mean, cov))
-    k = len(stats)
-    terms = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            dmean = dk.nsum(dk.square(dk.sub(stats[i][0], stats[j][0])))
-            dcov = dk.nsum(dk.square(dk.sub(stats[i][1], stats[j][1])))
-            terms.append(dk.add(dmean, dcov))
+    # squared mean difference plus squared covariance difference per pair
+    terms = [dk.add(dk.nsum(dk.square(dk.sub(a[0], b[0]))),
+                    dk.nsum(dk.square(dk.sub(a[1], b[1]))))
+             for a, b in itertools.combinations(stats, 2)]
     return dk.nmean(dk.stack_list(terms))
 
 
@@ -756,15 +740,12 @@ def median_bandwidth(dmat: Node, counts=None) -> Node:
     return dk.mul(dk.add(elems[0], elems[1]), dk.constant(0.5))
 
 
-class MmdResult:
+class MmdResult(NamedTuple):
     """Clamped penalty node plus the raw (possibly negative) estimate."""
 
-    __slots__ = ("node", "raw", "bandwidth")
-
-    def __init__(self, node: Node, raw: float, bandwidth: float):
-        self.node = node
-        self.raw = raw
-        self.bandwidth = bandwidth
+    node: Node
+    raw: float
+    bandwidth: float
 
 
 def mmd_penalty(features_by_domain, bandwidth: float | None = None,
@@ -782,30 +763,26 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
     """
     nodes, ms = _as_feature_nodes(features_by_domain, counts)
     ws = _row_weights(nodes, weights)
-    k = len(nodes)
     terms = []
     bw_used = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            wa, wb = ws[i], ws[j]
-            pooled = dk.concat_rows([nodes[i], nodes[j]])
-            dmat = sq_dists(pooled, pooled)
-            h = (dk.constant(float(bandwidth)) if bandwidth is not None
-                 else median_bandwidth(dmat, np.concatenate([ms[i], ms[j]])))
-            bw_used = float(h.val)
-            kmat = dk.exp(dk.div(dmat, dk.neg(h)))
-            # side[:, 0] / side[:, 1] put each domain's weights on its rows,
-            # so side^T K side holds [[wa K wa, wa K wb], [wb K wa, wb K wb]]
-            side = dk.constant(np.stack([
-                np.concatenate([wa, np.zeros(wb.size)]),
-                np.concatenate([np.zeros(wa.size), wb])], axis=1))
-            gram = dk.matmul(dk.t2(side), dk.matmul(kmat, side))
-            sa, sb = float(wa @ (wa / ms[i])), float(wb @ (wb / ms[j]))
-            coef = dk.constant([[1.0 / (1.0 - sa), -1.0],
-                                [-1.0, 1.0 / (1.0 - sb)]])
-            diag = sa / (1.0 - sa) + sb / (1.0 - sb)
-            terms.append(dk.sub(dk.nsum(dk.mul(gram, coef)),
-                                dk.constant(diag)))
+    for (fa, wa, ma), (fb, wb, mb) in itertools.combinations(zip(nodes, ws, ms), 2):
+        pooled = dk.concat_rows([fa, fb])
+        dmat = sq_dists(pooled, pooled)
+        h = (dk.constant(float(bandwidth)) if bandwidth is not None
+             else median_bandwidth(dmat, np.concatenate([ma, mb])))
+        bw_used = float(h.val)
+        kmat = dk.exp(dk.div(dmat, dk.neg(h)))
+        # side[:, 0] / side[:, 1] put each domain's weights on its rows,
+        # so side^T K side holds [[wa K wa, wa K wb], [wb K wa, wb K wb]]
+        side = dk.constant(np.stack([
+            np.concatenate([wa, np.zeros(wb.size)]),
+            np.concatenate([np.zeros(wa.size), wb])], axis=1))
+        gram = dk.matmul(dk.t2(side), dk.matmul(kmat, side))
+        sa, sb = float(wa @ (wa / ma)), float(wb @ (wb / mb))
+        coef = dk.constant([[1.0 / (1.0 - sa), -1.0],
+                            [-1.0, 1.0 / (1.0 - sb)]])
+        diag = sa / (1.0 - sa) + sb / (1.0 - sb)
+        terms.append(dk.sub(dk.nsum(dk.mul(gram, coef)), dk.constant(diag)))
     total = dk.nmean(dk.stack_list(terms))
     return MmdResult(dk.relu(total), float(total.val), bw_used)
 

@@ -1,17 +1,21 @@
 """Contrastive pair generation from synthetic domains.
 
 A pair is two observations drawn from the same core value with independently
-drawn non-core values; the optional label is drawn from the family's label
-mechanism at that core value.  Pure-set composition mirrors the protocol of
+drawn non-core values; the optional label is drawn from the domain's label
+law at that core value.  Pure-set composition mirrors the protocol of
 holding out a small set of "content" values and completing each one several
 times with fresh non-core draws.
+
+Every pair term reads pairs as one dense weight table W[x, x~, y]
+(`pair_table`); `pair_law` is that table for the exact law of
+`sample_pairs`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,13 +43,24 @@ class PairGroup:
     xc: int
     xns: tuple[int, ...]
 
-    def pairs(self) -> list[ContrastivePair]:
-        out = []
-        for i in range(len(self.xs)):
-            for j in range(i + 1, len(self.xs)):
-                out.append(ContrastivePair(self.xs[i], self.xs[j], self.label,
-                                           self.xc, self.xns[i], self.xns[j]))
-        return out
+    def pairs(self, ordered: bool = False) -> list[ContrastivePair]:
+        """The member pairs i < j, or with ordered every i != j."""
+        k = range(len(self.xs))
+        return [ContrastivePair(self.xs[i], self.xs[j], self.label, self.xc,
+                                self.xns[i], self.xns[j])
+                for i in k for j in k if j > i or (ordered and j != i)]
+
+
+def _label_law(family: CldFamily, domain: DomainSpec) -> np.ndarray:
+    """P^d(y | x^c) as a [n_core, n_classes] table: the family's label
+    mechanism, or for CLD3 (the label is the chain's root) the domain's Bayes
+    inversion of p_y and P*(x^c | y), uniform where P^d(x^c) is 0."""
+    if domain.variant != "CLD3":
+        return family.p_y_given_c
+    p_cy = (domain.p_y[:, None] * domain.p_c_given_y).T  # [C, Y]
+    p_c = p_cy.sum(axis=1, keepdims=True)
+    return np.divide(p_cy, p_c, out=np.full(p_cy.shape, 1.0 / p_cy.shape[1]),
+                     where=p_c > 0.0)
 
 
 def sample_pairs(family: CldFamily, domain: DomainSpec, n: int,
@@ -68,15 +83,14 @@ def sample_pairs(family: CldFamily, domain: DomainSpec, n: int,
     channel = family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs)
     x = categorical_rows(channel, cn, u[:, 1])
     if style == "uniform":
-        xn_t = np.floor(u[:, 2] * s.n_noncore).astype(np.int64)
-        xn_t = np.minimum(xn_t, s.n_noncore - 1)
+        xn_t = np.minimum(np.floor(u[:, 2] * s.n_noncore).astype(np.int64),
+                          s.n_noncore - 1)
     else:
         marg = domain.noncore_marginal().reshape(1, -1)
         xn_t = categorical_rows(marg, np.zeros(n, dtype=np.int64), u[:, 2])
     x_t = categorical_rows(channel, c * s.n_noncore + xn_t, u[:, 3])
-    y = categorical_rows(family.p_y_given_c, c, u[:, 4])
-    return [ContrastivePair(int(x[i]), int(x_t[i]), int(y[i]), int(c[i]),
-                            int(xn[i]), int(xn_t[i])) for i in range(n)]
+    y = categorical_rows(_label_law(family, domain), c, u[:, 4])
+    return list(map(ContrastivePair, *(a.tolist() for a in (x, x_t, y, c, xn, xn_t))))
 
 
 def compose_pure_groups(family: CldFamily, pure, domain: DomainSpec,
@@ -91,44 +105,82 @@ def compose_pure_groups(family: CldFamily, pure, domain: DomainSpec,
     rng = substream(seed, "pairs")
     marg = domain.noncore_marginal().reshape(1, -1)
     channel = family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs)
+    labels = _label_law(family, domain)
     groups = []
     for c in pure:
         c = int(c)
         u = rng.random((reps, 2))
         xns = categorical_rows(marg, np.zeros(reps, dtype=np.int64), u[:, 0])
         xs = categorical_rows(channel, c * s.n_noncore + xns, u[:, 1])
-        y = categorical_rows(family.p_y_given_c, np.array([c]), rng.random(1))[0]
-        groups.append(PairGroup(tuple(int(v) for v in xs), int(y), c,
-                                tuple(int(v) for v in xns)))
+        y = categorical_rows(labels, np.array([c]), rng.random(1))[0]
+        groups.append(PairGroup(tuple(xs.tolist()), int(y), c, tuple(xns.tolist())))
     return groups
 
 
 def compose_pure(family: CldFamily, pure, domain: DomainSpec, reps: int,
                  seed: int = 0) -> list[ContrastivePair]:
     """All unordered pairs from each completed pure group; reps=2 gives one each."""
-    out: list[ContrastivePair] = []
-    for g in compose_pure_groups(family, pure, domain, reps, seed):
-        out.extend(g.pairs())
-    return out
+    return [p for g in compose_pure_groups(family, pure, domain, reps, seed)
+            for p in g.pairs()]
+
+
+def pair_table(items, n_obs: int, n_classes: int, weights=None) -> np.ndarray:
+    """Pairs or groups as one [n_obs, n_obs, n_classes] weight table W[x, x~, y].
+
+    weights give each item's probability (uniform by default).  A pair adds
+    its weight at (x, x~, y), spread evenly over the labels if it has none;
+    a group spreads its weight evenly over its k(k-1) ordered member pairs.
+    """
+    items = list(items)
+    if not items:
+        raise ShapeMismatch("no pairs given")
+    # uniform weights add counts, divided once: a sample's cells hold count / n
+    n_items = len(items)
+    w = np.ones(n_items) if weights is None else np.asarray(weights, dtype=np.float64)
+    if isinstance(items[0], PairGroup):
+        members = [g.pairs(ordered=True) for g in items]
+        sizes = np.array([len(m) for m in members])
+        if sizes.min() == 0:
+            raise ShapeMismatch("group needs at least 2 members")
+        w, items = np.repeat(w / sizes, sizes), [p for m in members for p in m]
+    x, xt = (np.array([getattr(p, a) for p in items], dtype=np.int64)
+             for a in ("x", "x_tilde"))
+    y = np.array([-1 if p.label is None else p.label for p in items], dtype=np.int64)
+    if min(x.min(), xt.min(), y.min() + 1) < 0 or max(x.max(), xt.max()) >= n_obs \
+            or y.max() >= n_classes:
+        raise ShapeMismatch("pair observation or label out of range")
+    table = np.zeros((n_obs, n_obs, n_classes))
+    known = y >= 0
+    np.add.at(table, (x[known], xt[known], y[known]), w[known])
+    np.add.at(table, (x[~known], xt[~known]), w[~known, None] / n_classes)
+    return table / n_items if weights is None else table
+
+
+def pair_law(family: CldFamily, domain: DomainSpec,
+             style: str = "marginal") -> np.ndarray:
+    """The exact law of `sample_pairs`' draws as a pair table W[x, x~, y]:
+    the core and first non-core value from P^d(x^c, x^n), the partner's
+    non-core value from the domain's non-core marginal ("marginal") or
+    uniformly ("uniform"), both observations through P*(x | x^c, x^n), and
+    the label from the domain's label law at the core value."""
+    if style not in ("uniform", "marginal"):
+        raise ShapeMismatch(f"unknown pair style {style!r}")
+    n = family.spaces.n_noncore
+    p_n = domain.noncore_marginal() if style == "marginal" else np.full(n, 1.0 / n)
+    px = family.p_x_given_cn
+    return np.einsum("cn,m,cnx,cmz,cy->xzy", domain.p_cn, p_n, px, px,
+                     _label_law(family, domain))
 
 
 def write_pairs_jsonl(pairs: list[ContrastivePair], path: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(json.dumps({"x": p.x, "x_tilde": p.x_tilde,
-                                 "label": p.label, "xc": p.xc,
-                                 "xn": p.xn, "xn_tilde": p.xn_tilde}) + "\n")
+        fh.writelines(json.dumps(asdict(p)) + "\n" for p in pairs)
     os.replace(tmp, path)
 
 
 def read_pairs_jsonl(path: str) -> list[ContrastivePair]:
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(ContrastivePair(d["x"], d["x_tilde"], d["label"],
-                                       d["xc"], d["xn"], d["xn_tilde"]))
-    return out
+        docs = [json.loads(line) for line in fh if line.strip()]
+    return [ContrastivePair(*(d[f.name] for f in fields(ContrastivePair)))
+            for d in docs]

@@ -361,6 +361,51 @@ def test_a_diverging_lambda_leaves_the_files_of_one_run_at_a_time(
     assert statuses == ["numeric-failure", "ok"]
 
 
+def test_a_plain_lambda_grid_is_one_paired_stack(tmp_path, monkeypatch):
+    """Without trainer.seed in the grid, the runs that differ only in
+    lambda share the seed, so a plain lambda grid trains as one stack; each
+    other combination takes the next seed."""
+    stacks = []
+    real = dk.stack_runs
+    monkeypatch.setattr(dk, "stack_runs",
+                        lambda m, r: stacks.append(r) or real(m, r))
+    doc = base_doc(tmp_path, objective={"kind": "PAIR_FEAT", "lambda": 0.1},
+                   eval={"ci_pairs": 0})
+    doc["trainer"]["seed"] = 7
+    records = harness.sweep(doc, {"objective.lambda": [0.1, 1.0, 10.0]},
+                            out_dir=str(tmp_path / "lam"))
+    assert stacks == [3]
+    assert [r.rows[0]["seed"] for r in records] == [7, 7, 7]
+    stacks.clear()
+    records = harness.sweep(doc, {"objective.lambda": [0.1, 1.0],
+                                  "trainer.lr": [0.1, 0.2]},
+                            out_dir=str(tmp_path / "lam-lr"))
+    assert stacks == [2, 2]
+    assert [(r.rows[0]["seed"], json.loads(open(
+        tmp_path / "lam-lr" / f"config-{r.config_hash}.json").read())
+        ["trainer"]["lr"]) for r in records] == [(7, 0.1), (8, 0.2)] * 2
+
+
+@pytest.mark.parametrize("kind", ["PAIR_FEAT", "LAM"])
+def test_population_pairs_are_the_exact_pair_law(tmp_path, monkeypatch, kind):
+    """A population-mode pair run draws no pairs: it trains on the exact
+    pair law, so pairs.n does not move its rows."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("population mode sampled pairs")
+
+    monkeypatch.setattr(harness, "sample_pairs", refuse)
+    rows = []
+    for n in (10, 500):
+        doc = base_doc(tmp_path / str(n), objective={"kind": kind, "lambda": 1.0},
+                       pairs={"n": n})
+        doc["trainer"].update(data_mode="population", steps=20)
+        rec = harness.run_experiment(harness.config_from_dict(doc))
+        rows.append([[r[k] for k in ("step", "domain_id", "loss_nats", "accuracy",
+                                     "ci_index", "penalty_value")]
+                     for r in rec.rows])
+    assert rows[0] == rows[1]
+
+
 def _nodes(monkeypatch, run) -> int:
     """Graph nodes built while run() runs."""
     count = [0]

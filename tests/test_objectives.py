@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cldlab import cld_core, diffkit as dk, harness, metrics, objectives as ob
+from cldlab import cld_core, diffkit as dk, harness, metrics, objectives as ob, pairgen
 from cldlab.errors import ConfigError, ShapeMismatch, TooFewDomains, UnlabeledPair
 from cldlab.pairgen import ContrastivePair, PairGroup, sample_pairs
 from cldlab.rng import derive_seed
@@ -574,6 +574,14 @@ CELL_CASES = {
 }
 
 
+def _pair_cells(pairs):
+    """Sampled pairs as distinct (x, x~, y) cells weighted by their share
+    (a reference for the pair list's counts)."""
+    _, first, counts = np.unique([(p.x, p.x_tilde, p.label) for p in pairs],
+                                 axis=0, return_index=True, return_counts=True)
+    return [pairs[i] for i in first], counts / len(pairs)
+
+
 @pytest.mark.parametrize("kind", list(CELL_CASES))
 def test_cells_give_the_values_of_their_rows(kind):
     """Every batch-reading term has the same value and parameter gradient
@@ -591,7 +599,7 @@ def test_cells_give_the_values_of_their_rows(kind):
     pairs = sample_pairs(family, domains[0], 200, seed=7)
     got = []
     for batches, pair_view in ((rows, (pairs, None)),
-                               (cells, harness._pair_cells(pairs))):
+                               (cells, _pair_cells(pairs))):
         tape = dk.Tape(model)
         node = CELL_CASES[kind](model, batches, pair_view, tape)
         got.append((float(node.val), dk.backward(tape, node)))
@@ -721,7 +729,7 @@ def test_table_path_gives_the_direct_forward_values(family_name, minibatch):
                   direct(b.inputs, t)[2], b.labels), dk.constant(w)))),
               nll)
 
-    cells, w = harness._pair_cells(pairs)
+    cells, w = pairs, np.full(len(pairs), 1.0 / len(pairs))
     ia = np.array([p.x for p in cells])
     ib = np.array([p.x_tilde for p in cells])
     labels = np.array([p.label for p in cells])
@@ -778,6 +786,87 @@ def test_table_path_gives_the_direct_forward_values(family_name, minibatch):
 
         check(lambda t, k=kind: ob.pair_regularizer(model, groups, k, t),
               direct_groups, np.mean(variances))
+
+
+def _pair_list_reference(model, pairs, kind, tape):
+    """A pair term as the mean over a pair list of each pair's divergence,
+    on the direct forwards of the pairs' first and second members."""
+    ia, ib = (np.array([getattr(p, a) for p in pairs]) for a in ("x", "x_tilde"))
+    (ha, za, _, _), (hb, zb, _, _) = (dk.forward(model, i, tape) for i in (ia, ib))
+    if kind == "PROB":
+        la, lb = dk.log_softmax_rows(za), dk.log_softmax_rows(zb)
+        per = dk.nsum(dk.mul(dk.exp(la), dk.sub(la, lb)), axis=-1)
+    elif kind == "LAM":
+        head = dk.t2(dk.slice_rows(tape.node("head"), 0, model.u_count))
+        w_y = dk.gather_rows(head, np.array([p.label for p in pairs]))
+        per = dk.nsum(dk.mul(dk.square(w_y), dk.square(dk.sub(ha, hb))), axis=-1)
+    else:
+        a, b = (za, zb) if kind == "LOGIT" else (ha, hb)
+        per = dk.nsum(dk.square(dk.sub(a, b)), axis=-1)
+    return dk.nsum(dk.mul(per, dk.constant(np.full(len(pairs), 1 / len(pairs)))),
+                   axis=-1)
+
+
+def _group_reference(model, groups, kind, tape):
+    """The group form: for LOGIT / FEAT the mean over groups of the unbiased
+    within-group variance summed over coordinates, for PROB the mean KL over
+    the ordered member pairs (the groups here are of one size)."""
+    if kind == "PROB":
+        return _pair_list_reference(
+            model, [p for g in groups for p in g.pairs(ordered=True)], kind, tape)
+    terms = []
+    for g in groups:
+        rows = dk.forward(model, np.array(g.xs), tape)[1 if kind == "LOGIT" else 0]
+        dev = dk.sub(rows, dk.nmean(rows, axis=-2, keepdims=True))
+        terms.append(dk.mul(dk.nsum(dk.square(dev), axis=(-2, -1)),
+                            dk.constant(1.0 / (len(g.xs) - 1))))
+    return dk.nmean(dk.stack_list(terms), axis=0)
+
+
+def _pair_models():
+    """A model on a 16-observation CLD2 family, and a 3-run stack of it
+    whose runs differ."""
+    family, domains = cld_core.random_family(8, variant="CLD2", n_domains=2)
+    s = family.spaces
+    one = dk.init_model(s.n_obs, (6,), s.n_classes, embedding="bits", seed=4)
+    stack = dk.stack_runs(one, 3)
+    stack.set_flat_params(stack.flat_params() + 0.3 * np.random.default_rng(1)
+                          .normal(size=(3, one.n_params())))
+    return family, domains[0], one, stack
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack-3"])
+@pytest.mark.parametrize("kind, items", [
+    *((k, "pairs") for k in ("PROB", "LOGIT", "FEAT", "LAM")),
+    *((k, "groups") for k in ("PROB", "LOGIT", "FEAT"))])
+def test_pair_table_gives_the_pair_list_values(kind, items, stacked):
+    """pair_penalty on the pair table of a pair list, and pair_regularizer
+    on groups, equal the per-pair (per-group) forms in value and gradient
+    (rel 1e-12); on a stack, each run's slice equals its own run."""
+    family, domain, one, stack = _pair_models()
+    s = family.spaces
+    if items == "pairs":
+        pairs = sample_pairs(family, domain, 120, seed=6)
+        got = lambda m, t: ob.pair_penalty(
+            m, pairgen.pair_table(pairs, s.n_obs, s.n_classes), kind, t)
+        want = lambda m, t: _pair_list_reference(m, pairs, kind, t)
+    else:
+        groups = pairgen.compose_pure_groups(family, range(s.n_core), domain,
+                                             reps=4, seed=6)
+        got = lambda m, t: ob.pair_regularizer(m, groups, kind, t)
+        want = lambda m, t: _group_reference(m, groups, kind, t)
+    model = stack if stacked else one
+    runs = [model.run(r) for r in range(3)] if stacked else [one]
+    tape = dk.Tape(model)
+    node = got(model, tape)
+    values, grads = np.atleast_1d(node.val), np.atleast_2d(dk.backward(tape, node))
+    for r, m in enumerate(runs):
+        ref_tape = dk.Tape(m)
+        ref = want(m, ref_tape)
+        ref_grad = dk.backward(ref_tape, ref)
+        assert values[r] == pytest.approx(float(ref.val), rel=1e-12, abs=0)
+        np.testing.assert_allclose(grads[r], ref_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grad).max())
 
 
 def _cell_case(widths, inputs):

@@ -226,6 +226,18 @@ def sample_dataset(family: CldFamily, domain: DomainSpec, n: int, seed: int) -> 
     return Dataset(domain.domain_id, x, y, c, xn)
 
 
+def label_law(family: CldFamily, domain: DomainSpec) -> np.ndarray:
+    """P^d(y | x^c) as a [n_core, n_classes] table: the family's label
+    mechanism, or for CLD3 (the label is the chain's root) the domain's Bayes
+    inversion of p_y and P*(x^c | y), uniform where P^d(x^c) is 0."""
+    if domain.variant != "CLD3":
+        return family.p_y_given_c
+    p_cy = (domain.p_y[:, None] * domain.p_c_given_y).T  # [C, Y]
+    p_c = p_cy.sum(axis=1, keepdims=True)
+    return np.divide(p_cy, p_c, out=np.full(p_cy.shape, 1.0 / p_cy.shape[1]),
+                     where=p_c > 0.0)
+
+
 def joint_cnxy(family: CldFamily, domain: DomainSpec) -> np.ndarray:
     """The full joint P^d(x^c, x^n, x, y) as a [C, N, X, Y] array.
 

@@ -3,8 +3,8 @@
 The tape is first-order: each op's vjp maps an adjoint array to one array
 per parent, and a backward pass builds no graph.  Penalties on gradients
 (gradient alignment, gradient variance, the scalar-multiplier surrogate)
-differentiate `objectives.cell_grads`, which writes each cell's gradient in
-closed form as ordinary ops on the observation table.
+differentiate `objectives._grads`, which writes the backprop of logit
+adjoints in closed form as ordinary ops on the observation table.
 
 Model decomposition is fixed: a constant embedding of discrete inputs, dense
 rectifier layers producing the feature row H, and a linear head whose bias is
@@ -180,10 +180,10 @@ def stack_list(nodes: list[Node]) -> Node:
     return Node(vals, tuple(nodes), lambda g: tuple(g))
 
 
-def concat_rows(parts: list[Node]) -> Node:
-    starts = np.cumsum([0] + [p.val.shape[0] for p in parts])
-    return Node(np.concatenate([p.val for p in parts], axis=0), tuple(parts),
-                lambda g: tuple(np.split(g, starts[1:-1])))
+def concat(parts: list[Node], axis: int = 0) -> Node:
+    starts = np.cumsum([p.val.shape[axis] for p in parts])[:-1]
+    return Node(np.concatenate([p.val for p in parts], axis=axis), tuple(parts),
+                lambda g: tuple(np.split(g, starts, axis=axis)))
 
 
 def slice_rows(a: Node, i0: int, i1: int) -> Node:

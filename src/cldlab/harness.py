@@ -654,21 +654,24 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
             _minibatch(b, order_rng, cfg.trainer.batch_size) for b in batches]
 
         c = _Step(model, dk.Tape(model), run, step_batches, step)
-        if kind == "AND_MASK":
-            grads = ob.and_mask(
-                [dk.backward(c.tape, dk.index0(c.losses, d))
-                 for d in range(len(step_batches))],
-                cfg.objective.extra("tau"))
-        else:
-            total, pen = _penalty_and_total(c)
-            grads = dk.backward(c.tape, total)
-            for adv, adv_tape, adv_opt in zip(run.adversaries,
-                                              run.adv_tapes, run.adv_opts):
-                adv_opt.step(adv, dk.backward(adv_tape, pen))
+        try:
+            if kind == "AND_MASK":
+                grads = ob.and_mask(
+                    [dk.backward(c.tape, dk.index0(c.losses, d))
+                     for d in range(len(step_batches))],
+                    cfg.objective.extra("tau"))
+            else:
+                total, pen = _penalty_and_total(c)
+                grads = dk.backward(c.tape, total)
+                for adv, adv_tape, adv_opt in zip(run.adversaries,
+                                                  run.adv_tapes, run.adv_opts):
+                    adv_opt.step(adv, dk.backward(adv_tape, pen))
 
-        if step <= cfg.trainer.head_only_steps:
-            grads = _head_only(model, grads)
-        opt.step(model, grads)
+            if step <= cfg.trainer.head_only_steps:
+                grads = _head_only(model, grads)
+            opt.step(model, grads)
+        except NonFiniteActivation as exc:
+            raise NonFiniteActivation(f"step {step}: {exc}") from exc
 
         if swa and step > swa[0] and (step - swa[0]) % swa[1] == 0:
             run.swa_snapshots.append(model.clone())

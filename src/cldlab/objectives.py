@@ -21,9 +21,10 @@ Conventions fixed here once:
     recomputed per batch and kept inside the graph;
   * a batch is a table of (x, y) cells with their probabilities and, for a
     sample, the rows each stands for, so cells give the values of the rows;
-  * penalties on loss gradients read `cell_grads`, each cell's gradient in
-    closed form as ops on the table, so a step needs one first-order
-    backward whatever its terms;
+  * the domain terms (FISH, IGA, FISHR, IRM, DANN, CDANN) read the sources
+    as one cell-weight table W[d, x, y] on the observation table;
+  * gradient penalties map logit adjoints through one closed-form backprop
+    (`_grads`) as ops on the table, so a step needs one first-order backward;
   * the domain losses, the pair regularizers and LAM read the table on its
     trailing axes, so they build unchanged on a stack of runs
     (`diffkit.stack_runs`), one entry per run.
@@ -258,23 +259,33 @@ def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node
                                              table.logp.val.shape[-2:]))
 
 
+def _domain_tables(model: Model, batches: list[DomainBatch],
+                   tape: Tape) -> tuple[dk.ObsTable, np.ndarray]:
+    """(table, W): the tape's observation table and the sources' cell
+    weights on it, W[d, x, y] of shape [D, n_obs, C].  Only observation
+    indices on a model with an embedding have such a table."""
+    looked = [dk.obs_rows(model, b.inputs, tape) for b in batches]
+    if any(t is not tape.table for t, _ in looked):
+        raise ShapeMismatch("domain terms need observation-index batches on "
+                            "a model with an embedding")
+    shape = tape.table.logp.val.shape[-2:]
+    return tape.table, np.stack([_cell_table(b, rows, shape)
+                                 for b, (_, rows) in zip(batches, looked)])
+
+
 def domain_loss_vector(model: Model, batches: list[DomainBatch],
                        tape: Tape) -> Node:
-    """The domain losses as one [D] node: -sum(W_d * log p) over a stack of
-    the sources' cell-weight tables W_d and the tape's log-softmax table.
-    On a stack of R runs the table is [R, n, C] and the node [D, R]."""
+    """The domain losses as one [D] node: -sum(W_d * log p) over the
+    sources' cell-weight tables W (`_domain_tables`) and the tape's
+    log-softmax table.  On a stack of R runs the table is [R, n, C] and the
+    node [D, R]."""
     looked = [dk.obs_rows(model, b.inputs, tape) for b in batches]
-    weights = [_cell_table(b, rows, t.logp.val.shape[-2:])
-               for b, (t, rows) in zip(batches, looked)]
-    table = looked[0][0]
-    if all(t is table for t, _ in looked):
-        w = np.stack(weights)  # [D, n, C]
-        if model.runs:  # [D, 1, n, C] against the [R, n, C] table
-            w = w[:, None]
-        return _soft_nll(table.logp, w)
+    if all(t is tape.table for t, _ in looked):
+        w = _domain_tables(model, batches, tape)[1]  # [D, 1, n, C] on a stack
+        return _soft_nll(tape.table.logp, w[:, None] if model.runs else w)
     # inputs that are not indices: each batch has a forward of its own
-    return dk.stack_list([_soft_nll(t.logp, w)
-                          for (t, _), w in zip(looked, weights)])
+    return dk.stack_list([_soft_nll(t.logp, _cell_table(
+        b, rows, t.logp.val.shape[-2:])) for b, (t, rows) in zip(batches, looked)])
 
 
 def domain_losses(model: Model, batches: list[DomainBatch],
@@ -409,96 +420,95 @@ def group_dro(model: Model, batches: list[DomainBatch],
 # Gradient matching
 # ---------------------------------------------------------------------------
 
-def _logit_grads(model: Model, batch: DomainBatch, tape: Tape):
-    """(table, rows, r): the batch's rows of the observation table and each
-    cell's gradient r = p - e_y of -log p(y|x) w.r.t. its logits."""
-    table, rows = dk.obs_rows(model, batch.inputs, tape)
-    onehot = np.eye(model.n_classes)[np.asarray(batch.labels, dtype=np.int64)]
-    return table, rows, dk.sub(dk.gather_rows(table.p, rows), dk.constant(onehot))
+def _adjoints(table: dk.ObsTable, w: np.ndarray) -> Node:
+    """r = W.sum(y) p - W: each domain's gradient of its weighted NLL
+    -sum(W_d * log p) in the logits of the table's rows, [D, n_obs, C]."""
+    return dk.sub(dk.mul(dk.constant(w.sum(axis=-1, keepdims=True)), table.p),
+                  dk.constant(w))
 
 
-def _outer(a: Node, d: Node) -> Node:
-    """Per-row outer products: [n, i, j] from a [n, i] and d [n, j]."""
-    n = a.val.shape[0]
-    return dk.mul(dk.reshape(a, (n, -1, 1)), dk.reshape(d, (n, 1, -1)))
-
-
-def cell_grads(model: Model, batch: DomainBatch, tape: Tape) -> list[Node]:
-    """Each cell's gradient of -log p(y|x), one [cells, *block] node per
-    parameter block in the tape's order, written as ops on the tape's
-    observation table so that a penalty on them trains like any term.
-
-    With r = p - e_y, the head block is [h; 1] (x) r.  The last layer's
-    pre-activation gradient is delta = (r head_u^T) masked where its relu
-    is off; layer l's blocks are a_{l-1} (x) delta and delta, and delta goes
-    back through W_l^T and layer l-1's mask.
-    """
-    table, rows, delta = _logit_grads(model, batch, tape)
-    a = dk.gather_rows(table.h, rows)
-    blocks = [_outer(dk.concat_ones(a), delta)]
+def _grads(model: Model, h: Node, layers, r: Node, tape: Tape) -> list[Node]:
+    """The parameter gradients, summed over rows, of logit adjoints r
+    [*lead, rows, C] on rows with features h and layer inputs layers: one
+    [*lead, *block] node per parameter block in the tape's order.  The head
+    block is [h; 1]^T r; delta = (r head_u^T) masked where its relu is off
+    gives layer l's blocks a_{l-1}^T delta and sum(delta), and goes back
+    through W_l^T and layer l-1's mask."""
+    blocks = [dk.matmul(dk.t2(dk.concat_ones(h)), r)]
     w = dk.slice_rows(tape.node("head"), 0, model.u_count)  # no bias unit
+    delta, a = r, h
     for layer in reversed(range(len(model.weights))):
         delta = dk.mul(dk.matmul(delta, dk.t2(w)), dk.constant(a.val > 0.0))
-        a = dk.gather_rows(table.layers[layer], rows)
-        blocks[:0] = [_outer(a, delta), delta]
+        a = layers[layer]
+        blocks[:0] = [dk.matmul(dk.t2(a), delta), dk.nsum(delta, axis=-2)]
         w = tape.node(f"W{layer}")
     return blocks
 
 
-def _cell_mean(g: Node, w) -> Node:
-    """The mean over the leading (cell) axis of g under cell weights w."""
-    w = dk.constant(np.reshape(w, (-1,) + (1,) * (g.val.ndim - 1)))
-    return dk.nsum(dk.mul(g, w), axis=0)
+def _flat(blocks: list[Node], lead: tuple) -> Node:
+    """[*lead, *block] nodes as one [*lead, P] node, in the order of
+    `dk.backward`'s flat gradient."""
+    return dk.concat([dk.reshape(b, lead + (-1,)) for b in blocks], axis=-1)
 
 
-def _domain_grad_blocks(model: Model, batches, tape: Tape) -> list[list[Node]]:
-    """Each domain's loss gradient blocks: its cells' weighted means."""
-    return [[_cell_mean(g, _weights(b)) for g in cell_grads(model, b, tape)]
-            for b in batches]
+def cell_grads(model: Model, batch: DomainBatch, tape: Tape) -> list[Node]:
+    """Each cell's gradient of -log p(y|x), one [cells, *block] node per
+    parameter block in the tape's order: `_grads` with each cell its own
+    row (a length-1 row axis) and adjoint p - e_y."""
+    table, rows = dk.obs_rows(model, batch.inputs, tape)
+
+    def own(a: Node) -> Node:  # each cell's row of a, [cells, 1, d]
+        return dk.reshape(dk.gather_rows(a, rows), (len(rows), 1, -1))
+
+    onehot = np.eye(model.n_classes)[np.asarray(batch.labels, dtype=np.int64)]
+    r = dk.sub(own(table.p), dk.constant(onehot[:, None]))
+    return _grads(model, own(table.h), [own(a) for a in table.layers], r, tape)
 
 
-def _block_dot(ga: list[Node], gb: list[Node]) -> Node:
-    parts = [dk.nsum(dk.mul(a, b)) for a, b in zip(ga, gb)]
-    return dk.nsum(dk.stack_list(parts))
+def _domain_grads(model: Model, batches: list[DomainBatch],
+                  tape: Tape | None = None) -> Node:
+    """The sources' loss gradients as one [D, P] node, flat as in
+    `dk.backward`: one backprop of the adjoints of W[d, x, y]."""
+    tape = tape if tape is not None else Tape(model)
+    table, w = _domain_tables(model, batches, tape)
+    return _flat(_grads(model, table.h, table.layers, _adjoints(table, w), tape),
+                 (len(batches),))
+
+
+def _fish(g: Node) -> Node:
+    """-mean over ordered pairs i != j of <g_i, g_j>, for the rows of g."""
+    _need_domains(g.val)
+    k = g.val.shape[0]
+    off = (1.0 - np.eye(k)) / (k * (k - 1))
+    return dk.neg(dk.nsum(dk.mul(dk.matmul(g, dk.t2(g)), dk.constant(off))))
+
+
+def _iga(g: Node) -> Node:
+    """The mean over the rows of g of |g_i - mean g|^2."""
+    _need_domains(g.val)
+    return dk.nmean(dk.nsum(dk.square(dk.sub(g, dk.nmean(g, axis=0))), axis=-1))
 
 
 def fish_from_grads(grads: list[list[Node]]) -> Node:
     """Negated mean inner product over ordered pairs of gradient block lists."""
-    k = len(grads)
-    if k < 2:
-        raise TooFewDomains("need >= 2 gradient vectors")
-    dots = [_block_dot(grads[i], grads[j])
-            for i in range(k) for j in range(k) if i != j]
-    return dk.neg(dk.nmean(dk.stack_list(dots)))
+    return _fish(dk.stack_list([_flat(blocks, ()) for blocks in grads]))
 
 
 def iga_from_grads(grads: list[list[Node]]) -> Node:
     """Trace of the population covariance of gradient vectors."""
-    k = len(grads)
-    if k < 2:
-        raise TooFewDomains("need >= 2 gradient vectors")
-    total = []
-    for b in range(len(grads[0])):
-        mean = dk.nmean(dk.stack_list([g[b] for g in grads]), axis=0)
-        dev = [dk.nsum(dk.square(dk.sub(g[b], mean))) for g in grads]
-        total.append(dk.nmean(dk.stack_list(dev)))
-    return dk.nsum(dk.stack_list(total))
+    return _iga(dk.stack_list([_flat(blocks, ()) for blocks in grads]))
 
 
 def fish_penalty(model: Model, batches: list[DomainBatch],
                  tape: Tape | None = None) -> Node:
     """Negated mean inner product of domain gradients over ordered pairs."""
-    _need_domains(batches)
-    tape = tape if tape is not None else Tape(model)
-    return fish_from_grads(_domain_grad_blocks(model, batches, tape))
+    return _fish(_domain_grads(model, batches, tape))
 
 
 def iga_penalty(model: Model, batches: list[DomainBatch],
                 tape: Tape | None = None) -> Node:
     """Trace of the population covariance of the domain gradient vectors."""
-    _need_domains(batches)
-    tape = tape if tape is not None else Tape(model)
-    return iga_from_grads(_domain_grad_blocks(model, batches, tape))
+    return _iga(_domain_grads(model, batches, tape))
 
 
 def and_mask(domain_grads: list[np.ndarray], quorum: float = 1.0) -> np.ndarray:
@@ -528,29 +538,29 @@ def fishr_from_grads(per_example_by_domain: list[list[list[Node]]],
     Euclidean distance between variance vectors, mean over unordered pairs.
     Unweighted entries are rows (>= 2 per domain); weighted ones are cells.
     """
-    if len(per_example_by_domain) < 2:
-        raise TooFewDomains("need >= 2 domains of per-example gradients")
-    stacked, weights = [], []
-    for d, per_example in enumerate(per_example_by_domain):
-        n = len(per_example)
-        if weights_by_domain is None and n < 2:
+    _need_domains(per_example_by_domain)
+    if weights_by_domain is None:
+        if min(map(len, per_example_by_domain)) < 2:
             raise TooFewExamples("need >= 2 examples per domain")
-        stacked.append([dk.stack_list(list(blk)) for blk in zip(*per_example)])
-        weights.append(np.full(n, 1.0 / n) if weights_by_domain is None
-                       else weights_by_domain[d])
-    return _fishr(stacked, weights)
+        weights_by_domain = [np.full(len(p), 1.0 / len(p))
+                             for p in per_example_by_domain]
+    return _fishr(dk.stack_list([_flat(blocks, ()) for p in per_example_by_domain
+                                 for blocks in p]), weights_by_domain)
 
 
-def _fishr(blocks_by_domain: list[list[Node]], weights_by_domain) -> Node:
-    """fishr_from_grads on [entries, *block] nodes, one list per domain."""
-    variance_blocks = [[_cell_mean(dk.square(dk.sub(g, _cell_mean(g, w))), w)
-                        for g in blocks]
-                       for blocks, w in zip(blocks_by_domain, weights_by_domain)]
-    dists = []
-    for va, vb in itertools.combinations(variance_blocks, 2):
-        parts = [dk.nsum(dk.square(dk.sub(a, b))) for a, b in zip(va, vb)]
-        dists.append(dk.nsum(dk.stack_list(parts)))
-    return dk.nmean(dk.stack_list(dists))
+def _fishr(g: Node, weights) -> Node:
+    """fishr_from_grads on entry rows g [entries, P]: domain d's entries are
+    the next len(weights[d]) rows, weighted by weights[d]."""
+    k = len(weights)
+    domain_of = np.repeat(np.arange(k), [len(w) for w in weights])
+    share = np.zeros((k, len(domain_of)))  # [D, entries]: each domain's weights
+    share[domain_of, np.arange(len(domain_of))] = np.concatenate(weights)
+    share = dk.constant(share)
+    dev = dk.sub(g, dk.gather_rows(dk.matmul(share, g), domain_of))
+    var = dk.matmul(share, dk.square(dev))  # [D, P]
+    diff = dk.sub(dk.reshape(var, (k, 1, -1)), dk.reshape(var, (1, k, -1)))
+    pairs = np.triu(np.ones((k, k)), 1) / (k * (k - 1) / 2)
+    return dk.nsum(dk.mul(dk.nsum(dk.square(diff), axis=-1), dk.constant(pairs)))
 
 
 def fishr_penalty(model: Model, batches: list[DomainBatch],
@@ -560,30 +570,31 @@ def fishr_penalty(model: Model, batches: list[DomainBatch],
     Variance is over the batch's (weighted) empirical distribution; the
     penalty is the squared Euclidean distance between variance vectors,
     averaged over unordered domain pairs.  Weighted cell batches give the
-    exact population form of the same quantity.
+    exact population form of the same quantity.  Every source's cells take
+    their gradients from one `cell_grads`.
     """
     _need_domains(batches)
     for b in batches:  # rows, not cells
         if (len(b) if b.counts is None else np.sum(b.counts)) < 2:
             raise TooFewExamples(f"domain {b.domain_id}: need >= 2 examples")
     tape = tape if tape is not None else Tape(model)
-    return _fishr([cell_grads(model, b, tape) for b in batches],
+    cells = DomainBatch("sources", np.concatenate([b.inputs for b in batches]),
+                        np.concatenate([b.labels for b in batches]))
+    return _fishr(_flat(cell_grads(model, cells, tape), (len(cells),)),
                   [_weights(b) for b in batches])
 
 
 def irm_penalty(model: Model, batches: list[DomainBatch],
                 tape: Tape | None = None) -> Node:
     """Squared loss-gradient w.r.t. a unit logit multiplier, summed over
-    domains: at multiplier 1 that gradient is sum_cells w (p - e_y) . z."""
+    domains: at multiplier 1 that gradient is sum(r_d * z) for each
+    domain's logit adjoints r_d (`_adjoints`)."""
     if len(batches) < 1:
         raise TooFewDomains("IRM needs at least 1 domain")
     tape = tape if tape is not None else Tape(model)
-    terms = []
-    for b in batches:
-        table, rows, r = _logit_grads(model, b, tape)
-        rz = dk.nsum(dk.mul(r, dk.gather_rows(table.z, rows)), axis=1)
-        terms.append(dk.square(_cell_mean(rz, _weights(b))))
-    return dk.nsum(dk.stack_list(terms))
+    table, w = _domain_tables(model, batches, tape)
+    rz = dk.nsum(dk.mul(_adjoints(table, w), table.z), axis=(-2, -1))  # [D]
+    return dk.nsum(dk.square(rz))
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +777,7 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
     terms = []
     bw_used = 0.0
     for (fa, wa, ma), (fb, wb, mb) in itertools.combinations(zip(nodes, ws, ms), 2):
-        pooled = dk.concat_rows([fa, fb])
+        pooled = dk.concat([fa, fb])
         dmat = sq_dists(pooled, pooled)
         h = (dk.constant(float(bandwidth)) if bandwidth is not None
              else median_bandwidth(dmat, np.concatenate([ma, mb])))
@@ -791,15 +802,14 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
 # Adversarial objectives
 # ---------------------------------------------------------------------------
 
-def _adversary_loss(model: Model, tape: Tape, adversary: Model,
-                    adv_tape: Tape, parts) -> Node:
-    """The adversary's weighted domain-classification loss on (domain id,
-    inputs, row weights) parts: one forward of the adversary on the parts'
-    feature rows, read from the model's table behind gradient reversal."""
-    rows = table_rows(model, np.concatenate([x for _, x, _ in parts]), tape, "h")
-    _, zd, _, _ = dk.forward(adversary, dk.gradient_reversal(rows, 1.0), adv_tape)
-    ids = np.concatenate([np.full(len(x), d, dtype=np.int64) for d, x, _ in parts])
-    return _nll(zd, ids, np.concatenate([w for _, _, w in parts]))
+def _adversary_loss(h: Node, adversary: Model, adv_tape: Tape,
+                    a: np.ndarray) -> Node:
+    """The adversary's weighted domain-classification loss -sum(A * log q):
+    one forward of the adversary on the observation table's feature rows h
+    behind gradient reversal, A [n_obs, D] each row's weight on each
+    domain."""
+    _, zd, _, _ = dk.forward(adversary, dk.gradient_reversal(h, 1.0), adv_tape)
+    return _soft_nll(dk.log_softmax_rows(zd), a)
 
 
 def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
@@ -814,10 +824,10 @@ def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
     adv_tape = adv_tape if adv_tape is not None else Tape(adversary)
     if adversary.n_classes != len(batches):
         raise ShapeMismatch("adversary classes must equal the domain count")
-    parts = [(d, b.inputs, _weights(b) / len(batches))
-             for d, b in enumerate(batches)]
-    return (mean_domain_loss(model, batches, tape),
-            _adversary_loss(model, tape, adversary, adv_tape, parts),
+    table, w = _domain_tables(model, batches, tape)
+    return (dk.nmean(_soft_nll(table.logp, w)),
+            _adversary_loss(table.h, adversary, adv_tape,
+                            w.sum(axis=-1).T / len(batches)),
             tape, adv_tape)
 
 
@@ -826,9 +836,10 @@ def cdann_losses(model: Model, adversaries: list[Model],
                  adv_tapes: list[Tape] | None = None):
     """Class-conditional adversaries plus one on the prior-normalized marginal.
 
-    adversaries[y] is the domain classifier for class y; adversaries[-1]
-    consumes all features with each class weighted exactly 1/|Y| inside its
-    domain.  Returns (label loss, mean adversarial loss, tape, adv_tapes).
+    adversaries[y] is the domain classifier for class y (sitting out when
+    fewer than 2 domains have y); adversaries[-1] consumes all features
+    with each class weighted exactly 1/|Y| inside its domain.  Returns
+    (label loss, mean adversarial loss, tape, adv_tapes).
     """
     _need_domains(batches)
     n_classes = model.n_classes
@@ -837,37 +848,18 @@ def cdann_losses(model: Model, adversaries: list[Model],
     tape = tape if tape is not None else Tape(model)
     adv_tapes = (adv_tapes if adv_tapes is not None
                  else [Tape(a) for a in adversaries])
-    label_loss = mean_domain_loss(model, batches, tape)
-    adv_terms = []
-    # per-class conditional domain classifiers
-    for y in range(n_classes):
-        parts = []
-        for d, b in enumerate(batches):
-            sel = np.flatnonzero(np.asarray(b.labels) == y)
-            if sel.size:
-                wy = np.asarray(_weights(b))[sel]
-                parts.append((d, np.asarray(b.inputs)[sel], wy / wy.sum()))
-        if len(parts) < 2:
-            continue  # class absent almost everywhere; nothing to confuse
-        adv_terms.append(_adversary_loss(
-            model, tape, adversaries[y], adv_tapes[y],
-            [(d, x, w / len(parts)) for d, x, w in parts]))
-    # prior-normalized marginal: each class contributes exactly 1/|Y|
-    parts = []
-    for d, b in enumerate(batches):
-        labels = np.asarray(b.labels, dtype=np.int64)
-        bw = np.asarray(_weights(b))
-        w = np.zeros(len(b))
-        for y in range(n_classes):
-            sel = labels == y
-            mass = bw[sel].sum()
-            if mass > 0:
-                w[sel] = bw[sel] / mass / n_classes
-        parts.append((d, b.inputs, w / len(batches)))
-    adv_terms.append(_adversary_loss(model, tape, adversaries[-1],
-                                     adv_tapes[-1], parts))
-    adv_loss = dk.nmean(dk.stack_list(adv_terms))
-    return label_loss, adv_loss, tape, adv_tapes
+    table, w = _domain_tables(model, batches, tape)
+    mass = w.sum(axis=1, keepdims=True)  # [D, 1, C]: each class's share
+    within = np.divide(w, mass, out=np.zeros_like(w), where=mass > 0.0)
+    present = np.count_nonzero(mass[:, 0] > 0.0, axis=0)  # [C]
+    adv_terms = [_adversary_loss(table.h, adversaries[y], adv_tapes[y],
+                                 within[..., y].T / present[y])
+                 for y in range(n_classes) if present[y] >= 2]
+    adv_terms.append(_adversary_loss(
+        table.h, adversaries[-1], adv_tapes[-1],
+        within.sum(axis=-1).T / (n_classes * len(batches))))
+    return (dk.nmean(_soft_nll(table.logp, w)),
+            dk.nmean(dk.stack_list(adv_terms)), tape, adv_tapes)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cld_core import CldFamily, DomainSpec, LatentSpaces, joint_cnxy, make_domain
+from .cld_core import (CldFamily, DomainSpec, LatentSpaces, joint_cnxy,
+                       label_law, make_domain)
 from .errors import NotStochastic, TooFewDomains
 from .rng import substream
 
@@ -156,9 +157,10 @@ def optimal_causal_faithful(family: CldFamily, source: DomainSpec) -> CausalFait
 
     When the family is deterministic and every observation generated from
     the source's core support pins down a unique core value, this is the
-    lift of P*(Y | x^c).  Otherwise no table can factor through the core
-    pointwise, and the contract falls back to the best constant predictor
-    (the source label marginal) with the degeneracy flag set.
+    lift of the source's label law P^s(Y | x^c).  Otherwise no table can
+    factor through the core pointwise, and the contract falls back to the
+    best constant predictor (the source label marginal) with the degeneracy
+    flag set.
     """
     s = family.spaces
     owner = (recoverable_core_map(family, (source.core_marginal() > 0.0)[:, None])
@@ -170,7 +172,7 @@ def optimal_causal_faithful(family: CldFamily, source: DomainSpec) -> CausalFait
         return CausalFaithful(predictor_table(rows), True)
     rows = np.full((s.n_obs, s.n_classes), 1.0 / s.n_classes)
     lifted = owner >= 0
-    rows[lifted] = family.p_y_given_c[owner[lifted]]
+    rows[lifted] = label_law(family, source)[owner[lifted]]
     return CausalFaithful(predictor_table(rows), False)
 
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cld_core import CldFamily, DomainSpec
+from .cld_core import CldFamily, DomainSpec, label_law
 from .errors import EmptyPureSet, ShapeMismatch
 from .rng import categorical_rows, substream
 
@@ -51,18 +51,6 @@ class PairGroup:
                 for i in k for j in k if j > i or (ordered and j != i)]
 
 
-def _label_law(family: CldFamily, domain: DomainSpec) -> np.ndarray:
-    """P^d(y | x^c) as a [n_core, n_classes] table: the family's label
-    mechanism, or for CLD3 (the label is the chain's root) the domain's Bayes
-    inversion of p_y and P*(x^c | y), uniform where P^d(x^c) is 0."""
-    if domain.variant != "CLD3":
-        return family.p_y_given_c
-    p_cy = (domain.p_y[:, None] * domain.p_c_given_y).T  # [C, Y]
-    p_c = p_cy.sum(axis=1, keepdims=True)
-    return np.divide(p_cy, p_c, out=np.full(p_cy.shape, 1.0 / p_cy.shape[1]),
-                     where=p_c > 0.0)
-
-
 def sample_pairs(family: CldFamily, domain: DomainSpec, n: int,
                  style: str = "marginal", seed: int = 0) -> list[ContrastivePair]:
     """Draw n labeled contrastive pairs; five uniforms per pair, prefix-stable.
@@ -89,7 +77,7 @@ def sample_pairs(family: CldFamily, domain: DomainSpec, n: int,
         marg = domain.noncore_marginal().reshape(1, -1)
         xn_t = categorical_rows(marg, np.zeros(n, dtype=np.int64), u[:, 2])
     x_t = categorical_rows(channel, c * s.n_noncore + xn_t, u[:, 3])
-    y = categorical_rows(_label_law(family, domain), c, u[:, 4])
+    y = categorical_rows(label_law(family, domain), c, u[:, 4])
     return list(map(ContrastivePair, *(a.tolist() for a in (x, x_t, y, c, xn, xn_t))))
 
 
@@ -105,7 +93,7 @@ def compose_pure_groups(family: CldFamily, pure, domain: DomainSpec,
     rng = substream(seed, "pairs")
     marg = domain.noncore_marginal().reshape(1, -1)
     channel = family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs)
-    labels = _label_law(family, domain)
+    labels = label_law(family, domain)
     groups = []
     for c in pure:
         c = int(c)
@@ -169,7 +157,7 @@ def pair_law(family: CldFamily, domain: DomainSpec,
     p_n = domain.noncore_marginal() if style == "marginal" else np.full(n, 1.0 / n)
     px = family.p_x_given_cn
     return np.einsum("cn,m,cnx,cmz,cy->xzy", domain.p_cn, p_n, px, px,
-                     _label_law(family, domain))
+                     label_law(family, domain))
 
 
 def write_pairs_jsonl(pairs: list[ContrastivePair], path: str) -> None:

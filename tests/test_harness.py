@@ -209,7 +209,7 @@ class TestRunExperiment:
         assert len(diags) == 1
         doc = json.load(open(tmp_path / diags[0]))
         assert doc["status"] == "numeric-failure"
-        assert "error" in doc
+        assert doc["error"].startswith("step 2: ")
 
     @pytest.mark.parametrize("head_only", [0, 5])
     def test_head_only_steps_freeze_the_extractor(self, tmp_path, head_only):

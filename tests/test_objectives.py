@@ -915,3 +915,175 @@ def test_gradient_penalties_match_finite_differences(kind, widths):
     err = dk.finite_diff_check(model, [ba, bb],
                                lambda m, bs, t: penalty(m, bs, None, t), eps=1e-4)
     assert err < 1e-4
+
+
+def _domain_case(mode, n_domains=3):
+    """A seed-drawn CLD2 family's first n_domains sources as cell batches:
+    population cells, a sample's cells (gd) or an sgd minibatch of them."""
+    family, domains = cld_core.random_family(5, variant="CLD2", n_domains=3)
+    s = family.spaces
+    model = dk.init_model(s.n_obs, (6, 5), s.n_classes, embedding="bits", seed=3)
+    rng = np.random.default_rng(4)
+    bs = []
+    for d in domains[:n_domains]:
+        if mode == "population":
+            bs.append(population_batch(family, d))
+            continue
+        ds = cld_core.sample_dataset(family, d, 60,
+                                     derive_seed(7, f"data:{d.domain_id}"))
+        b = ob.cell_batch(d.domain_id, ds.x, ds.y)
+        bs.append(b if mode == "gd" else harness._minibatch(b, rng, 16))
+    return model, bs
+
+
+def _built_nodes(build) -> int:
+    """Graph nodes that build() makes."""
+    count = [0]
+    real = dk.Node.__init__
+
+    def counted(node, *args, **kwargs):
+        count[0] += 1
+        real(node, *args, **kwargs)
+
+    dk.Node.__init__ = counted
+    try:
+        build()
+    finally:
+        dk.Node.__init__ = real
+    return count[0]
+
+
+DOMAIN_TERMS = {
+    "FISH": lambda m, bs, t: ob.fish_penalty(m, bs, t),
+    "IGA": lambda m, bs, t: ob.iga_penalty(m, bs, t),
+    "FISHR": lambda m, bs, t: ob.fishr_penalty(m, bs, t),
+    "IRM": lambda m, bs, t: ob.irm_penalty(m, bs, t),
+    "DANN": lambda m, bs, t: ob.dann_losses(
+        m, dk.init_raw_model(m.u_count, (4,), len(bs), seed=1), bs, t)[1],
+    "CDANN": lambda m, bs, t: ob.cdann_losses(
+        m, [dk.init_raw_model(m.u_count, (4,), len(bs), seed=1 + i)
+            for i in range(m.n_classes + 1)], bs, t)[1],
+}
+
+
+@pytest.mark.parametrize("kind", list(DOMAIN_TERMS))
+def test_domain_terms_build_the_same_graph_for_any_domain_count(kind):
+    """The domain terms read one W[d, x, y] table, so their graphs do not
+    grow with the number of sources."""
+    counts = []
+    for n_domains in (2, 3):
+        model, bs = _domain_case("population", n_domains)
+        tape = dk.Tape(model)
+        dk.obs_rows(model, np.arange(model.embedding.shape[0]), tape)
+        counts.append(_built_nodes(lambda: DOMAIN_TERMS[kind](model, bs, tape)))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("mode", ["gd", "sgd", "population"])
+def test_domain_gradient_rows_are_each_domains_loss_gradient(mode):
+    """Row d of the [D, P] domain-gradient node is dk.backward of domain d's
+    loss on a tape of its own."""
+    model, bs = _domain_case(mode)
+    got = ob._domain_grads(model, bs, dk.Tape(model)).val
+    assert got.shape == (len(bs), model.n_params())
+    for d, b in enumerate(bs):
+        tape = dk.Tape(model)
+        want = dk.backward(tape, ob.erm_loss(model, b, tape))
+        np.testing.assert_allclose(got[d], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def _part_rows_loss(model, tape, adversary, adv_tape, parts):
+    """An adversary's loss on (domain id, inputs, row weights) parts: the
+    parts' rows concatenated, forwarded through the model, reversed and
+    classified."""
+    h, _, _, _ = dk.forward(model, np.concatenate([x for _, x, _ in parts]), tape)
+    _, zd, _, _ = dk.forward(adversary, dk.gradient_reversal(h, 1.0), adv_tape)
+    ids = np.concatenate([np.full(len(x), d) for d, x, _ in parts])
+    w = dk.constant(np.concatenate([w for _, _, w in parts]))
+    return dk.neg(dk.nsum(dk.mul(dk.take_cols(dk.log_softmax_rows(zd), ids), w)))
+
+
+def _part_rows_reference(model, advs, bs, tape, adv_tapes):
+    """DANN (one adversary) or CDANN (one per class plus one) written with
+    each part's rows: (label loss, adversary loss)."""
+    label = dk.nmean(dk.stack_list([ob.erm_loss(model, b, tape) for b in bs]))
+    if len(advs) == 1:
+        parts = [(d, b.inputs, b.weights / len(bs)) for d, b in enumerate(bs)]
+        return label, _part_rows_loss(model, tape, advs[0], adv_tapes[0], parts)
+    terms = []
+    for y in range(model.n_classes):
+        parts = [(d, b.inputs[b.labels == y],
+                  b.weights[b.labels == y] / b.weights[b.labels == y].sum())
+                 for d, b in enumerate(bs) if np.any(b.labels == y)]
+        if len(parts) >= 2:
+            terms.append(_part_rows_loss(
+                model, tape, advs[y], adv_tapes[y],
+                [(d, x, w / len(parts)) for d, x, w in parts]))
+    parts = []
+    for d, b in enumerate(bs):
+        prior = np.zeros(len(b))
+        for y in np.unique(b.labels):
+            sel = b.labels == y
+            prior[sel] = b.weights[sel] / b.weights[sel].sum() / model.n_classes
+        parts.append((d, b.inputs, prior / len(bs)))
+    terms.append(_part_rows_loss(model, tape, advs[-1], adv_tapes[-1], parts))
+    return label, dk.nmean(dk.stack_list(terms))
+
+
+def _missing_class(bs):
+    """bs with class 0 dropped from the first batch."""
+    b = bs[0]
+    keep = b.labels != 0
+    return [ob.DomainBatch(b.domain_id, b.inputs[keep], b.labels[keep],
+                           b.weights[keep] / b.weights[keep].sum(),
+                           None if b.counts is None else b.counts[keep]), *bs[1:]]
+
+
+@pytest.mark.parametrize("kind", ["DANN", "CDANN"])
+@pytest.mark.parametrize("case", ["population", "sgd", "sgd-missing-class-2",
+                                  "sgd-missing-class-3"])
+def test_adversaries_match_the_part_rows_reference(kind, case):
+    """The adversary losses on the table's feature rows, and the model's and
+    adversaries' gradients, equal the form that forwards each part's rows."""
+    missing = "missing" in case
+    model, bs = _domain_case(case.split("-")[0], int(case[-1]) if missing else 3)
+    if missing:
+        bs = _missing_class(bs)
+        assert not np.any(bs[0].labels == 0)
+    n_adv = 1 if kind == "DANN" else model.n_classes + 1
+    advs = [dk.init_raw_model(model.u_count, (4,), len(bs), seed=20 + i)
+            for i in range(n_adv)]
+
+    def measured(build):
+        """(label, adversary) losses, the model's gradient of their sum and
+        each adversary's gradient of its loss."""
+        tape, adv_tapes = dk.Tape(model), [dk.Tape(a) for a in advs]
+        label, adv = build(tape, adv_tapes)
+        return [np.array([float(label.val), float(adv.val)]),
+                dk.backward(tape, dk.add(label, adv)),
+                *(dk.backward(t, adv) for t in adv_tapes)]
+
+    got = measured(lambda t, ts: (
+        ob.dann_losses(model, advs[0], bs, t, ts[0]) if kind == "DANN"
+        else ob.cdann_losses(model, advs, bs, t, ts))[:2])
+    want = measured(lambda t, ts: _part_rows_reference(model, advs, bs, t, ts))
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("kind", ["FISH", "IGA", "IRM", "DANN", "CDANN"])
+@pytest.mark.parametrize("inputs", ["no-embedding", "ready-vectors"])
+def test_domain_terms_refuse_raw_rows(kind, inputs):
+    """The domain terms read the observation table, so batches that are not
+    observation indices are refused."""
+    rng = np.random.default_rng(5)
+    if inputs == "no-embedding":
+        model = dk.init_raw_model(3, (6,), 2, seed=5)
+    else:
+        model = dk.init_model(4, (6,), 2, embedding="bits", seed=5)
+    width = 3 if inputs == "no-embedding" else 2
+    bs = [ob.DomainBatch(d, rng.normal(size=(6, width)),
+                         np.array([0, 1, 0, 1, 0, 1])) for d in "ab"]
+    with pytest.raises(ShapeMismatch, match="observation-index"):
+        DOMAIN_TERMS[kind](model, bs, dk.Tape(model))

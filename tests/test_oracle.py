@@ -340,6 +340,28 @@ class TestAntiCausal:
         for cid in ("T2", "T3", "T5"):
             assert report.claim(cid).status == "NOT-APPLICABLE"
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_causal_faithful_optimum_lifts_the_domain_label_law(self, seed):
+        """On CLD3, y is independent of x given x^c, so where x pins down
+        x^c the lift of the source's own P(y | x^c) is the Bayes predictor:
+        the causal-faithful optimum reaches the Bayes loss, and its rows on
+        the support are P(y | x^c) read from the domain's joint."""
+        family, domains = cld_core.random_family(seed, variant="CLD3",
+                                                 n_domains=2)
+        for source in domains:
+            cf = oracle.optimal_causal_faithful(family, source)
+            assert not cf.degenerate
+            bayes, _ = oracle.bayes_predictor(family, source)
+            assert oracle.exact_loss(family, source, cf.table) == pytest.approx(
+                oracle.exact_loss(family, source, bayes), rel=1e-12)
+            joint = cld_core.joint_cnxy(family, source)
+            p_cy = joint.sum(axis=(1, 2))
+            p_cx = joint.sum(axis=(1, 3))
+            for x in np.flatnonzero(p_cx.sum(axis=0) > 0.0):
+                (c,) = np.flatnonzero(p_cx[:, x] > 0.0)
+                np.testing.assert_allclose(cf.table.p_yhat_given_x[x],
+                                           p_cy[c] / p_cy[c].sum(), rtol=1e-12)
+
     def test_rolled_mechanism_fails_p7(self):
         family, domains = cld_core.random_family(3, variant="CLD3", n_domains=3)
         d0 = domains[0]

@@ -26,6 +26,7 @@ from .harness import (
     sweep as run_sweep,
     verify_suite,
 )
+from .metrics import tabulate
 
 
 def _load_config(path: str, option: str = "--config"):
@@ -151,9 +152,10 @@ def ci_index_cmd(config_path, model_path, seed, fmt):
     eff_seed = cfg.trainer.seed if seed is None else seed
     family, sources, target = _resolve_domains(cfg)
     n_pairs = cfg.eval.ci_pairs if cfg.eval.ci_pairs > 0 else 2000
+    table = tabulate(model, family)
     out = {}
     for dom in (*sources, target):
-        est = _ci_estimate(model, family, cfg, dom, eff_seed, n_pairs)
+        est = _ci_estimate(table, family, cfg, dom, eff_seed, n_pairs)
         out[dom.domain_id] = {"value": est.value, "stderr": est.stderr,
                               "n_pairs": est.n_pairs, "style": est.style}
     if fmt == "json":

@@ -11,6 +11,11 @@ rectifier layers producing the feature row H, and a linear head whose bias is
 a dummy always-one feature unit, so logits are exactly z[y] = sum_u w[u, y] *
 h[u] with h running over the augmented features.
 
+The network is one tape node (`forward`): its table of H, z, log p, p and
+each layer's input rows is computed in numpy, the fields are views of that
+node, and its vjp is the network's closed-form backprop of the adjoints of
+any of the fields, so a forward adds the same few nodes at any depth.
+
 Ops act on the trailing axes, so a model whose parameter arrays carry a
 leading run axis (`stack_runs`) trains R runs on one tape: every value
 gains that axis, a loss is one entry per run, and each run's slice of the
@@ -23,7 +28,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,10 +102,6 @@ def exp(a: Node) -> Node:
     return Node(val, (a,), lambda g: (g * val,))
 
 
-def log(a: Node) -> Node:
-    return Node(np.log(a.val), (a,), lambda g: (g * a.val ** -1.0,))
-
-
 def relu(a: Node) -> Node:
     # the mask is rebuilt from a on the way back, not kept as a second array
     return Node(a.val * (a.val > 0.0), (a,), lambda g: (g * (a.val > 0.0),))
@@ -139,8 +139,13 @@ def nsum(a: Node, axis=None, keepdims: bool = False) -> Node:
     kshape = list(shape)  # the sum's shape with the summed axes kept
     for ax in _axes(shape, axis):
         kshape[ax] = 1
-    return Node(a.val.sum(axis=axis, keepdims=keepdims), (a,),
-                lambda g: (np.broadcast_to(np.reshape(g, kshape), shape).copy(),))
+
+    def vjp(g):
+        out = np.empty(shape)  # filled by broadcasting, cheaper than broadcast_to
+        out[...] = np.reshape(g, kshape)
+        return (out,)
+
+    return Node(a.val.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def nmean(a: Node, axis=None, keepdims: bool = False) -> Node:
@@ -199,17 +204,18 @@ def concat_ones(a: Node) -> Node:
     return Node(val, (a,), lambda g: (g[..., :d],))
 
 
-def logsumexp_rows(z: Node) -> Node:
-    m = constant(z.val.max(axis=-1, keepdims=True))  # shift, exact gradient
-    return add(log(nsum(exp(sub(z, m)), axis=-1, keepdims=True)), m)
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """log softmax over the last axis, shifted by the row max."""
+    m = z.max(axis=-1, keepdims=True)
+    return z - (np.log(np.exp(z - m).sum(axis=-1, keepdims=True)) + m)
 
 
 def log_softmax_rows(z: Node) -> Node:
-    return sub(z, logsumexp_rows(z))
-
-
-def softmax_rows(z: Node) -> Node:
-    return exp(log_softmax_rows(z))
+    """The log-softmax of z's rows as one node; with p = exp(log p), its
+    vjp maps g to g - p sum(g)."""
+    logp = _log_softmax(z.val)
+    p = np.exp(logp)
+    return Node(logp, (z,), lambda g: (g - p * g.sum(axis=-1, keepdims=True),))
 
 
 def gradient_reversal(a: Node, scale: float) -> Node:
@@ -256,7 +262,8 @@ def grad_nodes(root: Node, wrt: list[Node]) -> list[Node]:
         for parent, contrib in zip(node.parents, node.vjp(g)):
             have = adjoint.get(id(parent))
             adjoint[id(parent)] = contrib if have is None else have + contrib
-    return [constant(adjoint.get(id(w), np.zeros_like(w.val))) for w in wrt]
+    return [constant(adjoint[id(w)] if id(w) in adjoint else np.zeros_like(w.val))
+            for w in wrt]
 
 
 # -- the model ---------------------------------------------------------------
@@ -382,17 +389,49 @@ def init_raw_model(d_in: int, widths: tuple, n_classes: int, *, seed: int = 0) -
     return Model(None, weights, biases, head)
 
 
-class ObsTable(NamedTuple):
+class _Fields(dict):
+    """Adjoints of a fused node's fields, by field name; `+` adds them field
+    by field, so `grad_nodes` sums the uses of a fused node's fields as it
+    sums arrays."""
+
+    def __add__(self, other: "_Fields") -> "_Fields":
+        out = _Fields(self)
+        for key, g in other.items():
+            out[key] = out[key] + g if key in out else g
+        return out
+
+
+class ObsTable:
     """One forward's rows as graph nodes: features H, logits z, their
     log-softmax, the probabilities p = exp(logp), and each dense layer's
     input rows, first layer first (the embedded inputs, then the features
-    of every layer but the last)."""
+    of every layer but the last).
 
-    h: Node
-    z: Node
-    logp: Node
-    p: Node
-    layers: tuple
+    The forward is one fused node; each field is a view of it, built on
+    first read, that hands its adjoint to the fused node under the field's
+    key ("h", "z", "logp", "p", or layer l's index)."""
+
+    __slots__ = ("_node", "_vals", "_views", "_n_layers")
+
+    def __init__(self, node: Node, vals: dict, n_layers: int):
+        self._node, self._vals, self._views = node, vals, {}
+        self._n_layers = n_layers
+
+    def _view(self, key) -> Node:
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = Node(self._vals[key], (self._node,),
+                                           lambda g: (_Fields({key: g}),))
+        return view
+
+    h = property(lambda self: self._view("h"))
+    z = property(lambda self: self._view("z"))
+    logp = property(lambda self: self._view("logp"))
+    p = property(lambda self: self._view("p"))
+
+    @property
+    def layers(self) -> tuple:
+        return tuple(self._view(layer) for layer in range(self._n_layers))
 
 
 class Tape:
@@ -403,7 +442,8 @@ class Tape:
     forward over every observation, `arange(n_obs)`, that `obs_rows` runs
     the first time a term asks for it and keeps here.  A training step
     therefore runs one forward whatever its terms (plus one per adversary,
-    whose inputs are feature rows).
+    whose inputs are feature rows).  `last` is the table of the latest
+    forward on the tape.
     """
 
     def __init__(self, model: Model):
@@ -417,6 +457,7 @@ class Tape:
             self.param_nodes.append(constant(arr.copy()))
             self.names.append(name)
         self.table: ObsTable | None = None
+        self.last: ObsTable | None = None
 
     def node(self, name: str) -> Node:
         return self.param_nodes[self.names.index(name)]
@@ -431,10 +472,15 @@ def embed_inputs(model: Model, inputs) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _plus(a, b):
+    """a + b, where None stands for no adjoint."""
+    return b if a is None else a if b is None else a + b
+
+
 def forward(model: Model, inputs, tape: Tape | None = None, *,
             feature_mask: np.ndarray | None = None):
-    """Run the network; returns (H, z, probs, tape) as graph nodes, with
-    probs = exp(log_softmax_rows(z)).
+    """Run the network as one fused graph node; returns (H, z, probs, tape),
+    views of the forward's table (`ObsTable`), which is also `tape.last`.
 
     `inputs` may be observation indices (embedded via the model's fixed map),
     ready real vectors, or a live Node of features from another graph (how
@@ -443,31 +489,70 @@ def forward(model: Model, inputs, tape: Tape | None = None, *,
     indices: they read rows of the tape's observation table (`obs_rows`),
     whose forward is this one over every observation, so the finiteness
     check covers every observation's row.
+
+    The values are computed in numpy, and the fused node's vjp is the
+    closed-form backprop of the adjoints of any of the table's fields:
+    p into log p (g p), log p into z (g - p sum(g)), z into the head and H,
+    then back through each layer's relu mask to its W and b, adding the
+    adjoints of the layer inputs on the way, and to a live input node.
     """
-    if isinstance(inputs, Node):
+    live = isinstance(inputs, Node)
+    if live:
         if inputs.val.ndim != 2 or inputs.val.shape[0] == 0:
             raise ShapeMismatch("feature-node input must be a nonempty matrix")
-        h = inputs
+        x = inputs.val
     else:
         if np.asarray(inputs).shape[0] == 0:
             raise ShapeMismatch("empty batch")
-        h = constant(embed_inputs(model, inputs))
+        x = embed_inputs(model, inputs)
     tape = tape if tape is not None else Tape(model)
-    layer = 0
-    for name in tape.names:
-        if name == "head":
-            break
-        if name.startswith("W"):
-            w = tape.node(name)
-            b = tape.node(f"b{layer}")
-            h = relu(add(matmul(h, w), b))
-            layer += 1
-    if feature_mask is not None:
-        h = mul(h, constant(np.asarray(feature_mask, dtype=np.float64)))
-    z = matmul(concat_ones(h), tape.node("head"))
-    if not (np.all(np.isfinite(h.val)) and np.all(np.isfinite(z.val))):
+    params = [n.val for n in tape.param_nodes]  # W0, b0, W1, b1, ..., head
+    ws, bs, head = params[:-1:2], params[1:-1:2], params[-1]
+    acts = [x]  # each layer's input, then the last layer's output
+    for w, b in zip(ws, bs):
+        a = acts[-1] @ w + b
+        acts.append(a * (a > 0.0))
+    mask = None if feature_mask is None else np.asarray(feature_mask,
+                                                        dtype=np.float64)
+    h = acts[-1] if mask is None else acts[-1] * mask
+    h1 = np.concatenate([h, np.ones(h.shape[:-1] + (1,))], axis=-1)
+    z = h1 @ head
+    if not (np.isfinite(h).all() and np.isfinite(z).all()):
         raise NonFiniteActivation("non-finite features or logits in forward")
-    return h, z, softmax_rows(z), tape
+    logp = _log_softmax(z)
+    p = np.exp(logp)
+
+    def vjp(g: _Fields) -> list:
+        glogp = _plus(g.get("logp"), None if "p" not in g else g["p"] * p)
+        gz = g.get("z")
+        if glogp is not None:
+            gz = _plus(gz, glogp - p * glogp.sum(axis=-1, keepdims=True))
+        gh = g.get("h")
+        if gz is None:
+            grads = [np.zeros_like(head)]
+        else:
+            grads = [_unbroadcast(_t(h1) @ gz, head.shape)]
+            gh = _plus(gh, (gz @ _t(head))[..., :-1])
+        if gh is None:
+            gh = np.zeros_like(h)
+        gout = gh if mask is None else gh * mask  # the adjoint of acts[-1]
+        for layer in reversed(range(len(ws))):
+            gpre = gout * (acts[layer + 1] > 0.0)
+            grads[:0] = [_unbroadcast(_t(acts[layer]) @ gpre, ws[layer].shape),
+                         _unbroadcast(gpre, bs[layer].shape)]
+            if layer or live:
+                gout = _plus(gpre @ _t(ws[layer]), g.get(layer))
+        if live:
+            grads.insert(0, _unbroadcast(gout, x.shape))
+        return grads
+
+    parents = tuple(tape.param_nodes)
+    # the fused node's own value is z; its fields are read through the views
+    fused = Node(z, (inputs, *parents) if live else parents, vjp)
+    table = ObsTable(fused, {"h": h, "z": z, "logp": logp, "p": p,
+                             **dict(enumerate(acts[:-1]))}, len(ws))
+    tape.last = table
+    return table.h, table.z, table.p, tape
 
 
 def obs_rows(model: Model, inputs, tape: Tape) -> tuple[ObsTable, np.ndarray]:
@@ -475,28 +560,19 @@ def obs_rows(model: Model, inputs, tape: Tape) -> tuple[ObsTable, np.ndarray]:
 
     Observation indices, for a model with an embedding, read the tape's
     observation table, built by one `forward` over every observation on the
-    tape's first call.  Other inputs (ready vectors, or a model with no
-    embedding) get a forward of their own, with rows in input order.
+    tape's first call.  Other inputs (ready vectors, a feature node, or a
+    model with no embedding) get a forward of their own, with rows in input
+    order.
     """
-    x = np.asarray(inputs)
+    x = inputs.val if isinstance(inputs, Node) else np.asarray(inputs)
     if (model.embedding is not None and x.ndim == 1
             and np.issubdtype(x.dtype, np.integer)):
         if tape.table is None:
-            tape.table = _table(model, forward(
-                model, np.arange(model.embedding.shape[0]), tape))
+            forward(model, np.arange(model.embedding.shape[0]), tape)
+            tape.table = tape.last
         return tape.table, x.astype(np.int64)
-    return _table(model, forward(model, inputs, tape)), np.arange(x.shape[0])
-
-
-def _table(model: Model, out) -> ObsTable:
-    """The ObsTable of a forward's output, read back through the graph that
-    `forward` builds: probs = exp(logp), and each layer's features are
-    relu(add(matmul(input, W), b))."""
-    h, z, probs, _ = out
-    layers = [h]
-    for _ in model.weights:
-        layers.insert(0, layers[0].parents[0].parents[0].parents[0])
-    return ObsTable(h, z, probs.parents[0], probs, tuple(layers[:-1]))
+    forward(model, inputs, tape)
+    return tape.last, np.arange(x.shape[0])
 
 
 def backward(tape: Tape, loss_node: Node) -> np.ndarray:

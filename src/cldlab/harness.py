@@ -17,7 +17,7 @@ from . import diffkit as dk
 from . import objectives as ob
 from .cld_core import canonical_fixture, load_family_json, sample_dataset
 from .errors import ConfigError, NonFiniteActivation
-from .metrics import ci_index_mc, evaluate, evaluate_exact
+from .metrics import _ci_index_table, _evaluate_table, tabulate
 from .objectives import DomainBatch, ObjectiveConfig
 from .oracle import domain_p_xy, verify_theorems
 from .pairgen import pair_law, pair_table, sample_pairs, write_pairs_jsonl
@@ -435,7 +435,7 @@ def _rsc(c: _Step):
                                    for b in c.batches])), None
 
 
-# AND_MASK trains on masked domain gradients (see run_experiment); its entry
+# AND_MASK trains on masked domain gradients (see _train); its entry
 # supplies the base loss only.
 OBJECTIVE_BUILDERS = {
     "ERM": _loss_only,
@@ -528,27 +528,28 @@ class ResultRecord:
     report_path: str | None = None
 
 
-def _ci_estimate(model, family, cfg, dom, seed, n_pairs):
-    return ci_index_mc(model, family, dom, n_pairs, cfg.eval.ci_reps,
-                       cfg.eval.ci_style,
-                       derive_seed(seed, f"ci:{dom.domain_id}"))
+def _ci_estimate(table, family, cfg, dom, seed, n_pairs):
+    """The Monte Carlo CI index of the model tabulated as table."""
+    return _ci_index_table(table, family, dom, n_pairs, cfg.eval.ci_reps,
+                           cfg.eval.ci_style,
+                           derive_seed(seed, f"ci:{dom.domain_id}"))
 
 
 def _eval_rows(model, family, cfg, sources, target, step, run_id, chash,
                seed, pen_val):
-    """One result row per source and for the target.  Sampled evaluation
-    and the CI index draw from derive_seed(seed, "eval:<domain>") and
-    "ci:<domain>", so any caller with the same seed gets the same rows."""
+    """One result row per source and for the target, all read from one
+    `tabulate` of the model.  Sampled evaluation and the CI index draw from
+    derive_seed(seed, "eval:<domain>") and "ci:<domain>", so any caller
+    with the same seed gets the same rows."""
+    table = tabulate(model, family)
     rows = []
     for dom, split in [*((d, "source") for d in sources), (target, "target")]:
-        if cfg.eval.exact:
-            res = evaluate_exact(model, family, dom)
-        else:
-            res = evaluate(model, family, dom, cfg.eval.n_samples,
-                           derive_seed(seed, f"eval:{dom.domain_id}"))
+        res = (_evaluate_table(table, family, dom) if cfg.eval.exact
+               else _evaluate_table(table, family, dom, cfg.eval.n_samples,
+                                    derive_seed(seed, f"eval:{dom.domain_id}")))
         ci = None
         if cfg.eval.ci_pairs > 0:
-            ci = _ci_estimate(model, family, cfg, dom, seed,
+            ci = _ci_estimate(table, family, cfg, dom, seed,
                               cfg.eval.ci_pairs).value
         rows.append({
             "run_id": run_id, "config_hash": chash, "step": step,
@@ -655,10 +656,9 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
 
         c = _Step(model, dk.Tape(model), run, step_batches, step)
         try:
-            if kind == "AND_MASK":
+            if kind == "AND_MASK":  # closed-form domain gradients, no backward
                 grads = ob.and_mask(
-                    [dk.backward(c.tape, dk.index0(c.losses, d))
-                     for d in range(len(step_batches))],
+                    ob._domain_grads(model, step_batches, c.tape).val,
                     cfg.objective.extra("tau"))
             else:
                 total, pen = _penalty_and_total(c)

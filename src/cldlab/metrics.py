@@ -84,6 +84,14 @@ def ci_index_mc(model: Model, family: CldFamily, domain: DomainSpec,
     probability space, over `reps` draws of x given each latent pair.  For
     deterministic families one rep already gives the exact fused row.
     """
+    return _ci_index_table(tabulate(model, family), family, domain, n_pairs,
+                           reps, style, seed)
+
+
+def _ci_index_table(table: PredictorTable, family: CldFamily,
+                    domain: DomainSpec, n_pairs: int, reps: int, style: str,
+                    seed: int) -> CiEstimate:
+    """ci_index_mc of the model whose tabulated predictor is table."""
     if n_pairs < 1:
         raise ShapeMismatch("n_pairs must be >= 1")
     if reps < 1:
@@ -92,7 +100,7 @@ def ci_index_mc(model: Model, family: CldFamily, domain: DomainSpec,
         raise ShapeMismatch(f"unknown pair style {style!r}")
     s = family.spaces
     rng = substream(seed, "eval")
-    table = tabulate(model, family).p_yhat_given_x
+    rows = table.p_yhat_given_x
 
     cn_flat = domain.p_cn.reshape(-1)
     cn = rng.choice(cn_flat.size, size=n_pairs, p=cn_flat)
@@ -109,7 +117,7 @@ def ci_index_mc(model: Model, family: CldFamily, domain: DomainSpec,
         for _ in range(reps):
             xs = categorical_rows(channel, cc * s.n_noncore + nn,
                                   rng.random(n_pairs))
-            out += table[xs]
+            out += rows[xs]
         return out / reps
 
     jsds = jsd2(fused_rows(c, xn), fused_rows(c, xn_t))
@@ -134,23 +142,28 @@ def evaluate(model: Model, family: CldFamily, domain: DomainSpec,
     """Sampled loss/accuracy; converges to the exact values at O(1/sqrt(n))."""
     if n < 1:
         raise ShapeMismatch("n must be >= 1")
-    data = sample_dataset(family, domain, n, seed)
-    table = tabulate(model, family).p_yhat_given_x
-    picked = table[data.x, data.y]
-    loss = float(-np.log(picked).mean())
-    acc = float((table[data.x].argmax(axis=1) == data.y).mean())
-    return EvalResult(domain_id=domain.domain_id, loss=loss, accuracy=acc, n=n)
+    return _evaluate_table(tabulate(model, family), family, domain, n, seed)
 
 
 def evaluate_exact(model: Model, family: CldFamily,
                    domain: DomainSpec) -> EvalResult:
-    table = tabulate(model, family)
-    return EvalResult(
-        domain_id=domain.domain_id,
-        loss=exact_loss(family, domain, table),
-        accuracy=exact_accuracy(family, domain, table),
-        n=0,
-    )
+    return _evaluate_table(tabulate(model, family), family, domain)
+
+
+def _evaluate_table(table: PredictorTable, family: CldFamily,
+                    domain: DomainSpec, n: int = 0, seed: int = 0) -> EvalResult:
+    """evaluate on n samples, or evaluate_exact for n = 0, of the model
+    whose tabulated predictor is table."""
+    if n == 0:
+        return EvalResult(domain_id=domain.domain_id,
+                          loss=exact_loss(family, domain, table),
+                          accuracy=exact_accuracy(family, domain, table), n=0)
+    data = sample_dataset(family, domain, n, seed)
+    rows = table.p_yhat_given_x
+    picked = rows[data.x, data.y]
+    loss = float(-np.log(picked).mean())
+    acc = float((rows[data.x].argmax(axis=1) == data.y).mean())
+    return EvalResult(domain_id=domain.domain_id, loss=loss, accuracy=acc, n=n)
 
 
 def model_features(model: Model, xs: np.ndarray) -> np.ndarray:

@@ -511,11 +511,12 @@ def iga_penalty(model: Model, batches: list[DomainBatch],
     return _iga(_domain_grads(model, batches, tape))
 
 
-def and_mask(domain_grads: list[np.ndarray], quorum: float = 1.0) -> np.ndarray:
+def and_mask(domain_grads, quorum: float = 1.0) -> np.ndarray:
     """Keep components whose sign wins a quorum across domains; zero the rest.
 
-    Kept components carry the across-domain mean.  Exact zeros count as
-    agreeing with nothing.
+    domain_grads holds one gradient per domain: [P] arrays, or the rows of
+    a [D, P] array.  Kept components carry the across-domain mean.  Exact
+    zeros count as agreeing with nothing.
     """
     if len(domain_grads) < 2:
         raise TooFewDomains("AND-mask needs at least 2 domain gradients")
@@ -806,10 +807,10 @@ def _adversary_loss(h: Node, adversary: Model, adv_tape: Tape,
                     a: np.ndarray) -> Node:
     """The adversary's weighted domain-classification loss -sum(A * log q):
     one forward of the adversary on the observation table's feature rows h
-    behind gradient reversal, A [n_obs, D] each row's weight on each
-    domain."""
-    _, zd, _, _ = dk.forward(adversary, dk.gradient_reversal(h, 1.0), adv_tape)
-    return _soft_nll(dk.log_softmax_rows(zd), a)
+    behind gradient reversal, whose table gives log q, and A [n_obs, D]
+    each row's weight on each domain."""
+    table, _ = dk.obs_rows(adversary, dk.gradient_reversal(h, 1.0), adv_tape)
+    return _soft_nll(table.logp, a)
 
 
 def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],

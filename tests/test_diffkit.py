@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,3 +333,150 @@ class TestRunStack:
             model, self.batch(),
             lambda m, b, t: dk.nsum(_erm_plus_pairs(m, b, t)), eps=1e-4)
         assert err < 1e-4
+
+
+# -- the fused forward ---------------------------------------------------------
+
+FUSED_WIDTHS = [(), (6,), (8, 5), (6, 5, 4)]
+
+
+def _fused_model(widths, stacked, seed=3):
+    """A 3-class model on 4 one-hot observations, stacked 3 times with each
+    run nudged apart."""
+    model = dk.init_model(4, widths, 3, embedding="onehot", seed=seed)
+    if stacked:
+        model = dk.stack_runs(model, 3)
+        rng = np.random.default_rng(seed)
+        model.set_flat_params(model.flat_params()
+                              + 0.3 * rng.normal(size=(3, model.n_params())))
+    return model
+
+
+def _fields(table) -> dict:
+    return {"h": table.h, "z": table.z, "logp": table.logp, "p": table.p,
+            **{f"layer{i}": a for i, a in enumerate(table.layers)}}
+
+
+def _injected(fields: dict, names) -> dk.Node:
+    """sum over the named fields of <C, field>, one fixed random C each, so
+    the field's adjoint is C."""
+    order = sorted(fields)
+    terms = [dk.nsum(dk.mul(fields[n], dk.constant(np.random.default_rng(
+        order.index(n)).normal(size=fields[n].val.shape)))) for n in names]
+    return dk.nsum(dk.stack_list(terms))
+
+
+def _fused_cases():
+    for widths in FUSED_WIDTHS:
+        fields = ["h", "z", "logp", "p",
+                  *(f"layer{i}" for i in range(1, len(widths))), "all"]
+        for stacked in (False, True):
+            for field in fields:
+                name = "x".join(map(str, widths)) or "linear"
+                yield pytest.param(widths, stacked, field, id=f"{name}-"
+                                   f"{'stack' if stacked else 'one'}-{field}")
+
+
+@pytest.mark.parametrize("widths,stacked,field", list(_fused_cases()))
+def test_fused_forward_gradients_match_finite_differences(widths, stacked,
+                                                          field):
+    """Adjoints injected into one field of the observation table, or into
+    all of them, reach every parameter block as the difference quotient
+    says."""
+    def loss(m, b, t):
+        fields = _fields(dk.obs_rows(m, np.arange(4), t)[0])
+        return _injected(fields, sorted(fields) if field == "all" else [field])
+
+    err = dk.finite_diff_check(_fused_model(widths, stacked), None, loss,
+                               eps=1e-5)
+    assert err < 1e-5
+
+
+def test_fused_forward_with_a_feature_mask_matches_finite_differences():
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+
+    def loss(m, b, t):
+        dk.forward(m, np.arange(4), t, feature_mask=mask)
+        return _injected(_fields(t.last), ["h", "z", "logp", "p", "layer1"])
+
+    model = _fused_model((6, 5), False)
+    assert dk.finite_diff_check(model, None, loss, eps=1e-5) < 1e-5
+
+
+def test_fused_forward_passes_the_adjoint_to_a_live_input():
+    """A feature-node input gets the adjoint of its own rows, with the
+    adjoints injected at its layer-input field added."""
+    rng = np.random.default_rng(4)
+    x0 = rng.normal(size=(5, 6))
+    adversary = dk.init_raw_model(6, (4, 3), 2, seed=4)
+
+    def loss_of(x):
+        leaf = dk.constant(x)
+        tape = dk.Tape(adversary)
+        dk.forward(adversary, leaf, tape)
+        return leaf, tape, _injected(_fields(tape.last), ["p", "h", "layer0",
+                                                         "layer1"])
+
+    leaf, tape, loss = loss_of(x0)
+    got = dk.grad_nodes(loss, [leaf])[0].val
+    want = np.zeros_like(x0)
+    for i in np.ndindex(x0.shape):
+        step = np.zeros_like(x0)
+        step[i] = 1e-6
+        want[i] = (float(loss_of(x0 + step)[2].val)
+                   - float(loss_of(x0 - step)[2].val)) / 2e-6
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+    assert dk.finite_diff_check(
+        adversary, None, lambda m, b, t: _injected(
+            _fields(dk.obs_rows(m, dk.constant(x0), t)[0]), ["logp", "layer1"]),
+        eps=1e-5) < 1e-5
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+def test_fused_forward_values_equal_the_per_layer_graph(stacked):
+    """The fused forward's values are bitwise those of the per-layer graph
+    of matmul, add, relu, concat_ones and the log-softmax."""
+    model = _fused_model((6, 5), stacked)
+    tape = dk.Tape(model)
+    table = dk.obs_rows(model, np.arange(4), tape)[0]
+    a = dk.constant(model.embedding)
+    layers = []
+    for w, b in zip(tape.param_nodes[:-1:2], tape.param_nodes[1:-1:2]):
+        layers.append(a)
+        a = dk.relu(dk.add(dk.matmul(a, w), b))
+    z = dk.matmul(dk.concat_ones(a), tape.node("head"))
+    logp = dk.log_softmax_rows(z)
+    for have, want in [(table.h, a), (table.z, z), (table.logp, logp),
+                       (table.p, dk.exp(logp)), *zip(table.layers, layers)]:
+        assert np.array_equal(have.val, want.val)
+
+
+def test_a_forward_builds_as_many_nodes_at_any_depth():
+    """The forward is one fused node and its views, whatever the depth."""
+    tapes = [dk.Tape(dk.init_model(4, widths, 3, embedding="onehot", seed=1))
+             for widths in [(6,), (6, 5), (6, 5, 4)]]
+    real = dk.Node.__init__
+    counts = []
+
+    def counted(node, *args, **kwargs):
+        counts[-1] += 1
+        real(node, *args, **kwargs)
+
+    dk.Node.__init__ = counted
+    try:
+        for tape in tapes:
+            counts.append(0)
+            dk.forward(tape.model, np.arange(4), tape)
+    finally:
+        dk.Node.__init__ = real
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_overflowing_logits_raise_before_the_log_softmax():
+    """The finiteness check runs before the log-softmax, which would warn
+    on inf - inf."""
+    model = linear_model(np.full((3, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteActivation):
+            dk.forward(model, np.array([3]))

@@ -804,9 +804,10 @@ def test_one_forward_per_step(tmp_path, monkeypatch, kind, mode):
 @pytest.mark.parametrize("mode", FORWARD_MODES, ids=["gd", "sgd-8"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_one_backward_per_step(tmp_path, monkeypatch, kind, mode):
-    """A training step runs one backward pass for the model (one per source
-    for AND_MASK) and one per adversary that ran: a second step adds
-    exactly that many dk.grad_nodes calls, gradient penalties included."""
+    """A training step runs one backward pass for the model (none for
+    AND_MASK, which masks the closed-form domain gradients) and one per
+    adversary that ran: a second step adds exactly that many dk.grad_nodes
+    calls, gradient penalties included."""
     trainer = {"lr": 0.1, "train_n": 40, "seed": 2, **mode}
     doc = base_doc(tmp_path, source=["source", "target"],
                    objective={"kind": kind, "lambda": 0.5},
@@ -826,5 +827,5 @@ def test_one_backward_per_step(tmp_path, monkeypatch, kind, mode):
         runs.append((len(backwards) - start,
                      sum(r == "adversary" for _, r in calls)))
     added_adversaries = runs[1][1] - runs[0][1]
-    model_backwards = 2 if kind == "AND_MASK" else 1  # CANON-D: 2 sources
+    model_backwards = 0 if kind == "AND_MASK" else 1
     assert runs[1][0] - runs[0][0] == model_backwards + added_adversaries

@@ -238,6 +238,17 @@ def label_law(family: CldFamily, domain: DomainSpec) -> np.ndarray:
                      where=p_c > 0.0)
 
 
+def partner_law(domain: DomainSpec, style: str = "marginal") -> np.ndarray:
+    """The law of a swap partner's non-core value, [n_noncore]: the domain's
+    non-core marginal ("marginal") or uniform ("uniform")."""
+    if style == "marginal":
+        return domain.noncore_marginal()
+    if style == "uniform":
+        n = domain.p_cn.shape[1]
+        return np.full(n, 1.0 / n)
+    raise ShapeMismatch(f"unknown pair style {style!r}")
+
+
 def joint_cnxy(family: CldFamily, domain: DomainSpec) -> np.ndarray:
     """The full joint P^d(x^c, x^n, x, y) as a [C, N, X, Y] array.
 

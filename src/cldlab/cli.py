@@ -129,8 +129,8 @@ def evaluate_cmd(config_path, model_path, seed, out_dir, fmt):
     model = _checkpoint_model(model_path)
     eff_seed = cfg.trainer.seed if seed is None else seed
     family, sources, target = _resolve_domains(cfg)
-    rows = _eval_rows(model, family, cfg, sources, target, 0, "eval", "-",
-                      eff_seed, 0.0)
+    [rows] = _eval_rows(model, family, [(cfg, "eval", "-")], sources, target,
+                        0, eff_seed, [0.0])
     if fmt == "json":
         click.echo(json.dumps(rows, sort_keys=True, indent=1))
     else:
@@ -145,8 +145,9 @@ def evaluate_cmd(config_path, model_path, seed, out_dir, fmt):
 @format_opt
 @_exit_codes
 def ci_index_cmd(config_path, model_path, seed, fmt):
-    """Monte Carlo CI index of a checkpoint on each configured domain,
-    seeded as train seeds its ci_index column."""
+    """CI index of a checkpoint on each configured domain, as train writes
+    its ci_index column: closed form under eval.exact, else Monte Carlo,
+    seeded as train seeds it."""
     cfg = config_from_dict(_load_config(config_path))
     model = _checkpoint_model(model_path)
     eff_seed = cfg.trainer.seed if seed is None else seed

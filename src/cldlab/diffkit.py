@@ -443,7 +443,8 @@ class Tape:
     the first time a term asks for it and keeps here.  A training step
     therefore runs one forward whatever its terms (plus one per adversary,
     whose inputs are feature rows).  `last` is the table of the latest
-    forward on the tape.
+    forward on the tape, and `weights` the domain terms' weight table on
+    `table`, built once per step.
     """
 
     def __init__(self, model: Model):
@@ -458,6 +459,9 @@ class Tape:
             self.names.append(name)
         self.table: ObsTable | None = None
         self.last: ObsTable | None = None
+        # (batches, W): the sources' cell weights on table, kept by the
+        # objectives' domain terms (`objectives._domain_weights`)
+        self.weights: tuple | None = None
 
     def node(self, name: str) -> Node:
         return self.param_nodes[self.names.index(name)]
@@ -669,7 +673,7 @@ def save_checkpoint(model: Model, path: str) -> None:
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # dumps runs the C encoder; dump does not
     os.replace(tmp, path)
 
 

@@ -17,9 +17,9 @@ from . import diffkit as dk
 from . import objectives as ob
 from .cld_core import canonical_fixture, load_family_json, sample_dataset
 from .errors import ConfigError, NonFiniteActivation
-from .metrics import _ci_index_table, _evaluate_table, tabulate
+from .metrics import CiEstimate, _ci_index_table, _evaluate_table, _run_tables
 from .objectives import DomainBatch, ObjectiveConfig
-from .oracle import domain_p_xy, verify_theorems
+from .oracle import domain_p_xy, exact_ci_index, verify_theorems
 from .pairgen import pair_law, pair_table, sample_pairs, write_pairs_jsonl
 from .rng import derive_seed, substream
 
@@ -473,11 +473,13 @@ def _penalty_and_total(c: _Step):
     return dk.add(base, dk.mul(dk.constant(c.run.lam), pen)), pen
 
 
-def _eval_penalty(model, run: _RunState, batches) -> float:
-    """Raw penalty value at the current parameters (no training side effects)."""
+def _eval_penalty(model, run: _RunState, batches) -> list:
+    """Raw penalty value at the current parameters (no training side
+    effects), one per run: a stack's runs from one build of its terms."""
     _, pen = OBJECTIVE_BUILDERS[run.cfg.objective.kind](
         _Step(model, dk.Tape(model), run, batches, -1))
-    return 0.0 if pen is None else float(pen.val)
+    return np.reshape(np.zeros(model.runs) if pen is None else pen.val,
+                      -1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -528,20 +530,36 @@ class ResultRecord:
     report_path: str | None = None
 
 
-def _ci_estimate(table, family, cfg, dom, seed, n_pairs):
-    """The Monte Carlo CI index of the model tabulated as table."""
+def _ci_estimate(table, family, cfg, dom, seed, n_pairs) -> CiEstimate:
+    """The CI index of the model tabulated as table: under eval.exact the
+    closed form (`exact_ci_index`, stderr 0 and n_pairs 0), else the Monte
+    Carlo index over n_pairs pairs drawn from derive_seed(seed,
+    "ci:<domain>")."""
+    style = cfg.eval.ci_style
+    if cfg.eval.exact:
+        return CiEstimate(value=exact_ci_index(family, dom, table, style),
+                          stderr=0.0, n_pairs=0, style=style)
     return _ci_index_table(table, family, dom, n_pairs, cfg.eval.ci_reps,
-                           cfg.eval.ci_style,
-                           derive_seed(seed, f"ci:{dom.domain_id}"))
+                           style, derive_seed(seed, f"ci:{dom.domain_id}"))
 
 
-def _eval_rows(model, family, cfg, sources, target, step, run_id, chash,
-               seed, pen_val):
-    """One result row per source and for the target, all read from one
-    `tabulate` of the model.  Sampled evaluation and the CI index draw from
-    derive_seed(seed, "eval:<domain>") and "ci:<domain>", so any caller
+def _eval_rows(model, family, runs, sources, target, step, seed, pens):
+    """Each run's result rows (`_table_rows`), run r of the model (the model
+    itself when it has no run axis) read from its own table of one forward
+    (`metrics._run_tables`); runs holds each run's (config, run id, config
+    hash) and pens its penalty value."""
+    return [_table_rows(table, family, cfg, sources, target, step, run_id,
+                        chash, seed, pen)
+            for (cfg, run_id, chash), table, pen in zip(
+                runs, _run_tables(model, family), pens)]
+
+
+def _table_rows(table, family, cfg, sources, target, step, run_id, chash,
+                seed, pen_val):
+    """One result row per source and for the target, all read from the
+    run's predictor table.  Sampled evaluation draws from derive_seed(seed,
+    "eval:<domain>") and the CI index is `_ci_estimate`'s, so any caller
     with the same seed gets the same rows."""
-    table = tabulate(model, family)
     rows = []
     for dom, split in [*((d, "source") for d in sources), (target, "target")]:
         res = (_evaluate_table(table, family, dom) if cfg.eval.exact
@@ -601,7 +619,9 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
     objective.lambda and which share seed and domains: one run with no run
     axis, several as one stack on a leading run axis that shares init,
     data, pairs and minibatch draws.  Returns each run's result rows and
-    final model; evaluation reads each run's own slice."""
+    final model.  An evaluation point builds the penalty terms once and
+    runs one forward over every observation, for all runs of a stack; each
+    run's rows read its own slice of both."""
     cfg, seed = plans[0].cfg, plans[0].seed
     family, sources, target = plans[0].domains
     s = family.spaces
@@ -639,16 +659,14 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
     order_rng = substream(seed, "data")
     swa = _swa_schedule(cfg) if kind == "SWA" else None
     rows: list = [[] for _ in plans]
+    named = [(p.cfg, p.run_id, p.chash) for p in plans]
 
-    def runs_of(m: dk.Model) -> list:
-        return [m.run(r) for r in range(len(plans))] if m.runs else [m]
-
-    def evaluate(models: list, step: int) -> None:
-        for plan, out, m in zip(plans, rows, models):
-            pen = _eval_penalty(m, run, batches)
-            out.extend(_finite(_eval_rows(m, family, plan.cfg, sources, target,
-                                          step, plan.run_id, plan.chash, seed,
-                                          pen)))
+    def evaluate(m: dk.Model, step: int) -> None:
+        # one penalty build and one forward for all the runs of a stack
+        pens = _eval_penalty(m, run, batches)
+        for out, new in zip(rows, _eval_rows(m, family, named, sources,
+                                             target, step, seed, pens)):
+            out.extend(_finite(new))
 
     for step in range(1, cfg.trainer.steps + 1):
         step_batches = batches if cfg.trainer.batch_size is None else [
@@ -678,13 +696,14 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
 
         if cfg.trainer.eval_every and step % cfg.trainer.eval_every == 0 \
                 and step < cfg.trainer.steps:
-            evaluate(runs_of(model), step)
+            evaluate(model, step)
 
     final_model = model
     if kind == "SWA" and len(run.swa_snapshots) >= 2:
         final_model = ob.swa_average(run.swa_snapshots)
-    finals = runs_of(final_model)
-    evaluate(finals, cfg.trainer.steps)
+    evaluate(final_model, cfg.trainer.steps)
+    finals = ([final_model.run(r) for r in range(len(plans))]
+              if final_model.runs else [final_model])
     return list(zip(rows, finals))
 
 

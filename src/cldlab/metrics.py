@@ -65,9 +65,19 @@ def tabulate(model: Model, family: CldFamily) -> PredictorTable:
     return predictor_table(probs.val)
 
 
+def _run_tables(model: Model, family: CldFamily) -> list[PredictorTable]:
+    """`tabulate` of each run of a stack (`diffkit.stack_runs`) from one
+    forward; one table for a model with no run axis."""
+    _, _, probs, _ = forward(model, np.arange(family.spaces.n_obs))
+    return [predictor_table(rows)
+            for rows in (probs.val if model.runs else [probs.val])]
+
+
 @dataclass(frozen=True)
 class CiEstimate:
-    """Monte Carlo causal-invariance index: 1 - mean JSD over sampled pairs."""
+    """Causal-invariance index, 1 - mean JSD over swap pairs: a Monte Carlo
+    estimate with its standard error, or the closed form, which n_pairs = 0
+    and stderr 0 mark."""
 
     value: float
     stderr: float

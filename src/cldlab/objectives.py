@@ -259,29 +259,45 @@ def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node
                                              table.logp.val.shape[-2:]))
 
 
+def _domain_weights(model: Model, batches: list[DomainBatch], tape: Tape):
+    """(W, looked): the sources' cell weights on the tape's observation
+    table, W[d, x, y] of shape [D, n_obs, C], and each batch's `obs_rows`
+    lookup.  W is built on the tape's first call for this batch list and
+    kept as `tape.weights`, so a step's domain terms share one; it is None
+    unless every batch is observation indices on a model with an
+    embedding."""
+    if tape.weights is not None and tape.weights[0] is batches:
+        return tape.weights[1], None
+    looked = [dk.obs_rows(model, b.inputs, tape) for b in batches]
+    if any(t is not tape.table for t, _ in looked):
+        return None, looked
+    shape = tape.table.logp.val.shape[-2:]
+    w = np.stack([_cell_table(b, rows, shape)
+                  for b, (_, rows) in zip(batches, looked)])
+    tape.weights = (batches, w)
+    return w, looked
+
+
 def _domain_tables(model: Model, batches: list[DomainBatch],
                    tape: Tape) -> tuple[dk.ObsTable, np.ndarray]:
     """(table, W): the tape's observation table and the sources' cell
-    weights on it, W[d, x, y] of shape [D, n_obs, C].  Only observation
-    indices on a model with an embedding have such a table."""
-    looked = [dk.obs_rows(model, b.inputs, tape) for b in batches]
-    if any(t is not tape.table for t, _ in looked):
+    weights on it (`_domain_weights`).  Only observation indices on a model
+    with an embedding have such a table."""
+    w, _ = _domain_weights(model, batches, tape)
+    if w is None:
         raise ShapeMismatch("domain terms need observation-index batches on "
                             "a model with an embedding")
-    shape = tape.table.logp.val.shape[-2:]
-    return tape.table, np.stack([_cell_table(b, rows, shape)
-                                 for b, (_, rows) in zip(batches, looked)])
+    return tape.table, w
 
 
 def domain_loss_vector(model: Model, batches: list[DomainBatch],
                        tape: Tape) -> Node:
     """The domain losses as one [D] node: -sum(W_d * log p) over the
-    sources' cell-weight tables W (`_domain_tables`) and the tape's
+    sources' cell-weight tables W (`_domain_weights`) and the tape's
     log-softmax table.  On a stack of R runs the table is [R, n, C] and the
     node [D, R]."""
-    looked = [dk.obs_rows(model, b.inputs, tape) for b in batches]
-    if all(t is tape.table for t, _ in looked):
-        w = _domain_tables(model, batches, tape)[1]  # [D, 1, n, C] on a stack
+    w, looked = _domain_weights(model, batches, tape)
+    if w is not None:  # [D, 1, n, C] on a stack
         return _soft_nll(tape.table.logp, w[:, None] if model.runs else w)
     # inputs that are not indices: each batch has a forward of its own
     return dk.stack_list([_soft_nll(t.logp, _cell_table(

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cld_core import (CldFamily, DomainSpec, LatentSpaces, joint_cnxy,
-                       label_law, make_domain)
+                       label_law, make_domain, partner_law)
 from .errors import NotStochastic, TooFewDomains
 from .rng import substream
 
@@ -229,18 +229,19 @@ def jsd2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def exact_ci_index(family: CldFamily, domain: DomainSpec,
-                   predictor: PredictorTable) -> float:
+                   predictor: PredictorTable, style: str = "marginal") -> float:
     """Exact causal-invariance index of the predictor in the domain.
 
     1 minus the expected base-2 JSD between fused conditionals at the
     domain's latent pairs and at non-core values resampled from the
-    domain marginal.
+    partner law of `style` (`cld_core.partner_law`): the domain marginal,
+    or uniform.  `metrics.ci_index_mc` with the same style converges to
+    it as its reps grow, and at any reps on a deterministic family.
     """
     fused = fuse(family, predictor).p_yhat_given_cn  # [C, N, Y]
-    p_cn = domain.p_cn
-    p_n = domain.noncore_marginal()
+    p_n = partner_law(domain, style)
     jsd = jsd2(fused[:, :, None, :], fused[:, None, :, :])  # [C, N, N]
-    return float(1.0 - np.einsum("cn,m,cnm->", p_cn, p_n, jsd))
+    return float(1.0 - np.einsum("cn,m,cnm->", domain.p_cn, p_n, jsd))
 
 
 def support_condition(family: CldFamily, source: DomainSpec,

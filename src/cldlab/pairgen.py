@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cld_core import CldFamily, DomainSpec, label_law
+from .cld_core import CldFamily, DomainSpec, label_law, partner_law
 from .errors import EmptyPureSet, ShapeMismatch
 from .rng import categorical_rows, substream
 
@@ -151,12 +151,9 @@ def pair_law(family: CldFamily, domain: DomainSpec,
     non-core value from the domain's non-core marginal ("marginal") or
     uniformly ("uniform"), both observations through P*(x | x^c, x^n), and
     the label from the domain's label law at the core value."""
-    if style not in ("uniform", "marginal"):
-        raise ShapeMismatch(f"unknown pair style {style!r}")
-    n = family.spaces.n_noncore
-    p_n = domain.noncore_marginal() if style == "marginal" else np.full(n, 1.0 / n)
     px = family.p_x_given_cn
-    return np.einsum("cn,m,cnx,cmz,cy->xzy", domain.p_cn, p_n, px, px,
+    return np.einsum("cn,m,cnx,cmz,cy->xzy", domain.p_cn,
+                     partner_law(domain, style), px, px,
                      label_law(family, domain))
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cldlab import cld_core, diffkit as dk, harness, objectives as ob
+from cldlab import (cld_core, diffkit as dk, harness, metrics, objectives as ob,
+                    oracle, pairgen)
 from cldlab.cli import main as cli_main
 from cldlab.errors import ConfigError, NonFiniteActivation
 from cldlab.objectives import EXTRAS, KINDS
@@ -675,6 +676,109 @@ def test_cli_evaluate_and_ci_index_reproduce_train(tmp_path):
     ci = json.loads(res.output)
     assert {d: v["value"] for d, v in ci.items()} == \
         {r["domain_id"]: r["ci_index"] for r in rec.rows}
+
+
+def test_cli_ci_index_reproduces_train_under_exact_eval(tmp_path):
+    """With exact evaluation, ci-index on the checkpoint prints the closed-
+    form index train wrote in its final rows, with stderr 0 and n_pairs 0."""
+    doc = base_doc(tmp_path, eval={"exact": True, "ci_pairs": 50})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rec = harness.run_experiment(harness.config_from_dict(doc))
+    res = CliRunner().invoke(cli_main, ["ci-index", "--config", str(path),
+                                        "--model", rec.checkpoint_path,
+                                        "--format", "json"])
+    assert res.exit_code == 0, res.output
+    ci = json.loads(res.output)
+    assert {d: v["value"] for d, v in ci.items()} == \
+        {r["domain_id"]: r["ci_index"] for r in rec.rows}
+    assert {(v["stderr"], v["n_pairs"]) for v in ci.values()} == {(0.0, 0)}
+
+
+@pytest.mark.parametrize("family, style", [("CANON-D", "marginal"),
+                                           ("CANON-N", "uniform")])
+def test_exact_rows_hold_the_closed_form_ci_index(tmp_path, monkeypatch,
+                                                  family, style):
+    """Under eval.exact every row's ci_index is exact_ci_index of the run's
+    final table, bitwise: for one run_experiment and for each run of a
+    3-run stacked sweep."""
+    stacks = []
+    real = dk.stack_runs
+    monkeypatch.setattr(dk, "stack_runs",
+                        lambda m, r: stacks.append(r) or real(m, r))
+    doc = base_doc(tmp_path, family=family,
+                   objective={"kind": "PAIR_PROB", "lambda": 0.1},
+                   eval={"ci_pairs": 50, "ci_style": style})
+    records = [harness.run_experiment(harness.config_from_dict(doc)),
+               *harness.sweep(doc, {"objective.lambda": [0.1, 1.0, 10.0]},
+                              out_dir=str(tmp_path / "sweep"))]
+    assert stacks == [3]
+    fam, *domains = cld_core.canonical_fixture(family)
+    by_id = {d.domain_id: d for d in domains}
+    for rec in records:
+        table = metrics.tabulate(dk.load_checkpoint(rec.checkpoint_path), fam)
+        assert len(rec.rows) == 2
+        for row in rec.rows:
+            assert row["ci_index"] == oracle.exact_ci_index(
+                fam, by_id[row["domain_id"]], table, style)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_zero_ci_pairs_write_an_empty_index(tmp_path, exact):
+    doc = base_doc(tmp_path, eval={"exact": exact, "ci_pairs": 0})
+    rec = harness.run_experiment(harness.config_from_dict(doc))
+    assert [r["ci_index"] for r in rec.rows] == [None, None]
+    lines = open(rec.csv_path, encoding="utf-8").read().splitlines()
+    col = CSV_HEADER.split(",").index("ci_index")
+    assert [line.split(",")[col] for line in lines[1:]] == ["", ""]
+
+
+@pytest.mark.parametrize("kind", sorted(harness.STACKED_KINDS))
+def test_a_stack_evaluates_as_its_runs(tmp_path, kind):
+    """One forward and one penalty build of a 3-run stack give each run's
+    predictor table and penalty bitwise."""
+    cfg = harness.config_from_dict(base_doc(
+        tmp_path, objective={"kind": kind, "lambda": 1.0},
+        trainer={"data_mode": "population"}))
+    family, sources, _ = harness._resolve_domains(cfg)
+    stack = dk.stack_runs(dk.init_model(family.spaces.n_obs, (4,), 2,
+                                        seed=1), 3)
+    rng = np.random.default_rng(4)
+    for _, arr in stack.param_blocks():
+        arr += rng.normal(scale=0.5, size=arr.shape)
+    run = harness._RunState(cfg, 0, np.ones(3))
+    run.pairs = pairgen.pair_law(family, sources[0])
+    batches = harness._train_batches(family, sources, cfg, 0)
+    tables = metrics._run_tables(stack, family)
+    pens = harness._eval_penalty(stack, run, batches)
+    assert len(tables) == len(pens) == 3
+    for r in range(3):
+        one = stack.run(r)
+        assert np.array_equal(tables[r].p_yhat_given_x,
+                              metrics.tabulate(one, family).p_yhat_given_x)
+        assert [pens[r]] == harness._eval_penalty(one, run, batches)
+    assert (kind == "ERM") == (pens == [0.0] * 3)
+
+
+@pytest.mark.parametrize("kind", ["VREX", "GROUP_DRO", "FISH", "IGA", "IRM"])
+def test_a_domain_step_looks_each_source_up_once(tmp_path, monkeypatch, kind):
+    """The domain terms of a step share one weight table (`Tape.weights`),
+    so a step with 2 sources makes 2 `obs_rows` lookups."""
+    calls = []
+    real = dk.obs_rows
+    monkeypatch.setattr(dk, "obs_rows",
+                        lambda *a: calls.append(1) or real(*a))
+    counts = []
+    for steps in (1, 2):
+        doc = base_doc(tmp_path / str(steps), source=["source", "target"],
+                       objective={"kind": kind, "lambda": 0.5},
+                       trainer={"lr": 0.1, "steps": steps, "train_n": 40,
+                                "seed": 2},
+                       eval={"ci_pairs": 0})
+        calls.clear()
+        harness.run_experiment(harness.config_from_dict(doc))
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 2
 
 
 # Values of the wrong JSON type for each field annotation.

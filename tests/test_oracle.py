@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cldlab import cld_core, oracle
+from cldlab.errors import ShapeMismatch
 from cldlab.rng import substream
 
 # Binary cross-entropy of a 0.75 coin, the best any A-reading model can do on
@@ -239,6 +240,39 @@ class TestCiIndex:
         ci_b = oracle.exact_ci_index(family, source, b_only_table())
         ci_a = oracle.exact_ci_index(family, source, a_only_table(family))
         assert ci_b < ci_a == 1.0
+
+    @pytest.mark.parametrize("style", ["marginal", "uniform"])
+    @pytest.mark.parametrize("which", ["CANON-D", "CANON-N", "CLD3"])
+    def test_matches_a_loop_over_latent_pairs(self, which, style):
+        """1 - sum over (c, n, m) of P(c, n) q(m) JSD(fused[c, n],
+        fused[c, m]), q the partner law of the style, on random tables."""
+        if which == "CLD3":
+            family, domains = cld_core.random_family(5, variant="CLD3",
+                                                     n_domains=2)
+        else:
+            family, *domains = cld_core.canonical_fixture(which)
+        s = family.spaces
+        rng = substream(1, "ci-loop")
+        for domain in domains:
+            table = oracle.random_predictor(s, rng)
+            fused = oracle.fuse(family, table).p_yhat_given_cn
+            q = (domain.noncore_marginal() if style == "marginal"
+                 else np.full(s.n_noncore, 1.0 / s.n_noncore))
+            total = 0.0
+            for c in range(s.n_core):
+                for n in range(s.n_noncore):
+                    for m in range(s.n_noncore):
+                        total += domain.p_cn[c, n] * q[m] * float(
+                            oracle.jsd2(fused[c, n], fused[c, m]))
+            got = oracle.exact_ci_index(family, domain, table, style)
+            assert got == pytest.approx(1.0 - total, abs=1e-12)
+        assert oracle.exact_ci_index(family, domains[0], table) == \
+            oracle.exact_ci_index(family, domains[0], table, "marginal")
+
+    def test_an_unknown_style_is_refused(self, canon_d):
+        family, source, _ = canon_d
+        with pytest.raises(ShapeMismatch, match="unknown pair style"):
+            oracle.exact_ci_index(family, source, b_only_table(), "swap")
 
 
 class TestSupport:

@@ -440,11 +440,11 @@ class Tape:
 
     Every term that reads observation indices reads rows of one table: the
     forward over every observation, `arange(n_obs)`, that `obs_rows` runs
-    the first time a term asks for it and keeps here.  A training step
-    therefore runs one forward whatever its terms (plus one per adversary,
-    whose inputs are feature rows).  `last` is the table of the latest
-    forward on the tape, and `weights` the domain terms' weight table on
-    `table`, built once per step.
+    the first time a term asks for it and keeps here (RSC runs it with its
+    feature masks).  A step therefore runs one forward whatever its terms
+    (plus one per adversary, whose inputs are feature rows).  `last` is the
+    table of the latest forward on the tape, and `weights` the domain terms'
+    weight table on `table`, built once per step.
     """
 
     def __init__(self, model: Model):
@@ -460,7 +460,7 @@ class Tape:
         self.table: ObsTable | None = None
         self.last: ObsTable | None = None
         # (batches, W): the sources' cell weights on table, kept by the
-        # objectives' domain terms (`objectives._domain_weights`)
+        # objectives' domain terms (`objectives._domain_tables`)
         self.weights: tuple | None = None
 
     def node(self, name: str) -> Node:
@@ -489,10 +489,11 @@ def forward(model: Model, inputs, tape: Tape | None = None, *,
     `inputs` may be observation indices (embedded via the model's fixed map),
     ready real vectors, or a live Node of features from another graph (how
     reversed features reach an adversary).  `feature_mask` multiplies H
-    before the head (selective muting).  Training terms do not call this on
-    indices: they read rows of the tape's observation table (`obs_rows`),
-    whose forward is this one over every observation, so the finiteness
-    check covers every observation's row.
+    before the head (selective muting); a [D, 1, u] mask gives D masked
+    tables in the one node, [D, rows, ...].  Training terms read the tape's
+    observation table (`obs_rows`), whose forward is this one over every
+    observation, so the finiteness check covers every observation's row;
+    RSC's masked forward over every observation is its step's one forward.
 
     The values are computed in numpy, and the fused node's vjp is the
     closed-form backprop of the adjoints of any of the table's fields:

@@ -390,12 +390,15 @@ def _pairs(kind):
 
 
 def _features(penalty):
-    """Mean domain loss plus penalty(cell features, weights, counts, objective)."""
+    """Mean domain loss plus penalty(features, weights, counts, objective)
+    on the observation table's feature rows once per source, weighted by
+    W.sum(y)[d] and counting the source's rows (population: cells) there."""
     def build(c: _Step):
-        feats = [ob.table_rows(c.model, b.inputs, c.tape, "h")
-                 for b in c.batches]
-        return _loss(c), penalty(feats, [b.weights for b in c.batches],
-                                 [b.counts for b in c.batches],
+        table, w = ob._domain_tables(c.model, c.batches, c.tape)
+        counts = [np.bincount(b.inputs, b.counts, w.shape[1]).astype(np.int64)
+                  for b in c.batches]
+        return _loss(c), penalty([table.h] * len(c.batches),
+                                 list(w.sum(axis=-1)), counts,
                                  c.run.cfg.objective)
     return build
 
@@ -411,9 +414,8 @@ def _adversarial(losses):
 
 
 def _sd(model, batches, tape):
-    zs = [ob.sd_penalty(ob.table_rows(model, b.inputs, tape, "z"), b.weights)
-          for b in batches]
-    return dk.nmean(dk.stack_list(zs))
+    table, w = ob._domain_tables(model, batches, tape)
+    return ob.sd_penalty(table.z, w.sum(axis=-1).mean(axis=0))
 
 
 def _group_dro(c: _Step):
@@ -430,9 +432,9 @@ def _mixup(c: _Step):
 
 
 def _rsc(c: _Step):
-    q = c.run.cfg.objective.extra("q")
-    return dk.nmean(dk.stack_list([ob.rsc_mask(c.model, b, q, c.tape)[0]
-                                   for b in c.batches])), None
+    losses, _, _ = ob.rsc_losses(c.model, c.batches,
+                                 c.run.cfg.objective.extra("q"), c.tape)
+    return dk.nmean(losses), None
 
 
 # AND_MASK trains on masked domain gradients (see _train); its entry

@@ -4,10 +4,11 @@ Each entry either builds a scalar loss node on a shared tape (so one backward
 pass trains everything jointly) or transforms gradients/forwards directly.
 
 Every term that reads observation indices (domain cells, pair tables)
-reads rows of the tape's observation table, `diffkit.obs_rows`:
-one forward over every observation gives H, z, log p and p, and a step runs
-that forward once whatever its terms.  Only inputs that are not indices
-(mixed rows, an adversary's feature rows) get a forward of their own.
+reads the tape's whole observation table, `diffkit.obs_rows`, with weights
+on its rows: one forward over every observation (RSC's with a feature mask
+per source) gives H, z, log p and p, and a step runs it once whatever its
+terms.  Only inputs that are not indices (mixed rows, an adversary's
+feature rows) get a forward of their own.
 
 Conventions fixed here once:
   * variance across domains is population variance (divide by K);
@@ -21,8 +22,9 @@ Conventions fixed here once:
     recomputed per batch and kept inside the graph;
   * a batch is a table of (x, y) cells with their probabilities and, for a
     sample, the rows each stands for, so cells give the values of the rows;
-  * the domain terms (FISH, IGA, FISHR, IRM, DANN, CDANN) read the sources
-    as one cell-weight table W[d, x, y] on the observation table;
+  * the domain terms (the domain losses, FISH, IGA, IRM, SD, RSC, DANN,
+    CDANN, CORAL and MMD) read the sources as one cell-weight table
+    W[d, x, y] on the observation table and refuse other inputs;
   * gradient penalties map logit adjoints through one closed-form backprop
     (`_grads`) as ops on the table, so a step needs one first-order backward;
   * the domain losses, the pair regularizers and LAM read the table on its
@@ -219,21 +221,6 @@ def _weights(batch: DomainBatch) -> np.ndarray:
     return batch.weights if batch.weights is not None else np.full(n, 1.0 / n)
 
 
-def table_rows(model: Model, inputs, tape: Tape, part: str) -> Node:
-    """The rows of inputs' forward, part "h", "z", "logp" or "p", gathered
-    from the tape's observation table (see `diffkit.obs_rows`)."""
-    table, rows = dk.obs_rows(model, inputs, tape)
-    return dk.gather_rows(getattr(table, part), rows)
-
-
-def _nll(z: Node, labels, weights) -> Node:
-    """Weighted sum over rows of -log softmax(z)[row, label], in nats."""
-    picked = dk.take_cols(dk.log_softmax_rows(z),
-                          np.asarray(labels, dtype=np.int64))
-    w = dk.constant(np.asarray(weights, dtype=np.float64))
-    return dk.neg(dk.nsum(dk.mul(picked, w)))
-
-
 def _soft_nll(logp: Node, w: np.ndarray) -> Node:
     """-sum(w * logp) over the trailing [rows, C] axes of a weight table w:
     one entry for each [rows, C] table left after broadcasting."""
@@ -259,49 +246,41 @@ def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node
                                              table.logp.val.shape[-2:]))
 
 
-def _domain_weights(model: Model, batches: list[DomainBatch], tape: Tape):
-    """(W, looked): the sources' cell weights on the tape's observation
-    table, W[d, x, y] of shape [D, n_obs, C], and each batch's `obs_rows`
-    lookup.  W is built on the tape's first call for this batch list and
-    kept as `tape.weights`, so a step's domain terms share one; it is None
-    unless every batch is observation indices on a model with an
-    embedding."""
-    if tape.weights is not None and tape.weights[0] is batches:
-        return tape.weights[1], None
-    looked = [dk.obs_rows(model, b.inputs, tape) for b in batches]
-    if any(t is not tape.table for t, _ in looked):
-        return None, looked
-    shape = tape.table.logp.val.shape[-2:]
-    w = np.stack([_cell_table(b, rows, shape)
-                  for b, (_, rows) in zip(batches, looked)])
-    tape.weights = (batches, w)
-    return w, looked
+def _index_rows(model: Model, batch: DomainBatch) -> np.ndarray:
+    """The batch's inputs, which must be observation indices on a model with
+    an embedding: the rows of the tape's observation table that they name."""
+    x = np.asarray(batch.inputs)
+    if (model.embedding is None or x.ndim != 1
+            or not np.issubdtype(x.dtype, np.integer)):
+        raise ShapeMismatch("domain terms need observation-index batches on "
+                            "a model with an embedding")
+    return x
 
 
 def _domain_tables(model: Model, batches: list[DomainBatch],
                    tape: Tape) -> tuple[dk.ObsTable, np.ndarray]:
     """(table, W): the tape's observation table and the sources' cell
-    weights on it (`_domain_weights`).  Only observation indices on a model
-    with an embedding have such a table."""
-    w, _ = _domain_weights(model, batches, tape)
-    if w is None:
-        raise ShapeMismatch("domain terms need observation-index batches on "
-                            "a model with an embedding")
-    return tape.table, w
+    weights on it, W[d, x, y] of shape [D, n_obs, C], from one `obs_rows`
+    lookup per source.  W is built on the tape's first call for this batch
+    list and kept as `tape.weights`, so a step's domain terms share one.
+    Batches that are not observation indices (`_index_rows`) are refused."""
+    if tape.weights is None or tape.weights[0] is not batches:
+        looked = [dk.obs_rows(model, _index_rows(model, b), tape)[1]
+                  for b in batches]
+        shape = tape.table.logp.val.shape[-2:]
+        tape.weights = (batches, np.stack([
+            _cell_table(b, rows, shape) for b, rows in zip(batches, looked)]))
+    return tape.table, tape.weights[1]
 
 
 def domain_loss_vector(model: Model, batches: list[DomainBatch],
                        tape: Tape) -> Node:
     """The domain losses as one [D] node: -sum(W_d * log p) over the
-    sources' cell-weight tables W (`_domain_weights`) and the tape's
+    sources' cell-weight tables W (`_domain_tables`) and the tape's
     log-softmax table.  On a stack of R runs the table is [R, n, C] and the
     node [D, R]."""
-    w, looked = _domain_weights(model, batches, tape)
-    if w is not None:  # [D, 1, n, C] on a stack
-        return _soft_nll(tape.table.logp, w[:, None] if model.runs else w)
-    # inputs that are not indices: each batch has a forward of its own
-    return dk.stack_list([_soft_nll(t.logp, _cell_table(
-        b, rows, t.logp.val.shape[-2:])) for b, (t, rows) in zip(batches, looked)])
+    table, w = _domain_tables(model, batches, tape)
+    return _soft_nll(table.logp, w[:, None] if model.runs else w)
 
 
 def domain_losses(model: Model, batches: list[DomainBatch],
@@ -626,29 +605,43 @@ def sd_penalty(logits: Node, weights: np.ndarray | None = None) -> Node:
     return dk.nsum(dk.mul(sq, dk.constant(np.asarray(weights, dtype=np.float64))))
 
 
-def rsc_mask(model: Model, batch: DomainBatch, q: float,
-             tape: Tape | None = None):
-    """Mute the feature units whose true-class logit gradients are largest.
+def rsc_losses(model: Model, batches: list[DomainBatch], q: float,
+               tape: Tape | None = None):
+    """Mute, for each source, the feature units whose true-class logit
+    gradients are largest, and score the sources on their masked features.
 
-    Returns (masked loss node, muted unit indices, tape).  The score is the
-    batch's weighted mean absolute gradient of the true-class logit w.r.t.
-    H, which for the linear head is |head[unit, y]|; the top ceil(q*u) units
-    are muted, ties muting higher indices first.
+    Returns (the [D] node of masked domain losses, each batch's muted unit
+    indices, tape).  A batch's score is its weighted mean absolute gradient
+    of the true-class logit w.r.t. H, which for the linear head is
+    |head[unit, y]|; the top ceil(q*u) units are muted, ties muting higher
+    indices first.  One forward over every observation with a [D, 1, u]
+    feature mask gives the D masked tables, read with the sources' cell
+    weights W[d, x, y]; it is the step's one forward.
     """
     if not 0.0 < q < 1.0:
         raise ShapeMismatch("q must be in (0,1)")
+    rows = [_index_rows(model, b) for b in batches]
     tape = tape if tape is not None else Tape(model)
     u = model.u_count
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    score = _weights(batch) @ np.abs(model.head[:u, labels].T)
-    n_mute = int(np.ceil(q * u))
-    order = sorted(range(u), key=lambda i: (-score[i], -i))
-    muted = sorted(order[:n_mute])
-    mask = np.ones(u)
-    mask[muted] = 0.0
-    h = dk.mul(table_rows(model, batch.inputs, tape, "h"), dk.constant(mask))
-    z = dk.matmul(dk.concat_ones(h), tape.node("head"))
-    return _nll(z, batch.labels, _weights(batch)), muted, tape
+    masks, muted = np.ones((len(batches), 1, u)), []
+    for mask, b in zip(masks, batches):
+        labels = np.asarray(b.labels, dtype=np.int64)
+        score = _weights(b) @ np.abs(model.head[:u, labels].T)
+        order = sorted(range(u), key=lambda i: (-score[i], -i))
+        muted.append(sorted(order[:int(np.ceil(q * u))]))
+        mask[0, muted[-1]] = 0.0
+    shape = (model.embedding.shape[0], model.n_classes)
+    dk.forward(model, np.arange(shape[0]), tape, feature_mask=masks)
+    w = np.stack([_cell_table(b, r, shape) for b, r in zip(batches, rows)])
+    return _soft_nll(tape.last.logp, w), muted, tape
+
+
+def rsc_mask(model: Model, batch: DomainBatch, q: float,
+             tape: Tape | None = None):
+    """`rsc_losses` of one batch: (masked loss node, muted unit indices,
+    tape)."""
+    losses, muted, tape = rsc_losses(model, [batch], q, tape)
+    return dk.reshape(losses, ()), muted[0], tape
 
 
 # ---------------------------------------------------------------------------
@@ -783,9 +776,10 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
     weights optionally gives each domain's row weights (uniform by default),
     counts the sample rows each feature row stands for (one by default).
     Within-domain sums drop the pairs of a row with itself (kernel value 1,
-    mass s = sum(w^2 / count)) and renormalize by 1 - s, so cells with
-    counts give their rows' value.  Without a bandwidth each pair uses the
-    median heuristic on its pooled rows.  The estimator may dip below zero;
+    mass s = sum(w^2 / count) over rows with a count) and renormalize by
+    1 - s, so cells with counts give their rows' value and a row of no
+    count adds nothing.  Without a bandwidth each pair uses the median
+    heuristic on its pooled rows.  The estimator may dip below zero;
     the returned node is clamped at zero and the raw value is reported
     alongside.
     """
@@ -806,7 +800,8 @@ def mmd_penalty(features_by_domain, bandwidth: float | None = None,
             np.concatenate([wa, np.zeros(wb.size)]),
             np.concatenate([np.zeros(wa.size), wb])], axis=1))
         gram = dk.matmul(dk.t2(side), dk.matmul(kmat, side))
-        sa, sb = float(wa @ (wa / ma)), float(wb @ (wb / mb))
+        sa, sb = (float(w[m > 0] @ (w[m > 0] / m[m > 0]))
+                  for w, m in ((wa, ma), (wb, mb)))
         coef = dk.constant([[1.0 / (1.0 - sa), -1.0],
                             [-1.0, 1.0 / (1.0 - sb)]])
         diag = sa / (1.0 - sa) + sb / (1.0 - sb)
@@ -920,9 +915,8 @@ def mixup_loss(model: Model, mixed: list[MixupBatch],
     """Mean over the batches of each one's soft_label_loss, from one forward
     of all their rows."""
     tape = tape if tape is not None else Tape(model)
-    logp = table_rows(model, np.concatenate([m.inputs for m in mixed]), tape,
-                      "logp")
-    return _soft_nll(logp, np.concatenate(
+    dk.forward(model, np.concatenate([m.inputs for m in mixed]), tape)
+    return _soft_nll(tape.last.logp, np.concatenate(
         [m.soft_labels / (len(mixed) * len(m.soft_labels)) for m in mixed]))
 
 

@@ -403,6 +403,37 @@ def test_fused_forward_with_a_feature_mask_matches_finite_differences():
     assert dk.finite_diff_check(model, None, loss, eps=1e-5) < 1e-5
 
 
+def test_a_stack_of_feature_masks_gives_each_masks_forward():
+    """A [2, 1, u] feature mask gives, in one fused node, the forwards of
+    its two masks: values bitwise, the parameter gradient of a sum over
+    both the sum of the one-mask gradients, and the difference quotient's
+    gradient."""
+    masks = np.array([[[1.0, 0.0, 1.0, 1.0, 0.0]], [[0.0, 1.0, 1.0, 0.0, 1.0]]])
+    model = _fused_model((6, 5), False)
+    rng = np.random.default_rng(8)
+    adjoints = {name: rng.normal(size=(2, 4, 5 if name == "h" else 3))
+                for name in ("h", "z", "logp", "p")}
+
+    def loss(m, mask, t, part=slice(None)):
+        dk.forward(m, np.arange(4), t, feature_mask=mask)
+        return dk.nsum(dk.stack_list([
+            dk.nsum(dk.mul(getattr(t.last, name), dk.constant(c[part])))
+            for name, c in adjoints.items()]))
+
+    both = dk.Tape(model)
+    grad = dk.backward(both, loss(model, masks, both))
+    grads = []
+    for k in range(2):
+        one = dk.Tape(model)
+        grads.append(dk.backward(one, loss(model, masks[k, 0], one, k)))
+        for name in adjoints:
+            assert np.array_equal(getattr(both.last, name).val[k],
+                                  getattr(one.last, name).val)
+    np.testing.assert_allclose(grad, grads[0] + grads[1], rtol=1e-12,
+                               atol=1e-12 * np.abs(grad).max())
+    assert dk.finite_diff_check(model, masks, loss, eps=1e-5) < 1e-5
+
+
 def test_fused_forward_passes_the_adjoint_to_a_live_input():
     """A feature-node input gets the adjoint of its own rows, with the
     adjoints injected at its layer-input field added."""

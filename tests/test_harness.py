@@ -760,7 +760,8 @@ def test_a_stack_evaluates_as_its_runs(tmp_path, kind):
     assert (kind == "ERM") == (pens == [0.0] * 3)
 
 
-@pytest.mark.parametrize("kind", ["VREX", "GROUP_DRO", "FISH", "IGA", "IRM"])
+@pytest.mark.parametrize("kind", ["VREX", "GROUP_DRO", "FISH", "IGA", "IRM",
+                                  "SD", "CORAL", "MMD"])
 def test_a_domain_step_looks_each_source_up_once(tmp_path, monkeypatch, kind):
     """The domain terms of a step share one weight table (`Tape.weights`),
     so a step with 2 sources makes 2 `obs_rows` lookups."""

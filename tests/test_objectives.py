@@ -536,6 +536,30 @@ def test_weighted_feature_penalties_match_the_defining_sums():
     assert got == pytest.approx(coral, rel=1e-12)
 
 
+def test_mmd_rows_that_stand_for_no_sample_row_add_nothing():
+    """A row of zero weight and zero count leaves mmd_penalty's value and
+    the gradient in the other rows as they are."""
+    rng = np.random.default_rng(6)
+    fa, fb = rng.normal(size=(4, 3)), rng.normal(0.8, 1.0, size=(5, 3))
+    ma, mb = np.array([2, 1, 3, 2]), np.array([1, 1, 2, 3, 1])
+
+    def measured(empty_row: bool):
+        a, b = dk.constant(fa), dk.constant(fb)
+        rows, wa, counts = a, ma / ma.sum(), ma
+        if empty_row:
+            rows = dk.concat([a, dk.constant(rng.normal(size=(1, 3)))])
+            wa, counts = np.append(wa, 0.0), np.append(ma, 0)
+        res = ob.mmd_penalty([rows, b], None, [wa, mb / mb.sum()], [counts, mb])
+        return res.raw, [g.val for g in dk.grad_nodes(res.node, [a, b])]
+
+    (raw, grads), (raw_empty, grads_empty) = measured(False), measured(True)
+    assert raw > 0.0
+    assert raw_empty == pytest.approx(raw, rel=1e-12, abs=0)
+    for g, g_empty in zip(grads, grads_empty):
+        np.testing.assert_allclose(g_empty, g, rtol=1e-12,
+                                   atol=1e-12 * np.abs(g).max())
+
+
 def _features(m, bs, t):
     return [dk.forward(m, b.inputs, t)[0] for b in bs]
 
@@ -954,6 +978,10 @@ def _built_nodes(build) -> int:
 
 
 DOMAIN_TERMS = {
+    "VREX": lambda m, bs, t: ob.vrex_penalty(m, bs, t),
+    "GROUP_DRO": lambda m, bs, t: ob.group_dro(m, bs, t),
+    "SD": lambda m, bs, t: harness._sd(m, bs, t),
+    "RSC": lambda m, bs, t: ob.rsc_losses(m, bs, 0.33, t)[0],
     "FISH": lambda m, bs, t: ob.fish_penalty(m, bs, t),
     "IGA": lambda m, bs, t: ob.iga_penalty(m, bs, t),
     "FISHR": lambda m, bs, t: ob.fishr_penalty(m, bs, t),
@@ -991,6 +1019,55 @@ def test_domain_gradient_rows_are_each_domains_loss_gradient(mode):
         want = dk.backward(tape, ob.erm_loss(model, b, tape))
         np.testing.assert_allclose(got[d], want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
+
+
+def _per_batch_form(kind, model, bs, tape):
+    """kind's penalty (RSC: its base loss) built as the public functions on
+    each batch's direct dk.forward, with RSC's masked head written as ops."""
+    direct = [dk.forward(model, b.inputs, tape)[:2] for b in bs]
+    feats = [h for h, _ in direct]
+    weights, counts = [b.weights for b in bs], [b.counts for b in bs]
+    if kind == "CORAL":
+        return ob.coral_penalty(feats, weights, counts)
+    if kind == "MMD":
+        return ob.mmd_penalty(feats, None, weights, counts).node
+    if kind == "SD":
+        return dk.nmean(dk.stack_list([ob.sd_penalty(z, b.weights)
+                                       for (_, z), b in zip(direct, bs)]))
+    u, losses = model.u_count, []
+    for h, b in zip(feats, bs):
+        score = b.weights @ np.abs(model.head[:u, b.labels].T)
+        mask = np.ones(u)  # the top ceil(q u) scores, ties higher index first
+        mask[np.lexsort((-np.arange(u), -score))[:math.ceil(0.33 * u)]] = 0.0
+        z = dk.matmul(dk.concat_ones(dk.mul(h, dk.constant(mask))),
+                      tape.node("head"))
+        picked = dk.take_cols(dk.log_softmax_rows(z), b.labels)
+        losses.append(dk.neg(dk.nsum(dk.mul(picked, dk.constant(b.weights)))))
+    return dk.nmean(dk.stack_list(losses))
+
+
+@pytest.mark.parametrize("kind,mode", [
+    (kind, mode) for kind in ("SD", "RSC", "CORAL", "MMD")
+    for mode in ("gd", "sgd", "population")
+    if not (kind == "MMD" and mode == "population")])  # a sample estimator
+def test_table_builders_give_the_per_batch_values(kind, mode):
+    """The harness builders of SD, RSC, CORAL and MMD read the whole
+    observation table with the step's W (RSC: from one masked forward), and
+    give the penalty (RSC: the base loss) and parameter gradient of the
+    same functions on each batch's own forward, within 1e-12 relative."""
+    model, bs = _domain_case(mode)
+    cfg = harness.ExperimentConfig("CANON-D", ("a", "b", "c"), "c",
+                                   ob.ObjectiveConfig(kind, 1.0))
+    tape = dk.Tape(model)
+    base, pen = harness.OBJECTIVE_BUILDERS[kind](harness._Step(
+        model, tape, harness._RunState(cfg, 0, 1.0), bs, 1))
+    got = base if kind == "RSC" else pen
+    direct_tape = dk.Tape(model)
+    want = _per_batch_form(kind, model, bs, direct_tape)
+    assert float(got.val) == pytest.approx(float(want.val), rel=1e-12, abs=0)
+    g_want = dk.backward(direct_tape, want)
+    np.testing.assert_allclose(dk.backward(tape, got), g_want, rtol=1e-12,
+                               atol=1e-12 * np.abs(g_want).max())
 
 
 def _part_rows_loss(model, tape, adversary, adv_tape, parts):
@@ -1072,7 +1149,8 @@ def test_adversaries_match_the_part_rows_reference(kind, case):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
-@pytest.mark.parametrize("kind", ["FISH", "IGA", "IRM", "DANN", "CDANN"])
+@pytest.mark.parametrize("kind", ["VREX", "GROUP_DRO", "SD", "RSC", "FISH",
+                                  "IGA", "IRM", "DANN", "CDANN"])
 @pytest.mark.parametrize("inputs", ["no-embedding", "ready-vectors"])
 def test_domain_terms_refuse_raw_rows(kind, inputs):
     """The domain terms read the observation table, so batches that are not

@@ -1,10 +1,10 @@
 """Reverse-mode tape on numpy arrays.
 
 The tape is first-order: each op's vjp maps an adjoint array to one array
-per parent, and a backward pass builds no graph.  Penalties on gradients
-(gradient alignment, gradient variance, the scalar-multiplier surrogate)
-differentiate `objectives._grads`, which writes the backprop of logit
-adjoints in closed form as ordinary ops on the observation table.
+per parent, and a backward pass builds no graph.  Penalties on parameter
+gradients (gradient alignment, gradient variance) differentiate
+`objectives._grads`, which writes the backprop of logit adjoints in closed
+form as ordinary ops on the observation table.
 
 Model decomposition is fixed: a constant embedding of discrete inputs, dense
 rectifier layers producing the feature row H, and a linear head whose bias is
@@ -15,6 +15,11 @@ The network is one tape node (`forward`): its table of H, z, log p, p and
 each layer's input rows is computed in numpy, the fields are views of that
 node, and its vjp is the network's closed-form backprop of the adjoints of
 any of the fields, so a forward adds the same few nodes at any depth.
+Terms that read only the table are closed forms on that node
+(`ObsTable.term`): a numpy value and a map from the term's adjoint to the
+fields' adjoints, one node each, so a training step of those terms is one
+node on the forward and its backward visits that node, the forward and the
+parameter leaves.
 
 Ops act on the trailing axes, so a model whose parameter arrays carry a
 leading run axis (`stack_runs`) trains R runs on one tape: every value
@@ -134,23 +139,30 @@ def _axes(shape: tuple, axis) -> tuple:
     return axis if isinstance(axis, tuple) else (axis,)
 
 
-def nsum(a: Node, axis=None, keepdims: bool = False) -> Node:
+def _reduced(a: Node, axis, keepdims: bool, scale) -> Node:
+    """a's sum over axis, times scale unless it is None, as one node."""
     shape = a.val.shape
     kshape = list(shape)  # the sum's shape with the summed axes kept
     for ax in _axes(shape, axis):
         kshape[ax] = 1
+    val = a.val.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
         out = np.empty(shape)  # filled by broadcasting, cheaper than broadcast_to
-        out[...] = np.reshape(g, kshape)
+        out[...] = np.reshape(g if scale is None else g * scale, kshape)
         return (out,)
 
-    return Node(a.val.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return Node(val if scale is None else val * scale, (a,), vjp)
+
+
+def nsum(a: Node, axis=None, keepdims: bool = False) -> Node:
+    return _reduced(a, axis, keepdims, None)
 
 
 def nmean(a: Node, axis=None, keepdims: bool = False) -> Node:
-    total = math.prod(a.val.shape[ax] for ax in _axes(a.val.shape, axis))
-    return mul(nsum(a, axis=axis, keepdims=keepdims), constant(1.0 / total))
+    """The sum over axis times 1 / count, as one node."""
+    count = math.prod(a.val.shape[ax] for ax in _axes(a.val.shape, axis))
+    return _reduced(a, axis, keepdims, 1.0 / count)
 
 
 def _placed(shape: tuple, where, g: np.ndarray) -> np.ndarray:
@@ -170,14 +182,6 @@ def take_cols(a: Node, cols: np.ndarray) -> Node:
     """Entry cols[i] of each row i: [..., n, k] to [..., n]."""
     where = (..., np.arange(a.val.shape[-2]), np.asarray(cols, dtype=np.int64))
     return Node(a.val[where], (a,), lambda g: (_placed(a.val.shape, where, g),))
-
-
-def index0(a: Node, i: int) -> Node:
-    if a.val.ndim != 1:
-        raise ShapeMismatch("index0 supports 1-d stacks only")
-    onehot = np.zeros(a.val.shape[0])
-    onehot[i] = 1.0
-    return Node(a.val[i], (a,), lambda g: (onehot * g,))
 
 
 def stack_list(nodes: list[Node]) -> Node:
@@ -401,26 +405,35 @@ class _Fields(dict):
         return out
 
 
+class Term(Node):
+    """A node on one forward's fused node (`ObsTable.term`), whose vjp
+    hands the adjoints of the table's fields to it directly."""
+
+    __slots__ = ("table",)
+
+
 class ObsTable:
     """One forward's rows as graph nodes: features H, logits z, their
     log-softmax, the probabilities p = exp(logp), and each dense layer's
     input rows, first layer first (the embedded inputs, then the features
-    of every layer but the last).
+    of every layer but the last).  `vals` holds the arrays by field key
+    ("h", "z", "logp", "p", or layer l's index).
 
-    The forward is one fused node; each field is a view of it, built on
-    first read, that hands its adjoint to the fused node under the field's
-    key ("h", "z", "logp", "p", or layer l's index)."""
+    The forward is one fused node.  A term written in closed form on the
+    arrays is one node on it (`term`); each field is also a view of it,
+    built on first read, that hands its adjoint to the fused node under
+    the field's key."""
 
-    __slots__ = ("_node", "_vals", "_views", "_n_layers")
+    __slots__ = ("_node", "vals", "_views", "_n_layers")
 
     def __init__(self, node: Node, vals: dict, n_layers: int):
-        self._node, self._vals, self._views = node, vals, {}
+        self._node, self.vals, self._views = node, vals, {}
         self._n_layers = n_layers
 
     def _view(self, key) -> Node:
         view = self._views.get(key)
         if view is None:
-            view = self._views[key] = Node(self._vals[key], (self._node,),
+            view = self._views[key] = Node(self.vals[key], (self._node,),
                                            lambda g: (_Fields({key: g}),))
         return view
 
@@ -433,6 +446,22 @@ class ObsTable:
     def layers(self) -> tuple:
         return tuple(self._view(layer) for layer in range(self._n_layers))
 
+    def term(self, value, vjp, *extra) -> Term:
+        """A term in closed form as one node whose parents are the fused
+        node and the extra nodes: vjp maps the term's adjoint to a dict of
+        the fields' adjoints by key, or, with extra nodes, to (that dict,
+        one adjoint per extra node)."""
+        if extra:
+            def adjoints(g):
+                fields, *rest = vjp(g)
+                return (_Fields(fields), *rest)
+        else:
+            def adjoints(g):
+                return (_Fields(vjp(g)),)
+        node = Term(value, (self._node, *extra), adjoints)
+        node.table = self
+        return node
+
 
 class Tape:
     """Leaf nodes for one step's parameters, and the step's observation
@@ -444,7 +473,8 @@ class Tape:
     feature masks).  A step therefore runs one forward whatever its terms
     (plus one per adversary, whose inputs are feature rows).  `last` is the
     table of the latest forward on the tape, and `weights` the domain terms'
-    weight table on `table`, built once per step.
+    weight table on `table`, built once per tape; a step whose batch list is
+    its run's previous one takes that step's table from `carried`.
     """
 
     def __init__(self, model: Model):
@@ -462,6 +492,7 @@ class Tape:
         # (batches, W): the sources' cell weights on table, kept by the
         # objectives' domain terms (`objectives._domain_tables`)
         self.weights: tuple | None = None
+        self.carried: tuple | None = None  # the previous step's weights
 
     def node(self, name: str) -> Node:
         return self.param_nodes[self.names.index(name)]

@@ -360,10 +360,16 @@ class _Step:
     step: int
 
     @functools.cached_property
-    def losses(self) -> dk.Node:
-        """The sources' domain losses as one [D] node, built on first use:
-        the base loss and the loss-reading penalties share it."""
-        return ob.domain_loss_vector(self.model, self.batches, self.tape)
+    def losses(self):
+        """The closed form of the sources' domain losses on the step's
+        table ([D], [D, R] on a stack), built on first use: the base loss
+        and the loss-reading penalties share it."""
+        return ob._domain_nll(self.model, self.batches, self.tape)[1]
+
+    def term(self, outer):
+        """outer, a closed form on the domain losses, as one node."""
+        form = ob._then(self.losses, outer)  # runs the forward first
+        return self.tape.table.term(*form)
 
 
 # An objective builder maps a _Step to (base, pen): pen is the regularizer
@@ -371,7 +377,7 @@ class _Step:
 # base trains on base alone and logs it as its penalty.
 
 def _loss(c: _Step):
-    return dk.nmean(c.losses, axis=0)
+    return c.term(ob._mean)
 
 
 def _loss_only(c: _Step):
@@ -414,12 +420,15 @@ def _adversarial(losses):
 
 
 def _sd(model, batches, tape):
+    """SD on the observation table's logits, each row weighted by its mean
+    cell weight over the sources."""
     table, w = ob._domain_tables(model, batches, tape)
-    return ob.sd_penalty(table.z, w.sum(axis=-1).mean(axis=0))
+    value, vjp = ob._sd(table.vals["z"], w.sum(axis=-1).mean(axis=0))
+    return table.term(value, lambda g: {"z": vjp(g)})
 
 
 def _group_dro(c: _Step):
-    worst = ob.group_dro_from_losses(c.losses)
+    worst = c.term(ob._worst)
     return worst, worst
 
 
@@ -447,7 +456,7 @@ OBJECTIVE_BUILDERS = {
     "PAIR_LOGIT": _pairs("LOGIT"),
     "PAIR_FEAT": _pairs("FEAT"),
     "LAM": _pairs("LAM"),
-    "VREX": lambda c: (_loss(c), ob.vrex_from_losses(c.losses)),
+    "VREX": lambda c: (_loss(c), c.term(ob._variance)),
     "FISH": _cells(ob.fish_penalty),
     "IGA": _cells(ob.iga_penalty),
     "FISHR": _cells(ob.fishr_penalty),
@@ -468,11 +477,23 @@ OBJECTIVE_BUILDERS = {
 
 
 def _penalty_and_total(c: _Step):
-    """Build (total_node, penalty_node) for one step on its tape."""
+    """Build (total_node, penalty_node) for one step on its tape.  When
+    base and pen are terms on one table (`dk.Term`), the total is one
+    more term whose vjp is theirs, base's at the total's adjoint g and
+    pen's at lambda g; other builders' total is add and mul nodes."""
     base, pen = OBJECTIVE_BUILDERS[c.run.cfg.objective.kind](c)
+    lam = c.run.lam
     if pen is None or pen is base:
         return base, pen
-    return dk.add(base, dk.mul(dk.constant(c.run.lam), pen)), pen
+    if not (isinstance(base, dk.Term) and isinstance(pen, dk.Term)
+            and base.table is pen.table):
+        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
+    extra = (*base.parents[1:], *pen.parents[1:])
+
+    def vjp(g):
+        (fb, *eb), (fp, *ep) = base.vjp(g), pen.vjp(lam * g)
+        return (fb + fp, *eb, *ep) if extra else fb + fp
+    return base.table.term(base.val + lam * pen.val, vjp, *extra), pen
 
 
 def _eval_penalty(model, run: _RunState, batches) -> list:
@@ -670,11 +691,13 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
                                              target, step, seed, pens)):
             out.extend(_finite(new))
 
+    carried = None  # the previous step's weight table (`Tape.carried`)
     for step in range(1, cfg.trainer.steps + 1):
         step_batches = batches if cfg.trainer.batch_size is None else [
             _minibatch(b, order_rng, cfg.trainer.batch_size) for b in batches]
 
         c = _Step(model, dk.Tape(model), run, step_batches, step)
+        c.tape.carried = carried
         try:
             if kind == "AND_MASK":  # closed-form domain gradients, no backward
                 grads = ob.and_mask(
@@ -692,6 +715,7 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
             opt.step(model, grads)
         except NonFiniteActivation as exc:
             raise NonFiniteActivation(f"step {step}: {exc}") from exc
+        carried = c.tape.weights
 
         if swa and step > swa[0] and (step - swa[0]) % swa[1] == 0:
             run.swa_snapshots.append(model.clone())

@@ -27,9 +27,11 @@ Conventions fixed here once:
     W[d, x, y] on the observation table and refuse other inputs;
   * gradient penalties map logit adjoints through one closed-form backprop
     (`_grads`) as ops on the table, so a step needs one first-order backward;
-  * the domain losses, the pair regularizers and LAM read the table on its
-    trailing axes, so they build unchanged on a stack of runs
-    (`diffkit.stack_runs`), one entry per run.
+  * the terms that read only the table (the soft NLL behind every loss,
+    the four pair kinds, V-REx, GroupDRO, SD and IRM) are closed forms on
+    the forward's arrays, one node each (`diffkit.ObsTable.term`); they
+    reduce over trailing or domain axes only, so on a stack of runs
+    (`diffkit.stack_runs`) they give one entry per run.
 """
 
 from __future__ import annotations
@@ -221,10 +223,38 @@ def _weights(batch: DomainBatch) -> np.ndarray:
     return batch.weights if batch.weights is not None else np.full(n, 1.0 / n)
 
 
-def _soft_nll(logp: Node, w: np.ndarray) -> Node:
-    """-sum(w * logp) over the trailing [rows, C] axes of a weight table w:
-    one entry for each [rows, C] table left after broadcasting."""
-    return dk.neg(dk.nsum(dk.mul(dk.constant(w), logp), axis=(-2, -1)))
+# A closed form is (value, vjp) on the arrays of one forward's table: vjp
+# maps the value's adjoint to the adjoints of the table's fields by key
+# ("logp", "p", "z", "h"), and `ObsTable.term` makes it one node.  The forms
+# below reduce over trailing or domain axes only, never over the run axis.
+
+def _nll(logp: np.ndarray, w: np.ndarray):
+    """The closed form of -sum(w * logp) over the trailing [rows, C] axes
+    of a weight table w: one entry for each [rows, C] table left after
+    broadcasting."""
+    def vjp(g):
+        return {"logp": dk._unbroadcast(-g[..., None, None] * w, logp.shape)}
+    return -(w * logp).sum(axis=(-2, -1)), vjp
+
+
+def _soft_nll(table: dk.ObsTable, w: np.ndarray) -> Node:
+    """`_nll` of the table's log p as one node."""
+    return table.term(*_nll(table.vals["logp"], w))
+
+
+def _then(form, outer):
+    """outer, a closed form on one array (value, vjp to that array), taken
+    of the value of form: the composite's value and vjp to form's fields."""
+    value, vjp = form
+    out, outer_vjp = outer(value)
+    return out, lambda g: vjp(outer_vjp(g))
+
+
+def _applied(outer, node: Node) -> Node:
+    """outer, a closed form on one array, taken of node's value as one node
+    on node."""
+    value, vjp = outer(node.val)
+    return Node(value, (node,), lambda g: (vjp(g),))
 
 
 def _cell_table(batch: DomainBatch, rows: np.ndarray, shape) -> np.ndarray:
@@ -242,8 +272,8 @@ def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node
     """(Weighted) mean negative log-likelihood of the true classes, in nats."""
     tape = tape if tape is not None else Tape(model)
     table, rows = dk.obs_rows(model, batch.inputs, tape)
-    return _soft_nll(table.logp, _cell_table(batch, rows,
-                                             table.logp.val.shape[-2:]))
+    return _soft_nll(table, _cell_table(batch, rows,
+                                        table.vals["logp"].shape[-2:]))
 
 
 def _index_rows(model: Model, batch: DomainBatch) -> np.ndarray:
@@ -262,36 +292,60 @@ def _domain_tables(model: Model, batches: list[DomainBatch],
     """(table, W): the tape's observation table and the sources' cell
     weights on it, W[d, x, y] of shape [D, n_obs, C], from one `obs_rows`
     lookup per source.  W is built on the tape's first call for this batch
-    list and kept as `tape.weights`, so a step's domain terms share one.
-    Batches that are not observation indices (`_index_rows`) are refused."""
+    list and kept as `tape.weights`, so a step's domain terms share one; a
+    tape whose `carried` table is for this batch list (the run's previous
+    step on the same batches) takes that W after its lookups.  Batches that
+    are not observation indices (`_index_rows`) are refused."""
     if tape.weights is None or tape.weights[0] is not batches:
         looked = [dk.obs_rows(model, _index_rows(model, b), tape)[1]
                   for b in batches]
-        shape = tape.table.logp.val.shape[-2:]
-        tape.weights = (batches, np.stack([
-            _cell_table(b, rows, shape) for b, rows in zip(batches, looked)]))
+        if tape.carried is not None and tape.carried[0] is batches:
+            tape.weights = tape.carried
+        else:
+            shape = tape.table.vals["logp"].shape[-2:]
+            tape.weights = (batches, np.stack([
+                _cell_table(b, rows, shape) for b, rows in zip(batches, looked)]))
     return tape.table, tape.weights[1]
+
+
+def _domain_nll(model: Model, batches: list[DomainBatch], tape: Tape):
+    """(table, the closed form of the domain losses): -sum(W_d * log p)
+    over the sources' cell-weight tables W (`_domain_tables`) and the
+    tape's log-softmax table, [D], or [D, R] on a stack of R runs."""
+    table, w = _domain_tables(model, batches, tape)
+    return table, _nll(table.vals["logp"], w[:, None] if model.runs else w)
 
 
 def domain_loss_vector(model: Model, batches: list[DomainBatch],
                        tape: Tape) -> Node:
-    """The domain losses as one [D] node: -sum(W_d * log p) over the
-    sources' cell-weight tables W (`_domain_tables`) and the tape's
-    log-softmax table.  On a stack of R runs the table is [R, n, C] and the
-    node [D, R]."""
-    table, w = _domain_tables(model, batches, tape)
-    return _soft_nll(table.logp, w[:, None] if model.runs else w)
+    """The domain losses (`_domain_nll`) as one [D] node, [D, R] on a
+    stack."""
+    table, losses = _domain_nll(model, batches, tape)
+    return table.term(*losses)
 
 
 def domain_losses(model: Model, batches: list[DomainBatch],
                   tape: Tape) -> list[Node]:
-    losses = domain_loss_vector(model, batches, tape)
-    return [dk.index0(losses, d) for d in range(len(batches))]
+    table, w = _domain_tables(model, batches, tape)
+    return [_soft_nll(table, wd) for wd in w]
+
+
+def _mean(losses: np.ndarray):
+    """The closed form of the mean of [D, *runs] losses over the domain
+    axis, one entry per run."""
+    scale = 1.0 / losses.shape[0]
+
+    def vjp(g):
+        out = np.empty(losses.shape)
+        out[...] = g * scale
+        return out
+    return losses.sum(axis=0) * scale, vjp
 
 
 def mean_domain_loss(model: Model, batches: list[DomainBatch],
                      tape: Tape) -> Node:
-    return dk.nmean(domain_loss_vector(model, batches, tape))
+    table, losses = _domain_nll(model, batches, tape)
+    return table.term(*_then(losses, _mean))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +358,62 @@ def _n_obs(model: Model) -> int:
     return model.embedding.shape[0]
 
 
+def _pair_rows(a: np.ndarray) -> np.ndarray:
+    """a[x] - a[x~] for every pair of rows of a [..., n, d]: [..., n, n, d]."""
+    return a[..., :, None, :] - a[..., None, :, :]
+
+
+def _pair_back(gd: np.ndarray) -> np.ndarray:
+    """The adjoint of a from that of `_pair_rows(a)`."""
+    return gd.sum(axis=-2) - gd.sum(axis=-3)
+
+
+def _pair_prob(logp: np.ndarray, p: np.ndarray, t: np.ndarray):
+    """The closed form of sum over (x, x~) of t[x, x~] times
+    sum_c p_x (log p_x - log p_x~)."""
+    diff, pa = _pair_rows(logp), p[..., :, None, :]
+
+    def vjp(g):
+        each = (g[..., None, None] * t)[..., None]  # each pair's adjoint
+        gd = each * pa
+        return {"p": (each * diff).sum(axis=-2), "logp": _pair_back(gd)}
+    return ((pa * diff).sum(axis=-1) * t).sum(axis=(-2, -1)), vjp
+
+
+def _pair_sq(key: str, a: np.ndarray, t: np.ndarray):
+    """The closed form of sum over (x, x~) of t[x, x~] times the summed
+    squared difference of field key's rows a."""
+    diff = _pair_rows(a)
+
+    def vjp(g):
+        return {key: _pair_back(2.0 * (g[..., None, None] * t)[..., None]
+                                * diff)}
+    return ((diff * diff).sum(axis=-1) * t).sum(axis=(-2, -1)), vjp
+
+
+def _pair_lam(h: np.ndarray, head: np.ndarray, table: np.ndarray):
+    """The closed form of sum over (x, x~, y) of table[x, x~, y] times
+    sum_u head[u, y]^2 (h_x[u] - h_x~[u])^2: its vjp also gives the
+    head's adjoint (zero on the bias row)."""
+    u = h.shape[-1]
+    diff, hu = _pair_rows(h), head[..., :u, :]
+    sq, hsq = diff * diff, hu * hu
+
+    def vjp(g):
+        each = g[..., None, None, None] * table  # [..., n, n, C]
+        gd = 2.0 * (each @ dk._t(hsq)[..., None, :, :]) * diff
+        ghead = np.zeros(head.shape)
+        ghead[..., :u, :] = 2.0 * (dk._t(sq) @ each).sum(axis=-3) * hu
+        return {"h": _pair_back(gd)}, ghead
+    return ((sq @ hsq[..., None, :, :]) * table).sum(axis=(-3, -2, -1)), vjp
+
+
 def pair_penalty(model: Model, table: np.ndarray, kind: str,
                  tape: Tape | None = None) -> Node:
     """The pair term of kind over a pair table W[x, x~, y] (`pair_table`,
     `pair_law`): the sum over (x, x~) of the pairs' weight times their
-    divergence, read from the tape's observation table on its trailing axes.
+    divergence, read from the tape's observation table on its trailing axes
+    as one node (LAM's also on the head).
 
     kind PROB: D_KL(p(.|x) || p(.|x~)), formed per pair as
     sum_c p_x (log p_x - log p_x~); LOGIT / FEAT: summed squared differences
@@ -322,26 +427,15 @@ def pair_penalty(model: Model, table: np.ndarray, kind: str,
         raise ShapeMismatch(f"pair table of shape {np.shape(table)} on {n} observations")
     tape = tape if tape is not None else Tape(model)
     obs, _ = dk.obs_rows(model, np.arange(n), tape)
-
-    def on(a: Node, pair_axes: tuple) -> Node:
-        """a's rows over the pair axes: (n, 1) for x, (1, n) for x~."""
-        return dk.reshape(a, a.val.shape[:-2] + pair_axes + a.val.shape[-1:])
-
+    vals = obs.vals
+    if kind == "LAM":
+        head = tape.node("head")
+        return obs.term(*_pair_lam(vals["h"], head.val, table), head)
+    t = np.sum(table, axis=-1)
     if kind == "PROB":
-        la, lb = on(obs.logp, (n, 1)), on(obs.logp, (1, n))
-        per_pair = dk.nsum(dk.mul(on(obs.p, (n, 1)), dk.sub(la, lb)), axis=-1)
-    else:
-        part = obs.z if kind == "LOGIT" else obs.h
-        a, b = on(part, (n, 1)), on(part, (1, n))
-        sq = dk.square(dk.sub(a, b))  # [..., n, n, d]
-        if kind == "LAM":
-            head = dk.square(dk.slice_rows(tape.node("head"), 0, model.u_count))
-            head = dk.reshape(head, head.val.shape[:-2] + (1,) + head.val.shape[-2:])
-            per_label = dk.matmul(sq, head)  # [..., n, n, C]
-            return dk.nsum(dk.mul(per_label, dk.constant(table)), axis=(-3, -2, -1))
-        per_pair = dk.nsum(sq, axis=-1)
-    return dk.nsum(dk.mul(per_pair, dk.constant(np.sum(table, axis=-1))),
-                   axis=(-2, -1))
+        return obs.term(*_pair_prob(vals["logp"], vals["p"], t))
+    key = "z" if kind == "LOGIT" else "h"
+    return obs.term(*_pair_sq(key, vals[key], t))
 
 
 def pair_regularizer(model: Model, pairs_or_groups, kind: str,
@@ -384,31 +478,58 @@ def _need_domains(batches, k: int = 2):
         raise TooFewDomains(f"need at least {k} domains, got {len(batches)}")
 
 
+def _variance(losses: np.ndarray):
+    """The closed form of the population variance of [D, *runs] losses
+    over the domain axis, one entry per run."""
+    scale = 1.0 / losses.shape[0]
+    dev = losses - losses.sum(axis=0) * scale
+
+    def vjp(g):
+        gdev = 2.0 * (g * scale) * dev
+        return gdev - gdev.sum(axis=0) * scale
+    return (dev * dev).sum(axis=0) * scale, vjp
+
+
+def _worst(losses: np.ndarray):
+    """The closed form of each run's worst entry of [D, *runs] losses; ties
+    give the subgradient to the lowest index."""
+    worst = np.argmax(losses, axis=0)[None]
+
+    def vjp(g):
+        out = np.zeros(losses.shape)
+        np.put_along_axis(out, worst, np.reshape(g, worst.shape), axis=0)
+        return out
+    return np.take_along_axis(losses, worst, axis=0)[0], vjp
+
+
 def vrex_from_losses(losses: Node) -> Node:
     """Population variance of a [D] vector of domain losses."""
-    return dk.nmean(dk.square(dk.sub(losses, dk.nmean(losses))))
+    return _applied(_variance, losses)
 
 
 def group_dro_from_losses(losses: Node) -> Node:
     """The worst entry of a [D] vector of domain losses; ties give the
     subgradient to the lowest index."""
-    return dk.index0(losses, int(np.argmax(losses.val)))
+    return _applied(_worst, losses)
 
 
 def vrex_penalty(model: Model, batches: list[DomainBatch],
                  tape: Tape | None = None) -> Node:
-    """Population variance of the domain losses (V-REx)."""
+    """Population variance of the domain losses (V-REx), per run."""
     _need_domains(batches)
     tape = tape if tape is not None else Tape(model)
-    return vrex_from_losses(domain_loss_vector(model, batches, tape))
+    table, losses = _domain_nll(model, batches, tape)
+    return table.term(*_then(losses, _variance))
 
 
 def group_dro(model: Model, batches: list[DomainBatch],
               tape: Tape | None = None) -> Node:
-    """Worst-domain loss; ties give the subgradient to the lowest index."""
+    """Worst-domain loss per run; ties give the subgradient to the lowest
+    index."""
     _need_domains(batches)
     tape = tape if tape is not None else Tape(model)
-    return group_dro_from_losses(domain_loss_vector(model, batches, tape))
+    table, losses = _domain_nll(model, batches, tape)
+    return table.term(*_then(losses, _worst))
 
 
 # ---------------------------------------------------------------------------
@@ -580,29 +701,52 @@ def fishr_penalty(model: Model, batches: list[DomainBatch],
                   [_weights(b) for b in batches])
 
 
+def _irm(w: np.ndarray, z: np.ndarray, p: np.ndarray):
+    """The closed form of sum_d (sum r_d * z)^2 with r_d = W_d.sum(y) p - W_d
+    for cell weights w [D, *runs, rows, C] on logits z and probabilities p."""
+    mass = w.sum(axis=-1, keepdims=True)
+    r = mass * p - w
+    rz = (r * z).sum(axis=(-2, -1))  # [D, *runs]
+
+    def vjp(g):
+        each = (2.0 * (g * rz))[..., None, None]
+        return {"z": dk._unbroadcast(each * r, z.shape),
+                "p": dk._unbroadcast(each * z * mass, p.shape)}
+    return (rz * rz).sum(axis=0), vjp
+
+
 def irm_penalty(model: Model, batches: list[DomainBatch],
                 tape: Tape | None = None) -> Node:
     """Squared loss-gradient w.r.t. a unit logit multiplier, summed over
-    domains: at multiplier 1 that gradient is sum(r_d * z) for each
-    domain's logit adjoints r_d (`_adjoints`)."""
+    domains, per run: at multiplier 1 that gradient is sum(r_d * z) for
+    each domain's logit adjoints r_d = W_d.sum(y) p - W_d."""
     if len(batches) < 1:
         raise TooFewDomains("IRM needs at least 1 domain")
     tape = tape if tape is not None else Tape(model)
     table, w = _domain_tables(model, batches, tape)
-    rz = dk.nsum(dk.mul(_adjoints(table, w), table.z), axis=(-2, -1))  # [D]
-    return dk.nsum(dk.square(rz))
+    vals = table.vals
+    return table.term(*_irm(w[:, None] if model.runs else w, vals["z"],
+                            vals["p"]))
 
 
 # ---------------------------------------------------------------------------
 # Logit / feature shaping
 # ---------------------------------------------------------------------------
 
+def _sd(z: np.ndarray, weights: np.ndarray):
+    """The closed form of the squared norms of the rows of logits z
+    [..., rows, C] summed with weights over rows, one entry per run."""
+    def vjp(g):
+        return 2.0 * (g[..., None] * weights)[..., None] * z
+    return ((z * z).sum(axis=-1) * weights).sum(axis=-1), vjp
+
+
 def sd_penalty(logits: Node, weights: np.ndarray | None = None) -> Node:
-    """Mean squared logit norm over the batch."""
-    sq = dk.nsum(dk.square(logits), axis=1)
-    if weights is None:
-        return dk.nmean(sq)
-    return dk.nsum(dk.mul(sq, dk.constant(np.asarray(weights, dtype=np.float64))))
+    """Mean squared logit norm over the batch, or its weighted sum."""
+    n = logits.val.shape[-2]
+    w = (np.full(n, 1.0 / n) if weights is None
+         else np.asarray(weights, dtype=np.float64))
+    return _applied(lambda z: _sd(z, w), logits)
 
 
 def rsc_losses(model: Model, batches: list[DomainBatch], q: float,
@@ -633,7 +777,7 @@ def rsc_losses(model: Model, batches: list[DomainBatch], q: float,
     shape = (model.embedding.shape[0], model.n_classes)
     dk.forward(model, np.arange(shape[0]), tape, feature_mask=masks)
     w = np.stack([_cell_table(b, r, shape) for b, r in zip(batches, rows)])
-    return _soft_nll(tape.last.logp, w), muted, tape
+    return _soft_nll(tape.last, w), muted, tape
 
 
 def rsc_mask(model: Model, batch: DomainBatch, q: float,
@@ -821,7 +965,7 @@ def _adversary_loss(h: Node, adversary: Model, adv_tape: Tape,
     behind gradient reversal, whose table gives log q, and A [n_obs, D]
     each row's weight on each domain."""
     table, _ = dk.obs_rows(adversary, dk.gradient_reversal(h, 1.0), adv_tape)
-    return _soft_nll(table.logp, a)
+    return _soft_nll(table, a)
 
 
 def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
@@ -837,7 +981,7 @@ def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
     if adversary.n_classes != len(batches):
         raise ShapeMismatch("adversary classes must equal the domain count")
     table, w = _domain_tables(model, batches, tape)
-    return (dk.nmean(_soft_nll(table.logp, w)),
+    return (dk.nmean(_soft_nll(table, w)),
             _adversary_loss(table.h, adversary, adv_tape,
                             w.sum(axis=-1).T / len(batches)),
             tape, adv_tape)
@@ -870,7 +1014,7 @@ def cdann_losses(model: Model, adversaries: list[Model],
     adv_terms.append(_adversary_loss(
         table.h, adversaries[-1], adv_tapes[-1],
         within.sum(axis=-1).T / (n_classes * len(batches))))
-    return (dk.nmean(_soft_nll(table.logp, w)),
+    return (dk.nmean(_soft_nll(table, w)),
             dk.nmean(dk.stack_list(adv_terms)), tape, adv_tapes)
 
 
@@ -916,7 +1060,7 @@ def mixup_loss(model: Model, mixed: list[MixupBatch],
     of all their rows."""
     tape = tape if tape is not None else Tape(model)
     dk.forward(model, np.concatenate([m.inputs for m in mixed]), tape)
-    return _soft_nll(tape.last.logp, np.concatenate(
+    return _soft_nll(tape.last, np.concatenate(
         [m.soft_labels / (len(mixed) * len(m.soft_labels)) for m in mixed]))
 
 

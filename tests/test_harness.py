@@ -934,3 +934,58 @@ def test_one_backward_per_step(tmp_path, monkeypatch, kind, mode):
     added_adversaries = runs[1][1] - runs[0][1]
     model_backwards = 0 if kind == "AND_MASK" else 1
     assert runs[1][0] - runs[0][0] == model_backwards + added_adversaries
+
+
+# Kinds whose terms read only the observation table: a step's total is one
+# closed-form term on the fused forward node.
+TABLE_KINDS = ["ERM", "SWA", "PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM",
+               "VREX", "GROUP_DRO", "SD", "IRM"]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_a_table_step_backs_up_through_the_forward_alone(tmp_path,
+                                                          monkeypatch, kind):
+    """A gd step's total node has as ancestors only the fused forward node
+    and the parameter leaves."""
+    seen = []
+    real = dk.backward
+    monkeypatch.setattr(dk, "backward",
+                        lambda tape, node: seen.append((tape, node))
+                        or real(tape, node))
+    doc = base_doc(tmp_path, source=["source", "target"],
+                   objective={"kind": kind, "lambda": 0.5},
+                   eval={"ci_pairs": 0})
+    doc["trainer"]["steps"] = 1
+    harness.run_experiment(harness.config_from_dict(doc))
+    [(tape, total)] = seen
+    ancestors = {id(n) for n in dk._topo(total)} - {id(total)}
+    assert ancestors == ({id(n) for n in tape.param_nodes}
+                         | {id(tape.table._node)})
+    assert set(map(id, tape.table._node.parents)) <= ancestors
+
+
+@pytest.mark.parametrize("mode", ["gd", "sgd-16", "population"])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_a_table_total_passes_finite_differences(tmp_path, kind, mode):
+    """The one-node total lam * pen + base of a table kind has the
+    gradient of its central differences."""
+    trainer = {"data_mode": "population"} if mode == "population" else {}
+    cfg = harness.config_from_dict(base_doc(
+        tmp_path, source=["source", "target"],
+        objective={"kind": kind, "lambda": 0.7}, trainer=trainer))
+    family, sources, _ = harness._resolve_domains(cfg)
+    batches = harness._train_batches(family, sources, cfg, 0)
+    if mode == "sgd-16":
+        rng = np.random.default_rng(3)
+        batches = [harness._minibatch(b, rng, 16) for b in batches]
+    model = dk.init_model(family.spaces.n_obs, (4,), family.spaces.n_classes,
+                          seed=2)
+    run = harness._RunState(cfg, 0, cfg.objective.lam)
+    run.pairs = pairgen.pair_law(family, sources[0])
+
+    def total(m, bs, tape):
+        node, _ = harness._penalty_and_total(harness._Step(m, tape, run, bs, 1))
+        assert isinstance(node, dk.Term)
+        return node
+
+    assert dk.finite_diff_check(model, batches, total, eps=1e-5) < 1e-5

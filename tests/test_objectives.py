@@ -1165,3 +1165,148 @@ def test_domain_terms_refuse_raw_rows(kind, inputs):
                          np.array([0, 1, 0, 1, 0, 1])) for d in "ab"]
     with pytest.raises(ShapeMismatch, match="observation-index"):
         DOMAIN_TERMS[kind](model, bs, dk.Tape(model))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form table terms against their op chains
+
+def _ref_nll(logp, w):
+    return dk.neg(dk.nsum(dk.mul(dk.constant(w), logp), axis=(-2, -1)))
+
+
+def _ref_losses(model, bs, tape):
+    """The domain losses as op nodes on the table's log p view, [D, *runs]."""
+    table, w = ob._domain_tables(model, bs, tape)
+    return _ref_nll(table.logp, w[:, None] if model.runs else w)
+
+
+def _ref_pair(model, table, kind, tape):
+    """`pair_penalty` written as ops on the table's views."""
+    n = model.embedding.shape[0]
+    obs, _ = dk.obs_rows(model, np.arange(n), tape)
+
+    def on(a, pair_axes):
+        return dk.reshape(a, a.val.shape[:-2] + pair_axes + a.val.shape[-1:])
+
+    if kind == "PROB":
+        la, lb = on(obs.logp, (n, 1)), on(obs.logp, (1, n))
+        per_pair = dk.nsum(dk.mul(on(obs.p, (n, 1)), dk.sub(la, lb)), axis=-1)
+    else:
+        part = obs.z if kind == "LOGIT" else obs.h
+        sq = dk.square(dk.sub(on(part, (n, 1)), on(part, (1, n))))
+        if kind == "LAM":
+            head = dk.square(dk.slice_rows(tape.node("head"), 0, model.u_count))
+            head = dk.reshape(head, head.val.shape[:-2] + (1,)
+                              + head.val.shape[-2:])
+            return dk.nsum(dk.mul(dk.matmul(sq, head), dk.constant(table)),
+                           axis=(-3, -2, -1))
+        per_pair = dk.nsum(sq, axis=-1)
+    return dk.nsum(dk.mul(per_pair, dk.constant(np.sum(table, axis=-1))),
+                   axis=(-2, -1))
+
+
+def _ref_worst(losses):
+    """Each run's worst domain loss, the lowest index on ties, as ops."""
+    flat = losses if losses.val.ndim == 2 else dk.reshape(losses, (-1, 1))
+    picked = dk.take_cols(dk.t2(flat), np.argmax(flat.val, axis=0))
+    return picked if losses.val.ndim == 2 else dk.reshape(picked, ())
+
+
+def _ref_irm(model, bs, tape):
+    table, w = ob._domain_tables(model, bs, tape)
+    w = w[:, None] if model.runs else w
+    r = dk.sub(dk.mul(dk.constant(w.sum(axis=-1, keepdims=True)), table.p),
+               dk.constant(w))
+    rz = dk.nsum(dk.mul(r, table.z), axis=(-2, -1))
+    return dk.nsum(dk.square(rz), axis=0)
+
+
+def _ref_sd(model, bs, tape):
+    table, w = ob._domain_tables(model, bs, tape)
+    sq = dk.nsum(dk.square(table.z), axis=-1)
+    return dk.nsum(dk.mul(sq, dk.constant(w.sum(axis=-1).mean(axis=0))),
+                   axis=-1)
+
+
+def _pair_weights(model):
+    """A seed-drawn pair table W[x, x~, y] on the model's observations."""
+    n = model.embedding.shape[0]
+    w = np.random.default_rng(9).random((n, n, model.n_classes))
+    return w / w.sum()
+
+
+# kind -> (closed form, op-chain reference), each (model, batches, tape) -> node
+TABLE_TERMS = {
+    "NLL": (lambda m, bs, t: ob.domain_loss_vector(m, bs, t), _ref_losses),
+    "PAIR_PROB": (lambda m, bs, t: ob.pair_penalty(m, _pair_weights(m), "PROB", t),
+                  lambda m, bs, t: _ref_pair(m, _pair_weights(m), "PROB", t)),
+    "PAIR_LOGIT": (lambda m, bs, t: ob.pair_penalty(m, _pair_weights(m), "LOGIT", t),
+                   lambda m, bs, t: _ref_pair(m, _pair_weights(m), "LOGIT", t)),
+    "PAIR_FEAT": (lambda m, bs, t: ob.pair_penalty(m, _pair_weights(m), "FEAT", t),
+                  lambda m, bs, t: _ref_pair(m, _pair_weights(m), "FEAT", t)),
+    "LAM": (lambda m, bs, t: ob.pair_penalty(m, _pair_weights(m), "LAM", t),
+            lambda m, bs, t: _ref_pair(m, _pair_weights(m), "LAM", t)),
+    "VREX": (lambda m, bs, t: ob.vrex_penalty(m, bs, t),
+             lambda m, bs, t: (lambda l: dk.nmean(dk.square(dk.sub(
+                 l, dk.nmean(l, axis=0))), axis=0))(_ref_losses(m, bs, t))),
+    "GROUP_DRO": (lambda m, bs, t: ob.group_dro(m, bs, t),
+                  lambda m, bs, t: _ref_worst(_ref_losses(m, bs, t))),
+    "SD": (lambda m, bs, t: harness._sd(m, bs, t), _ref_sd),
+    "IRM": (lambda m, bs, t: ob.irm_penalty(m, bs, t), _ref_irm),
+}
+
+
+def _stacked(model, runs: int = 2):
+    """runs copies of model on a run axis, each moved its own way."""
+    stack = dk.stack_runs(model, runs)
+    rng = np.random.default_rng(8)
+    for _, arr in stack.param_blocks():
+        arr += rng.normal(scale=0.3, size=arr.shape)
+    return stack
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-run", "stack"])
+@pytest.mark.parametrize("mode", ["gd", "sgd", "population"])
+@pytest.mark.parametrize("kind", list(TABLE_TERMS))
+def test_closed_forms_match_their_op_chains(kind, mode, stacked):
+    """Each closed-form table term is one node, and has the value and
+    parameter gradient of its op chain on the table's views within 1e-12
+    relative, on a random model and on a 2-run stack."""
+    model, bs = _domain_case(mode)
+    model = _stacked(model) if stacked else model
+    closed, ref = TABLE_TERMS[kind]
+    tape, ref_tape = dk.Tape(model), dk.Tape(model)
+    dk.obs_rows(model, np.arange(model.embedding.shape[0]), tape)
+    built = []
+    assert _built_nodes(lambda: built.append(closed(model, bs, tape))) == 1
+    got, want = built[0], ref(model, bs, ref_tape)
+    np.testing.assert_allclose(got.val, want.val, rtol=1e-12, atol=0)
+
+    def per_run(node):  # the NLL's [D, *runs] losses summed over domains
+        return node if node.val.shape == model.runs else dk.nsum(node, axis=0)
+
+    g_want = dk.backward(ref_tape, per_run(want))
+    np.testing.assert_allclose(dk.backward(tape, per_run(got)), g_want,
+                               rtol=1e-12, atol=1e-12 * np.abs(g_want).max())
+
+
+@pytest.mark.parametrize("kind", ["VREX", "GROUP_DRO", "SD", "IRM"])
+def test_a_stack_gives_each_run_its_own_value(kind):
+    """On a 2-run stack with different parameters, a domain term's entry r
+    and gradient row r are run r's own, within 1e-12 relative."""
+    model, bs = _domain_case("gd")
+    stack = _stacked(model)
+    term = DOMAIN_TERMS[kind]
+    tape = dk.Tape(stack)
+    node = term(stack, bs, tape)
+    assert node.val.shape == (2,)
+    grads = dk.backward(tape, node)
+    for r in range(2):
+        one = stack.run(r)
+        one_tape = dk.Tape(one)
+        want = term(one, bs, one_tape)
+        assert float(node.val[r]) == pytest.approx(float(want.val), rel=1e-12,
+                                                   abs=0)
+        g_want = dk.backward(one_tape, want)
+        np.testing.assert_allclose(grads[r], g_want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(g_want).max())

@@ -3,7 +3,6 @@ evaluation rows, verification, sweeps, and atomic result persistence."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -92,7 +91,6 @@ class EvalSpec:
     exact: bool = True
     n_samples: int = 10000
     ci_pairs: int = 2000
-    ci_reps: int = 1
     ci_style: str = "marginal"
 
 
@@ -169,7 +167,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     espec = ob.read_spec(doc, "eval", EvalSpec)
     _require(espec.n_samples >= 1, "eval.n_samples", "must be >= 1")
     _require(espec.ci_pairs >= 0, "eval.ci_pairs", "must be >= 0")
-    _require(espec.ci_reps >= 1, "eval.ci_reps", "must be >= 1")
     _require(espec.ci_style in ("marginal", "uniform"), "eval.ci_style",
              "must be 'marginal' or 'uniform'")
 
@@ -359,25 +356,13 @@ class _Step:
     batches: list  # one cell batch per source
     step: int
 
-    @functools.cached_property
-    def losses(self):
-        """The closed form of the sources' domain losses on the step's
-        table ([D], [D, R] on a stack), built on first use: the base loss
-        and the loss-reading penalties share it."""
-        return ob._domain_nll(self.model, self.batches, self.tape)[1]
-
-    def term(self, outer):
-        """outer, a closed form on the domain losses, as one node."""
-        form = ob._then(self.losses, outer)  # runs the forward first
-        return self.tape.table.term(*form)
-
 
 # An objective builder maps a _Step to (base, pen): pen is the regularizer
 # before lambda scales it, or None.  A builder returning pen is
 # base trains on base alone and logs it as its penalty.
 
 def _loss(c: _Step):
-    return c.term(ob._mean)
+    return ob.mean_domain_loss(c.model, c.batches, c.tape)
 
 
 def _loss_only(c: _Step):
@@ -428,7 +413,7 @@ def _sd(model, batches, tape):
 
 
 def _group_dro(c: _Step):
-    worst = c.term(ob._worst)
+    worst = ob.group_dro(c.model, c.batches, c.tape)
     return worst, worst
 
 
@@ -456,7 +441,7 @@ OBJECTIVE_BUILDERS = {
     "PAIR_LOGIT": _pairs("LOGIT"),
     "PAIR_FEAT": _pairs("FEAT"),
     "LAM": _pairs("LAM"),
-    "VREX": lambda c: (_loss(c), c.term(ob._variance)),
+    "VREX": _cells(ob.vrex_penalty),
     "FISH": _cells(ob.fish_penalty),
     "IGA": _cells(ob.iga_penalty),
     "FISHR": _cells(ob.fishr_penalty),
@@ -562,8 +547,8 @@ def _ci_estimate(table, family, cfg, dom, seed, n_pairs) -> CiEstimate:
     if cfg.eval.exact:
         return CiEstimate(value=exact_ci_index(family, dom, table, style),
                           stderr=0.0, n_pairs=0, style=style)
-    return _ci_index_table(table, family, dom, n_pairs, cfg.eval.ci_reps,
-                           style, derive_seed(seed, f"ci:{dom.domain_id}"))
+    return _ci_index_table(table, family, dom, n_pairs, style,
+                           derive_seed(seed, f"ci:{dom.domain_id}"))
 
 
 def _eval_rows(model, family, runs, sources, target, step, seed, pens):
@@ -812,14 +797,13 @@ def _set_by_path(doc: dict, dotted: str, value) -> None:
 
 def _lambda_group(plan: _Plan):
     """The key shared by the runs that train as one stack: a stacked kind's
-    config without objective.lambda, and the run seed; None for a run that
-    trains alone."""
-    cfg = plan.cfg
-    if cfg.objective.kind not in STACKED_KINDS:
+    stored config (run seed stamped in) without objective.lambda; None for
+    a run that trains alone."""
+    if plan.cfg.objective.kind not in STACKED_KINDS:
         return None
-    doc = config_to_dict(cfg)
+    doc = json.loads(plan.stored)
     del doc["objective"]["lambda"]
-    return canonical_json(doc), plan.seed
+    return canonical_json(doc)
 
 
 def sweep(base_doc: dict, grid: dict, *, out_dir: str | None = None) -> list:

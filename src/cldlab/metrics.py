@@ -1,5 +1,5 @@
-"""Evaluation: CI index (exact bridge and Monte Carlo), loss/accuracy,
-and feature-distribution divergence probes."""
+"""Evaluation: CI index (exact bridge and Monte Carlo over `sample_pairs`'
+latent draws), loss/accuracy, and feature-distribution divergence probes."""
 
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from . import objectives as ob
 from .cld_core import CldFamily, Dataset, DomainSpec, sample_dataset
 from .errors import InvalidDistribution, ShapeMismatch, TooFewDomains, TooFewExamples
 from .diffkit import Model, forward
-from .oracle import (PredictorTable, exact_accuracy, exact_loss, jsd2,
+from .oracle import (PredictorTable, exact_accuracy, exact_loss, fuse, jsd2,
                      predictor_table)
-from .rng import categorical_rows, substream
+from .pairgen import _draw_pairs
 
 __all__ = [
     "CiEstimate",
@@ -88,49 +88,28 @@ class CiEstimate:
 def ci_index_mc(model: Model, family: CldFamily, domain: DomainSpec,
                 n_pairs: int, reps: int = 1, style: str = "marginal",
                 seed: int = 0) -> CiEstimate:
-    """Estimate the CI index by sampling non-core swap pairs.
+    """Estimate the CI index over n_pairs latent swap pairs (x^c, x^n, x~^n)
+    drawn as `pairgen.sample_pairs` draws them for style and seed.
 
-    Fused conditionals are approximated by averaging model predictions, in
-    probability space, over `reps` draws of x given each latent pair.  For
-    deterministic families one rep already gives the exact fused row.
+    Both sides' fused rows are read exactly from `oracle.fuse`, so only the
+    pair draw is left to chance and the estimate is unbiased for
+    `oracle.exact_ci_index`; reps, which must be >= 1, does not change it.
     """
+    if reps < 1:
+        raise ShapeMismatch("reps must be >= 1")
     return _ci_index_table(tabulate(model, family), family, domain, n_pairs,
-                           reps, style, seed)
+                           style, seed)
 
 
 def _ci_index_table(table: PredictorTable, family: CldFamily,
-                    domain: DomainSpec, n_pairs: int, reps: int, style: str,
+                    domain: DomainSpec, n_pairs: int, style: str,
                     seed: int) -> CiEstimate:
     """ci_index_mc of the model whose tabulated predictor is table."""
     if n_pairs < 1:
         raise ShapeMismatch("n_pairs must be >= 1")
-    if reps < 1:
-        raise ShapeMismatch("reps must be >= 1")
-    if style not in ("marginal", "uniform"):
-        raise ShapeMismatch(f"unknown pair style {style!r}")
-    s = family.spaces
-    rng = substream(seed, "eval")
-    rows = table.p_yhat_given_x
-
-    cn_flat = domain.p_cn.reshape(-1)
-    cn = rng.choice(cn_flat.size, size=n_pairs, p=cn_flat)
-    c, xn = cn // s.n_noncore, cn % s.n_noncore
-    if style == "marginal":
-        xn_t = rng.choice(s.n_noncore, size=n_pairs, p=domain.noncore_marginal())
-    else:
-        xn_t = rng.integers(0, s.n_noncore, size=n_pairs)
-
-    channel = family.p_x_given_cn.reshape(s.n_core * s.n_noncore, s.n_obs)
-
-    def fused_rows(cc: np.ndarray, nn: np.ndarray) -> np.ndarray:
-        out = np.zeros((n_pairs, s.n_classes))
-        for _ in range(reps):
-            xs = categorical_rows(channel, cc * s.n_noncore + nn,
-                                  rng.random(n_pairs))
-            out += rows[xs]
-        return out / reps
-
-    jsds = jsd2(fused_rows(c, xn), fused_rows(c, xn_t))
+    *_, c, xn, xn_t = _draw_pairs(family, domain, n_pairs, style, seed)
+    fused = fuse(family, table).p_yhat_given_cn
+    jsds = jsd2(fused[c, xn], fused[c, xn_t])
     value = float(1.0 - jsds.mean())
     stderr = float(jsds.std(ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else 0.0
     return CiEstimate(value=value, stderr=stderr, n_pairs=n_pairs, style=style)

@@ -502,17 +502,6 @@ def _worst(losses: np.ndarray):
     return np.take_along_axis(losses, worst, axis=0)[0], vjp
 
 
-def vrex_from_losses(losses: Node) -> Node:
-    """Population variance of a [D] vector of domain losses."""
-    return _applied(_variance, losses)
-
-
-def group_dro_from_losses(losses: Node) -> Node:
-    """The worst entry of a [D] vector of domain losses; ties give the
-    subgradient to the lowest index."""
-    return _applied(_worst, losses)
-
-
 def vrex_penalty(model: Model, batches: list[DomainBatch],
                  tape: Tape | None = None) -> Node:
     """Population variance of the domain losses (V-REx), per run."""

@@ -235,8 +235,8 @@ def exact_ci_index(family: CldFamily, domain: DomainSpec,
     1 minus the expected base-2 JSD between fused conditionals at the
     domain's latent pairs and at non-core values resampled from the
     partner law of `style` (`cld_core.partner_law`): the domain marginal,
-    or uniform.  `metrics.ci_index_mc` with the same style converges to
-    it as its reps grow, and at any reps on a deterministic family.
+    or uniform.  `metrics.ci_index_mc` with the same style is an unbiased
+    Monte Carlo estimate of it: it reads these fused rows at sampled pairs.
     """
     fused = fuse(family, predictor).p_yhat_given_cn  # [C, N, Y]
     p_n = partner_law(domain, style)

@@ -58,6 +58,13 @@ def sample_pairs(family: CldFamily, domain: DomainSpec, n: int,
     style "uniform" redraws the partner's non-core value uniformly; style
     "marginal" (default) redraws it from the domain's non-core marginal.
     """
+    draws = _draw_pairs(family, domain, n, style, seed)
+    return list(map(ContrastivePair, *(a.tolist() for a in draws)))
+
+
+def _draw_pairs(family: CldFamily, domain: DomainSpec, n: int, style: str,
+                seed: int) -> tuple[np.ndarray, ...]:
+    """`sample_pairs`' draws as index arrays (x, x~, y, x^c, x^n, x~^n)."""
     if n < 1:
         raise ShapeMismatch("n must be >= 1")
     if style not in ("uniform", "marginal"):
@@ -78,7 +85,7 @@ def sample_pairs(family: CldFamily, domain: DomainSpec, n: int,
         xn_t = categorical_rows(marg, np.zeros(n, dtype=np.int64), u[:, 2])
     x_t = categorical_rows(channel, c * s.n_noncore + xn_t, u[:, 3])
     y = categorical_rows(label_law(family, domain), c, u[:, 4])
-    return list(map(ContrastivePair, *(a.tolist() for a in (x, x_t, y, c, xn, xn_t))))
+    return x, x_t, y, c, xn, xn_t
 
 
 def compose_pure_groups(family: CldFamily, pure, domain: DomainSpec,

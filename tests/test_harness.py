@@ -843,6 +843,14 @@ def test_integral_numbers_are_stored_typed(tmp_path):
     assert [type(v) for v in typed] == [tuple, float, int, int, float, int]
 
 
+def test_ci_reps_is_not_a_config_field(tmp_path):
+    # the CI index reads the fused rows exactly, so there is nothing to redraw
+    doc = base_doc(tmp_path, eval={"exact": False, "ci_reps": 4})
+    with pytest.raises(ConfigError) as err:
+        harness.config_from_dict(doc)
+    assert err.value.field == "eval.ci_reps"
+
+
 def test_unknown_objective_key_is_refused(tmp_path):
     doc = base_doc(tmp_path, source=["source", "target"],
                    objective={"kind": "VREX", "lamda": 10})

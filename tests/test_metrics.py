@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cldlab import cld_core, diffkit as dk, metrics, oracle
+from cldlab import cld_core, diffkit as dk, metrics, oracle, pairgen
 from cldlab.errors import InvalidDistribution, TooFewDomains, TooFewExamples
 from cldlab.rng import substream
 
@@ -113,6 +113,34 @@ class TestCiIndexMc:
                                   style="uniform", seed=3)
         assert 0.0 <= est.value <= 1.0
         assert est.style == "uniform"
+
+    def test_unbiased_on_a_noisy_family(self, canon_n):
+        # x is not a function of the latents here: the estimate must still
+        # centre on the exact index, not on a JSD between single draws
+        family, source, _ = canon_n
+        rng = substream(11, "verify")
+        for k in range(6):
+            model = dk.init_model(4, (5,), 2, embedding="bits",
+                                  seed=int(rng.integers(1 << 30)))
+            exact = oracle.exact_ci_index(family, source,
+                                          metrics.tabulate(model, family))
+            est = metrics.ci_index_mc(model, family, source, n_pairs=20000,
+                                      seed=k)
+            assert abs(est.value - exact) <= 4 * est.stderr, (k, est, exact)
+
+    @pytest.mark.parametrize("style", ["marginal", "uniform"])
+    def test_reads_the_fused_rows_at_sample_pairs_draws(self, canon_n, style):
+        family, source, _ = canon_n
+        model = dk.init_model(4, (5,), 2, embedding="bits", seed=4)
+        fused = oracle.fuse(family, metrics.tabulate(model, family)) \
+            .p_yhat_given_cn
+        pairs = pairgen.sample_pairs(family, source, 300, style=style, seed=8)
+        c, xn, xn_t = (np.array([getattr(p, a) for p in pairs])
+                       for a in ("xc", "xn", "xn_tilde"))
+        expected = 1.0 - oracle.jsd2(fused[c, xn], fused[c, xn_t]).mean()
+        est = metrics.ci_index_mc(model, family, source, n_pairs=300,
+                                  style=style, seed=8)
+        assert est.value == expected
 
 
 class TestEvaluate:

@@ -472,9 +472,8 @@ class Tape:
     the first time a term asks for it and keeps here (RSC runs it with its
     feature masks).  A step therefore runs one forward whatever its terms
     (plus one per adversary, whose inputs are feature rows).  `last` is the
-    table of the latest forward on the tape, and `weights` the domain terms'
-    weight table on `table`, built once per tape; a step whose batch list is
-    its run's previous one takes that step's table from `carried`.
+    table of the latest forward on the tape.  The weights that terms put on
+    the table's rows are their callers' (`objectives.weight_table`).
     """
 
     def __init__(self, model: Model):
@@ -489,10 +488,6 @@ class Tape:
             self.names.append(name)
         self.table: ObsTable | None = None
         self.last: ObsTable | None = None
-        # (batches, W): the sources' cell weights on table, kept by the
-        # objectives' domain terms (`objectives._domain_tables`)
-        self.weights: tuple | None = None
-        self.carried: tuple | None = None  # the previous step's weights
 
     def node(self, name: str) -> Node:
         return self.param_nodes[self.names.index(name)]

@@ -3,6 +3,7 @@ evaluation rows, verification, sweeps, and atomic result persistence."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -49,7 +50,7 @@ FIXTURES = ("CANON-D", "CANON-N")
 
 # Kinds that regularize toward multi-domain agreement; they need >= 2
 # training sources.  MMD and MIXUP are sample estimators; FISHR, CORAL and
-# MMD take spreads over >= 2 rows per domain per step.
+# MMD take spreads over >= 2 rows per domain, in each step and evaluation.
 MULTI_DOMAIN_KINDS = frozenset({
     "VREX", "GROUP_DRO", "FISH", "IGA", "FISHR", "IRM", "CORAL", "MMD",
     "DANN", "CDANN", "AND_MASK",
@@ -186,10 +187,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         _require(trainer.data_mode == "sample", "trainer.data_mode",
                  f"objective {kind} works on example rows; use 'sample'")
     if kind in TWO_ROW_KINDS and trainer.data_mode == "sample":
-        _require((trainer.batch_size or trainer.train_n) >= 2,
-                 "trainer.train_n" if trainer.batch_size is None
-                 else "trainer.batch_size",
-                 f"objective {kind} needs >= 2 rows per domain per step")
+        need = f"objective {kind} needs >= 2 rows per domain"
+        _require(trainer.train_n >= 2, "trainer.train_n", need)
+        _require(trainer.batch_size is None or trainer.batch_size >= 2,
+                 "trainer.batch_size", need + " per step")
     return ExperimentConfig(family=family, sources=sources, target=doc["target"],
                             objective=objective, model=model, trainer=trainer,
                             eval=espec, pairs=pspec, out=out)
@@ -356,13 +357,19 @@ class _Step:
     batches: list  # one cell batch per source
     step: int
 
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        """The sources' weight table W[d, x, y] (`objectives.weight_table`),
+        built on first read: MIXUP never reads it and RSC builds its own."""
+        return ob.weight_table(self.model, self.batches)
+
 
 # An objective builder maps a _Step to (base, pen): pen is the regularizer
 # before lambda scales it, or None.  A builder returning pen is
 # base trains on base alone and logs it as its penalty.
 
 def _loss(c: _Step):
-    return ob.mean_domain_loss(c.model, c.batches, c.tape)
+    return ob.mean_domain_loss(c.model, c.w, c.tape)
 
 
 def _loss_only(c: _Step):
@@ -370,8 +377,8 @@ def _loss_only(c: _Step):
 
 
 def _cells(penalty):
-    """Mean domain loss plus penalty(model, cell batches, tape)."""
-    return lambda c: (_loss(c), penalty(c.model, c.batches, c.tape))
+    """Mean domain loss plus penalty(model, weight table, tape)."""
+    return lambda c: (_loss(c), penalty(c.model, c.w, c.tape))
 
 
 def _pairs(kind):
@@ -385,7 +392,7 @@ def _features(penalty):
     on the observation table's feature rows once per source, weighted by
     W.sum(y)[d] and counting the source's rows (population: cells) there."""
     def build(c: _Step):
-        table, w = ob._domain_tables(c.model, c.batches, c.tape)
+        table, w = ob._domain_tables(c.model, c.w, c.tape)
         counts = [np.bincount(b.inputs, b.counts, w.shape[1]).astype(np.int64)
                   for b in c.batches]
         return _loss(c), penalty([table.h] * len(c.batches),
@@ -404,16 +411,16 @@ def _adversarial(losses):
     return build
 
 
-def _sd(model, batches, tape):
+def _sd(model, sources, tape):
     """SD on the observation table's logits, each row weighted by its mean
-    cell weight over the sources."""
-    table, w = ob._domain_tables(model, batches, tape)
+    cell weight over the sources (W or cell batches)."""
+    table, w = ob._domain_tables(model, sources, tape)
     value, vjp = ob._sd(table.vals["z"], w.sum(axis=-1).mean(axis=0))
     return table.term(value, lambda g: {"z": vjp(g)})
 
 
 def _group_dro(c: _Step):
-    worst = ob.group_dro(c.model, c.batches, c.tape)
+    worst = ob.group_dro(c.model, c.w, c.tape)
     return worst, worst
 
 
@@ -444,7 +451,8 @@ OBJECTIVE_BUILDERS = {
     "VREX": _cells(ob.vrex_penalty),
     "FISH": _cells(ob.fish_penalty),
     "IGA": _cells(ob.iga_penalty),
-    "FISHR": _cells(ob.fishr_penalty),
+    "FISHR": lambda c: (_loss(c), ob.fishr_penalty(c.model, c.batches,
+                                                   c.tape)),
     "IRM": _cells(ob.irm_penalty),
     "SD": _cells(_sd),
     "GROUP_DRO": _group_dro,
@@ -453,9 +461,9 @@ OBJECTIVE_BUILDERS = {
     "MMD": _features(lambda feats, ws, ms, obj: ob.mmd_penalty(
         feats, obj.extra("bandwidth"), ws, ms).node),
     "DANN": _adversarial(lambda c: ob.dann_losses(
-        c.model, c.run.adversaries[0], c.batches, c.tape, c.run.adv_tapes[0])),
+        c.model, c.run.adversaries[0], c.w, c.tape, c.run.adv_tapes[0])),
     "CDANN": _adversarial(lambda c: ob.cdann_losses(
-        c.model, c.run.adversaries, c.batches, c.tape, c.run.adv_tapes)),
+        c.model, c.run.adversaries, c.w, c.tape, c.run.adv_tapes)),
     "MIXUP": _mixup,
     "RSC": _rsc,
 }
@@ -676,17 +684,18 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
                                              target, step, seed, pens)):
             out.extend(_finite(new))
 
-    carried = None  # the previous step's weight table (`Tape.carried`)
+    w = None if cfg.trainer.batch_size else ob.weight_table(model, batches)
     for step in range(1, cfg.trainer.steps + 1):
         step_batches = batches if cfg.trainer.batch_size is None else [
             _minibatch(b, order_rng, cfg.trainer.batch_size) for b in batches]
 
         c = _Step(model, dk.Tape(model), run, step_batches, step)
-        c.tape.carried = carried
+        if w is not None:  # full batch: every step reads the run's W
+            c.w = w
         try:
             if kind == "AND_MASK":  # closed-form domain gradients, no backward
                 grads = ob.and_mask(
-                    ob._domain_grads(model, step_batches, c.tape).val,
+                    ob._domain_grads(model, c.w, c.tape).val,
                     cfg.objective.extra("tau"))
             else:
                 total, pen = _penalty_and_total(c)
@@ -700,7 +709,6 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
             opt.step(model, grads)
         except NonFiniteActivation as exc:
             raise NonFiniteActivation(f"step {step}: {exc}") from exc
-        carried = c.tape.weights
 
         if swa and step > swa[0] and (step - swa[0]) % swa[1] == 0:
             run.swa_snapshots.append(model.clone())

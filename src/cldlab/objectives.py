@@ -24,7 +24,9 @@ Conventions fixed here once:
     sample, the rows each stands for, so cells give the values of the rows;
   * the domain terms (the domain losses, FISH, IGA, IRM, SD, RSC, DANN,
     CDANN, CORAL and MMD) read the sources as one cell-weight table
-    W[d, x, y] on the observation table and refuse other inputs;
+    W[d, x, y] on the observation table, converted once from cell batches
+    of observation indices (`weight_table`); a term that reads only W takes
+    W itself or the cell batches (`Sources`);
   * gradient penalties map logit adjoints through one closed-form backprop
     (`_grads`) as ops on the table, so a step needs one first-order backward;
   * the terms that read only the table (the soft NLL behind every loss,
@@ -94,6 +96,9 @@ def cell_batch(domain_id: str, inputs, labels) -> DomainBatch:
                               return_counts=True)
     return DomainBatch(domain_id, cells[:, 0], cells[:, 1],
                        weights=counts / counts.sum(), counts=counts)
+
+
+Sources = np.ndarray | list[DomainBatch]  # W[d, x, y] or the cell batches
 
 
 # Each kind's objective.extras keys with their defaults; no other key is
@@ -276,39 +281,35 @@ def erm_loss(model: Model, batch: DomainBatch, tape: Tape | None = None) -> Node
                                         table.vals["logp"].shape[-2:]))
 
 
-def _index_rows(model: Model, batch: DomainBatch) -> np.ndarray:
-    """The batch's inputs, which must be observation indices on a model with
-    an embedding: the rows of the tape's observation table that they name."""
-    x = np.asarray(batch.inputs)
-    if (model.embedding is None or x.ndim != 1
-            or not np.issubdtype(x.dtype, np.integer)):
-        raise ShapeMismatch("domain terms need observation-index batches on "
-                            "a model with an embedding")
-    return x
+def weight_table(model: Model, batches: list[DomainBatch]) -> np.ndarray:
+    """The sources' cell weights on the observation table, W[d, x, y] of
+    shape [D, n_obs, C]: the one converter from cell batches, whose inputs
+    must be observation indices on a model with an embedding."""
+    for b in batches:
+        x = np.asarray(b.inputs)
+        if (model.embedding is None or x.ndim != 1
+                or not np.issubdtype(x.dtype, np.integer)):
+            raise ShapeMismatch("domain terms need observation-index batches "
+                                "on a model with an embedding")
+    shape = (model.embedding.shape[0], model.n_classes)
+    return np.stack([_cell_table(b, b.inputs, shape) for b in batches])
 
 
-def _domain_tables(model: Model, batches: list[DomainBatch],
+def _domain_tables(model: Model, sources: Sources,
                    tape: Tape) -> tuple[dk.ObsTable, np.ndarray]:
     """(table, W): the tape's observation table and the sources' cell
-    weights on it, W[d, x, y] of shape [D, n_obs, C], from one `obs_rows`
-    lookup per source.  W is built on the tape's first call for this batch
-    list and kept as `tape.weights`, so a step's domain terms share one; a
-    tape whose `carried` table is for this batch list (the run's previous
-    step on the same batches) takes that W after its lookups.  Batches that
-    are not observation indices (`_index_rows`) are refused."""
-    if tape.weights is None or tape.weights[0] is not batches:
-        looked = [dk.obs_rows(model, _index_rows(model, b), tape)[1]
-                  for b in batches]
-        if tape.carried is not None and tape.carried[0] is batches:
-            tape.weights = tape.carried
-        else:
-            shape = tape.table.vals["logp"].shape[-2:]
-            tape.weights = (batches, np.stack([
-                _cell_table(b, rows, shape) for b, rows in zip(batches, looked)]))
-    return tape.table, tape.weights[1]
+    weights on it, W[d, x, y] of shape [D, n_obs, C].  sources is W itself
+    or a list of cell batches, which `weight_table` converts."""
+    if not isinstance(sources, np.ndarray):
+        sources = weight_table(model, sources)
+    elif sources.shape[1:] != (_n_obs(model), model.n_classes):
+        raise ShapeMismatch(f"weight table of shape {sources.shape} on "
+                            f"{_n_obs(model)} observations")
+    table, _ = dk.obs_rows(model, np.arange(_n_obs(model)), tape)
+    return table, sources
 
 
-def _domain_nll(model: Model, batches: list[DomainBatch], tape: Tape):
+def _domain_nll(model: Model, batches: Sources, tape: Tape):
     """(table, the closed form of the domain losses): -sum(W_d * log p)
     over the sources' cell-weight tables W (`_domain_tables`) and the
     tape's log-softmax table, [D], or [D, R] on a stack of R runs."""
@@ -316,16 +317,14 @@ def _domain_nll(model: Model, batches: list[DomainBatch], tape: Tape):
     return table, _nll(table.vals["logp"], w[:, None] if model.runs else w)
 
 
-def domain_loss_vector(model: Model, batches: list[DomainBatch],
-                       tape: Tape) -> Node:
+def domain_loss_vector(model: Model, batches: Sources, tape: Tape) -> Node:
     """The domain losses (`_domain_nll`) as one [D] node, [D, R] on a
     stack."""
     table, losses = _domain_nll(model, batches, tape)
     return table.term(*losses)
 
 
-def domain_losses(model: Model, batches: list[DomainBatch],
-                  tape: Tape) -> list[Node]:
+def domain_losses(model: Model, batches: Sources, tape: Tape) -> list[Node]:
     table, w = _domain_tables(model, batches, tape)
     return [_soft_nll(table, wd) for wd in w]
 
@@ -342,8 +341,7 @@ def _mean(losses: np.ndarray):
     return losses.sum(axis=0) * scale, vjp
 
 
-def mean_domain_loss(model: Model, batches: list[DomainBatch],
-                     tape: Tape) -> Node:
+def mean_domain_loss(model: Model, batches: Sources, tape: Tape) -> Node:
     table, losses = _domain_nll(model, batches, tape)
     return table.term(*_then(losses, _mean))
 
@@ -354,7 +352,7 @@ def mean_domain_loss(model: Model, batches: list[DomainBatch],
 
 def _n_obs(model: Model) -> int:
     if model.embedding is None:
-        raise ShapeMismatch("pair terms need a model with an embedding")
+        raise ShapeMismatch("table terms need a model with an embedding")
     return model.embedding.shape[0]
 
 
@@ -502,7 +500,7 @@ def _worst(losses: np.ndarray):
     return np.take_along_axis(losses, worst, axis=0)[0], vjp
 
 
-def vrex_penalty(model: Model, batches: list[DomainBatch],
+def vrex_penalty(model: Model, batches: Sources,
                  tape: Tape | None = None) -> Node:
     """Population variance of the domain losses (V-REx), per run."""
     _need_domains(batches)
@@ -511,7 +509,7 @@ def vrex_penalty(model: Model, batches: list[DomainBatch],
     return table.term(*_then(losses, _variance))
 
 
-def group_dro(model: Model, batches: list[DomainBatch],
+def group_dro(model: Model, batches: Sources,
               tape: Tape | None = None) -> Node:
     """Worst-domain loss per run; ties give the subgradient to the lowest
     index."""
@@ -570,7 +568,7 @@ def cell_grads(model: Model, batch: DomainBatch, tape: Tape) -> list[Node]:
     return _grads(model, own(table.h), [own(a) for a in table.layers], r, tape)
 
 
-def _domain_grads(model: Model, batches: list[DomainBatch],
+def _domain_grads(model: Model, batches: Sources,
                   tape: Tape | None = None) -> Node:
     """The sources' loss gradients as one [D, P] node, flat as in
     `dk.backward`: one backprop of the adjoints of W[d, x, y]."""
@@ -604,13 +602,13 @@ def iga_from_grads(grads: list[list[Node]]) -> Node:
     return _iga(dk.stack_list([_flat(blocks, ()) for blocks in grads]))
 
 
-def fish_penalty(model: Model, batches: list[DomainBatch],
+def fish_penalty(model: Model, batches: Sources,
                  tape: Tape | None = None) -> Node:
     """Negated mean inner product of domain gradients over ordered pairs."""
     return _fish(_domain_grads(model, batches, tape))
 
 
-def iga_penalty(model: Model, batches: list[DomainBatch],
+def iga_penalty(model: Model, batches: Sources,
                 tape: Tape | None = None) -> Node:
     """Trace of the population covariance of the domain gradient vectors."""
     return _iga(_domain_grads(model, batches, tape))
@@ -704,7 +702,7 @@ def _irm(w: np.ndarray, z: np.ndarray, p: np.ndarray):
     return (rz * rz).sum(axis=0), vjp
 
 
-def irm_penalty(model: Model, batches: list[DomainBatch],
+def irm_penalty(model: Model, batches: Sources,
                 tape: Tape | None = None) -> Node:
     """Squared loss-gradient w.r.t. a unit logit multiplier, summed over
     domains, per run: at multiplier 1 that gradient is sum(r_d * z) for
@@ -753,7 +751,7 @@ def rsc_losses(model: Model, batches: list[DomainBatch], q: float,
     """
     if not 0.0 < q < 1.0:
         raise ShapeMismatch("q must be in (0,1)")
-    rows = [_index_rows(model, b) for b in batches]
+    w = weight_table(model, batches)
     tape = tape if tape is not None else Tape(model)
     u = model.u_count
     masks, muted = np.ones((len(batches), 1, u)), []
@@ -763,9 +761,7 @@ def rsc_losses(model: Model, batches: list[DomainBatch], q: float,
         order = sorted(range(u), key=lambda i: (-score[i], -i))
         muted.append(sorted(order[:int(np.ceil(q * u))]))
         mask[0, muted[-1]] = 0.0
-    shape = (model.embedding.shape[0], model.n_classes)
-    dk.forward(model, np.arange(shape[0]), tape, feature_mask=masks)
-    w = np.stack([_cell_table(b, r, shape) for b, r in zip(batches, rows)])
+    dk.forward(model, np.arange(w.shape[1]), tape, feature_mask=masks)
     return _soft_nll(tape.last, w), muted, tape
 
 
@@ -957,7 +953,7 @@ def _adversary_loss(h: Node, adversary: Model, adv_tape: Tape,
     return _soft_nll(table, a)
 
 
-def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
+def dann_losses(model: Model, adversary: Model, batches: Sources,
                 tape: Tape | None = None, adv_tape: Tape | None = None):
     """Label loss plus domain-classification loss behind gradient reversal.
 
@@ -977,7 +973,7 @@ def dann_losses(model: Model, adversary: Model, batches: list[DomainBatch],
 
 
 def cdann_losses(model: Model, adversaries: list[Model],
-                 batches: list[DomainBatch], tape: Tape | None = None,
+                 batches: Sources, tape: Tape | None = None,
                  adv_tapes: list[Tape] | None = None):
     """Class-conditional adversaries plus one on the prior-normalized marginal.
 

@@ -88,6 +88,11 @@ class TestConfigParsing:
                             objective={"kind": "CORAL", "lambda": 1.0},
                             trainer={"optimizer": "sgd", "batch_size": 1}),
          "trainer.batch_size"),
+        pytest.param(lambda d: d.update(
+            source=["source", "target"],
+            objective={"kind": "MMD", "lambda": 1.0},
+            trainer={"optimizer": "sgd", "batch_size": 2, "train_n": 1}),
+            "trainer.train_n", id="<lambda>-trainer.train_n-under-batch_size"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, mutate, field):
         doc = base_doc(tmp_path)
@@ -613,6 +618,8 @@ def _accepted_modes(kind):
     """Every optimizer setup the validator accepts for kind."""
     modes = [{"optimizer": "gd"}, {"optimizer": "sgd", "batch_size": 8},
              {"optimizer": "sgd", "batch_size": 2}, {"optimizer": "adam"}]
+    if kind not in harness.TWO_ROW_KINDS:
+        modes.append({"optimizer": "adam", "batch_size": 2, "train_n": 1})
     if kind not in harness.RAW_ROW_KINDS:
         modes.append({"optimizer": "gd", "data_mode": "population"})
     return modes
@@ -761,25 +768,60 @@ def test_a_stack_evaluates_as_its_runs(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["VREX", "GROUP_DRO", "FISH", "IGA", "IRM",
-                                  "SD", "CORAL", "MMD"])
-def test_a_domain_step_looks_each_source_up_once(tmp_path, monkeypatch, kind):
-    """The domain terms of a step share one weight table (`Tape.weights`),
-    so a step with 2 sources makes 2 `obs_rows` lookups."""
+                                  "SD", "CORAL", "MMD", "AND_MASK"])
+def test_a_domain_steps_lookups_do_not_grow_with_the_sources(
+        tmp_path, monkeypatch, kind):
+    """The domain terms read the run's weight table W on the observation
+    table, so a step makes as many `obs_rows` calls with 3 sources as with
+    2."""
+    family, domains = cld_core.random_family(3, variant="CLD2", n_domains=4)
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps(cld_core.family_to_dict(family, domains)))
     calls = []
     real = dk.obs_rows
     monkeypatch.setattr(dk, "obs_rows",
                         lambda *a: calls.append(1) or real(*a))
+    per_step = []
+    for sources in (["d0", "d1"], ["d0", "d1", "d2"]):
+        counts = []
+        for steps in (1, 2):
+            doc = base_doc(tmp_path / f"{len(sources)}-{steps}",
+                           family=str(fam), source=sources, target="d3",
+                           objective={"kind": kind, "lambda": 0.5},
+                           trainer={"lr": 0.1, "steps": steps, "train_n": 40,
+                                    "seed": 2},
+                           eval={"ci_pairs": 0})
+            calls.clear()
+            harness.run_experiment(harness.config_from_dict(doc))
+            counts.append(len(calls))
+        per_step.append(counts[1] - counts[0])
+    assert per_step[0] == per_step[1] >= 1
+
+
+@pytest.mark.parametrize("optimizer,kind,built", [
+    ("gd", "VREX", 0), ("sgd", "MIXUP", 0), ("sgd", "VREX", 1)])
+def test_a_step_builds_its_weight_table_only_when_it_needs_one(
+        tmp_path, monkeypatch, optimizer, kind, built):
+    """A full-batch run hands its one weight table to every step; a
+    minibatch step builds W from its minibatch on first read, and MIXUP,
+    which never reads W, builds none."""
+    calls = []
+    real = ob.weight_table
+    monkeypatch.setattr(ob, "weight_table",
+                        lambda *a: calls.append(1) or real(*a))
     counts = []
     for steps in (1, 2):
+        trainer = {"optimizer": optimizer, "lr": 0.1, "steps": steps,
+                   "train_n": 40, "seed": 2}
+        if optimizer == "sgd":
+            trainer["batch_size"] = 8
         doc = base_doc(tmp_path / str(steps), source=["source", "target"],
                        objective={"kind": kind, "lambda": 0.5},
-                       trainer={"lr": 0.1, "steps": steps, "train_n": 40,
-                                "seed": 2},
-                       eval={"ci_pairs": 0})
+                       trainer=trainer, eval={"ci_pairs": 0})
         calls.clear()
         harness.run_experiment(harness.config_from_dict(doc))
         counts.append(len(calls))
-    assert counts[1] - counts[0] == 2
+    assert counts[1] - counts[0] == built
 
 
 # Values of the wrong JSON type for each field annotation.

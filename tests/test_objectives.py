@@ -1167,6 +1167,40 @@ def test_domain_terms_refuse_raw_rows(kind, inputs):
         DOMAIN_TERMS[kind](model, bs, dk.Tape(model))
 
 
+# The terms that read only W, as (model, W or batches, tape) -> scalar node.
+WEIGHT_TABLE_TERMS = {
+    "MEAN": lambda m, sources, t: ob.mean_domain_loss(m, sources, t),
+    **{k: DOMAIN_TERMS[k] for k in ("VREX", "GROUP_DRO", "IRM", "FISH", "IGA",
+                                    "SD")}}
+
+
+@pytest.mark.parametrize("kind", list(WEIGHT_TABLE_TERMS))
+@pytest.mark.parametrize("mode", ["gd", "sgd", "population"])
+def test_a_weight_table_gives_its_batches_values(kind, mode):
+    """Given W = `weight_table(model, bs)`, a domain term gives bitwise the
+    value and parameter gradient it gives from the cell batches bs."""
+    model, bs = _domain_case(mode)
+    got = []
+    for sources in (bs, ob.weight_table(model, bs)):
+        tape = dk.Tape(model)
+        node = WEIGHT_TABLE_TERMS[kind](model, sources, tape)
+        got.append((node.val, dk.backward(tape, node)))
+    for a, b in zip(*got):
+        assert np.array_equal(a, b)
+
+
+def test_a_misshapen_weight_table_is_refused():
+    model, bs = _domain_case("gd")
+    w = ob.weight_table(model, bs)
+    assert w.shape == (3, model.embedding.shape[0], model.n_classes)
+    for bad in (w[:, :-1], w[..., :-1], w[0], w[..., None]):
+        with pytest.raises(ShapeMismatch, match="weight table of shape"):
+            ob.mean_domain_loss(model, bad, dk.Tape(model))
+    raw = dk.init_raw_model(3, (6,), model.n_classes, seed=5)
+    with pytest.raises(ShapeMismatch, match="embedding"):
+        ob.mean_domain_loss(raw, w, dk.Tape(raw))
+
+
 # ---------------------------------------------------------------------------
 # Closed-form table terms against their op chains
 

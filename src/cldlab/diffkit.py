@@ -29,6 +29,8 @@ gradient is the gradient of its own loss.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 import os
@@ -41,14 +43,17 @@ from .rng import substream
 
 
 class Node:
-    """One value in the graph; vjp maps the output adjoint to parent adjoints."""
+    """One value in the graph; vjp maps the output adjoint to parent adjoints,
+    and order numbers the nodes as they are made, parents first."""
 
-    __slots__ = ("val", "parents", "vjp")
+    __slots__ = ("val", "parents", "vjp", "order")
+    _created = itertools.count()
 
     def __init__(self, val, parents=(), vjp=None):
         self.val = val if isinstance(val, np.ndarray) else np.asarray(val, dtype=np.float64)
         self.parents = parents
         self.vjp = vjp
+        self.order = next(Node._created)
 
 
 def constant(x) -> Node:
@@ -231,41 +236,27 @@ def gradient_reversal(a: Node, scale: float) -> Node:
 
 # -- backward ----------------------------------------------------------------
 
-def _topo(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
 def grad_nodes(root: Node, wrt: list[Node]) -> list[Node]:
     """Adjoints of a root for each node in `wrt`, as constant nodes; a root
     with entries (one per run of a stack) is seeded with ones.
 
     The pass is first-order: each vjp maps an adjoint array to one array per
     parent, and the adjoints of a node's uses are added as arrays, so an
-    adjoint is a value with no graph behind it.
+    adjoint is a value with no graph behind it.  A heap visits the nodes in
+    reverse creation order (`Node.order`), taking a parent in when its
+    first adjoint arrives; every use of a node was made after it.
     """
     adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.val)}
-    for node in reversed(_topo(root)):
-        g = adjoint.get(id(node))
-        if g is None or node.vjp is None:
+    heap = [(-root.order, root)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        if node.vjp is None:
             continue
-        for parent, contrib in zip(node.parents, node.vjp(g)):
+        for parent, contrib in zip(node.parents, node.vjp(adjoint[id(node)])):
             have = adjoint.get(id(parent))
             adjoint[id(parent)] = contrib if have is None else have + contrib
+            if have is None:
+                heapq.heappush(heap, (-parent.order, parent))
     return [constant(adjoint[id(w)] if id(w) in adjoint else np.zeros_like(w.val))
             for w in wrt]
 
@@ -473,7 +464,7 @@ class Tape:
     feature masks).  A step therefore runs one forward whatever its terms
     (plus one per adversary, whose inputs are feature rows).  `last` is the
     table of the latest forward on the tape.  The weights that terms put on
-    the table's rows are their callers' (`objectives.weight_table`).
+    the table's rows are their callers' (a run's W, or `weight_table`'s).
     """
 
     def __init__(self, model: Model):

@@ -3,7 +3,6 @@ evaluation rows, verification, sweeps, and atomic result persistence."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -304,29 +303,32 @@ def write_json(path: str, doc: dict) -> None:
 # Batch assembly
 
 
+# perfbench's tracer keys data and evaluation on _train_batches, _eval_penalty
 def _train_batches(family, sources, cfg, seed):
-    """One cell batch per source: the sample's (x, y) counts, or in
-    population mode the exact P(x, y)."""
-    batches = []
-    for dom in sources:
-        if cfg.trainer.data_mode == "population":
-            p_xy = domain_p_xy(family, dom)
-            xs, ys = np.nonzero(p_xy > 0.0)
-            w = p_xy[xs, ys]
-            batches.append(DomainBatch(dom.domain_id, xs, ys, w / w.sum()))
-        else:
-            ds = sample_dataset(family, dom, cfg.trainer.train_n,
-                                derive_seed(seed, f"data:{dom.domain_id}"))
-            batches.append(ob.cell_batch(dom.domain_id, ds.x, ds.y))
-    return batches
+    """The sources' tables (W, N) of shape [D, n_obs, C]: N[d, x, y] counts
+    the sample's (x, y) cells and W = N / train_n, or in population mode W
+    is the exact P(x, y) and N is 1 on its cells."""
+    if cfg.trainer.data_mode == "population":
+        p = np.stack([domain_p_xy(family, dom) for dom in sources])
+        return (np.stack([pd / pd[pd > 0.0].sum() for pd in p]),
+                (p > 0.0).astype(np.int64))
+    s, n = family.spaces, cfg.trainer.train_n
+    data = [sample_dataset(family, dom, n, derive_seed(seed, f"data:{dom.domain_id}"))
+            for dom in sources]
+    counts = np.stack([np.bincount(ds.x * s.n_classes + ds.y,
+                                   minlength=s.n_obs * s.n_classes)
+                       for ds in data]).reshape(len(data), s.n_obs, s.n_classes)
+    return counts / n, counts
 
 
-def _minibatch(batch: DomainBatch, rng, k: int) -> DomainBatch:
-    """k rows drawn with replacement from a sample, as cell counts."""
-    draws = rng.multinomial(k, batch.weights)
-    keep = draws > 0
-    return DomainBatch(batch.domain_id, batch.inputs[keep], batch.labels[keep],
-                       draws[keep] / k, draws[keep])
+def _minibatch(w: np.ndarray, n: np.ndarray, rng, k: int):
+    """The tables (W, N) of k rows per source drawn with replacement: one
+    multinomial over each source's nonzero cells of w, in flat order."""
+    draws = np.zeros(n.shape, dtype=np.int64)
+    for wd, dd in zip(w, draws):
+        cells = np.nonzero(wd)
+        dd[cells] = rng.multinomial(k, wd[cells])
+    return draws / k, draws
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +351,15 @@ class _RunState:
 
 @dataclass
 class _Step:
-    """What an objective builder reads for one step."""
+    """What an objective builder reads for one step: the run's tables, or
+    in minibatch mode the step's."""
 
     model: dk.Model
     tape: dk.Tape
     run: _RunState
-    batches: list  # one cell batch per source
+    w: np.ndarray  # the sources' cell weights W[d, x, y]
+    n: np.ndarray  # the rows each cell stands for, N[d, x, y]
     step: int
-
-    @functools.cached_property
-    def w(self) -> np.ndarray:
-        """The sources' weight table W[d, x, y] (`objectives.weight_table`),
-        built on first read: MIXUP never reads it and RSC builds its own."""
-        return ob.weight_table(self.model, self.batches)
 
 
 # An objective builder maps a _Step to (base, pen): pen is the regularizer
@@ -388,15 +386,11 @@ def _pairs(kind):
 
 
 def _features(penalty):
-    """Mean domain loss plus penalty(features, weights, counts, objective)
-    on the observation table's feature rows once per source, weighted by
-    W.sum(y)[d] and counting the source's rows (population: cells) there."""
+    """Mean domain loss plus penalty(H, W.sum(y), N.sum(y), objective) on
+    the observation table's one feature matrix (exact for W = N / n)."""
     def build(c: _Step):
         table, w = ob._domain_tables(c.model, c.w, c.tape)
-        counts = [np.bincount(b.inputs, b.counts, w.shape[1]).astype(np.int64)
-                  for b in c.batches]
-        return _loss(c), penalty([table.h] * len(c.batches),
-                                 list(w.sum(axis=-1)), counts,
+        return _loss(c), penalty(table.h, w.sum(axis=-1), c.n.sum(axis=-1),
                                  c.run.cfg.objective)
     return build
 
@@ -425,15 +419,17 @@ def _group_dro(c: _Step):
 
 
 def _mixup(c: _Step):
+    """Each source's rows, expanded from N's nonzero cells, mixed."""
     alpha = c.run.cfg.objective.extra("alpha")
-    mixed = [ob.mixup(c.model, b, alpha,
-                      derive_seed(c.run.seed, f"mixup:{c.step}:{b.domain_id}"))
-             for b in c.batches]
+    cells = [(sid, *ob._nonzero_cells(nd)) for sid, nd in zip(c.run.cfg.sources, c.n)]
+    mixed = [ob.mixup(c.model, DomainBatch(sid, xs, ys, counts=reps), alpha,
+                      derive_seed(c.run.seed, f"mixup:{c.step}:{sid}"))
+             for sid, xs, ys, reps in cells]
     return ob.mixup_loss(c.model, mixed, c.tape), None
 
 
 def _rsc(c: _Step):
-    losses, _, _ = ob.rsc_losses(c.model, c.batches,
+    losses, _, _ = ob.rsc_losses(c.model, c.w,
                                  c.run.cfg.objective.extra("q"), c.tape)
     return dk.nmean(losses), None
 
@@ -451,15 +447,13 @@ OBJECTIVE_BUILDERS = {
     "VREX": _cells(ob.vrex_penalty),
     "FISH": _cells(ob.fish_penalty),
     "IGA": _cells(ob.iga_penalty),
-    "FISHR": lambda c: (_loss(c), ob.fishr_penalty(c.model, c.batches,
-                                                   c.tape)),
+    "FISHR": _cells(ob.fishr_penalty),
     "IRM": _cells(ob.irm_penalty),
     "SD": _cells(_sd),
     "GROUP_DRO": _group_dro,
-    "CORAL": _features(lambda feats, ws, ms, obj: ob.coral_penalty(
-        feats, ws, ms)),
-    "MMD": _features(lambda feats, ws, ms, obj: ob.mmd_penalty(
-        feats, obj.extra("bandwidth"), ws, ms).node),
+    "CORAL": _features(lambda f, w, m, obj: ob._coral(f, w, m)),
+    "MMD": _features(lambda f, w, m, obj: ob._mmd(
+        f, w, m, obj.extra("bandwidth")).node),
     "DANN": _adversarial(lambda c: ob.dann_losses(
         c.model, c.run.adversaries[0], c.w, c.tape, c.run.adv_tapes[0])),
     "CDANN": _adversarial(lambda c: ob.cdann_losses(
@@ -489,11 +483,11 @@ def _penalty_and_total(c: _Step):
     return base.table.term(base.val + lam * pen.val, vjp, *extra), pen
 
 
-def _eval_penalty(model, run: _RunState, batches) -> list:
+def _eval_penalty(model, run: _RunState, w: np.ndarray, n: np.ndarray) -> list:
     """Raw penalty value at the current parameters (no training side
     effects), one per run: a stack's runs from one build of its terms."""
     _, pen = OBJECTIVE_BUILDERS[run.cfg.objective.kind](
-        _Step(model, dk.Tape(model), run, batches, -1))
+        _Step(model, dk.Tape(model), run, w, n, -1))
     return np.reshape(np.zeros(model.runs) if pen is None else pen.val,
                       -1).tolist()
 
@@ -627,7 +621,13 @@ class _Plan:
 def _plan(cfg: ExperimentConfig, seed: int, out_dir: str | None) -> _Plan:
     out = resolve_out_dir(out_dir, cfg.out)
     chash, stored = _stamped(cfg, seed)
-    return _Plan(cfg, seed, out, chash, stored, _resolve_domains(cfg))
+    family, sources, target = domains = _resolve_domains(cfg)
+    kind = cfg.objective.kind
+    if cfg.trainer.data_mode == "population" and kind in TWO_ROW_KINDS:
+        for dom in sources:
+            _require(np.count_nonzero(domain_p_xy(family, dom)) > 1, "source",
+                     f"objective {kind} needs >= 2 (x, y) cells per domain")
+    return _Plan(cfg, seed, out, chash, stored, domains)
 
 
 def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
@@ -648,7 +648,7 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
     if len(plans) > 1:
         model = dk.stack_runs(model, len(plans))
         lam = np.array([p.cfg.objective.lam for p in plans])
-    batches = _train_batches(family, sources, cfg, seed)
+    w, n = _train_batches(family, sources, cfg, seed)
     kind = cfg.objective.kind
 
     run = _RunState(cfg, seed, lam)
@@ -679,19 +679,15 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
 
     def evaluate(m: dk.Model, step: int) -> None:
         # one penalty build and one forward for all the runs of a stack
-        pens = _eval_penalty(m, run, batches)
+        pens = _eval_penalty(m, run, w, n)
         for out, new in zip(rows, _eval_rows(m, family, named, sources,
                                              target, step, seed, pens)):
             out.extend(_finite(new))
 
-    w = None if cfg.trainer.batch_size else ob.weight_table(model, batches)
     for step in range(1, cfg.trainer.steps + 1):
-        step_batches = batches if cfg.trainer.batch_size is None else [
-            _minibatch(b, order_rng, cfg.trainer.batch_size) for b in batches]
-
-        c = _Step(model, dk.Tape(model), run, step_batches, step)
-        if w is not None:  # full batch: every step reads the run's W
-            c.w = w
+        tables = ((w, n) if cfg.trainer.batch_size is None
+                  else _minibatch(w, n, order_rng, cfg.trainer.batch_size))
+        c = _Step(model, dk.Tape(model), run, *tables, step)
         try:
             if kind == "AND_MASK":  # closed-form domain gradients, no backward
                 grads = ob.and_mask(

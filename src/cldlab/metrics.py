@@ -178,13 +178,6 @@ class FeatureDivergences:
     normalized: tuple[float, float] | None = None
 
 
-def _pairwise(feats: list[np.ndarray], bandwidth: float, weights: list,
-              counts: list) -> tuple[float, float]:
-    nodes = [dk.constant(f) for f in feats]
-    mmd = ob.mmd_penalty(nodes, bandwidth, weights, counts).raw
-    return mmd, float(ob.coral_penalty(nodes, weights, counts).val)
-
-
 def feature_divergences(model: Model, datasets: list[Dataset],
                         per_class: bool = False) -> FeatureDivergences:
     """MMD and CORAL distances between per-domain feature clouds.
@@ -192,45 +185,50 @@ def feature_divergences(model: Model, datasets: list[Dataset],
     With per_class=True, also computes the distances restricted to each
     class and for the pooled marginal reweighted so every class present in
     a domain contributes equally (each example weighted 1 / (K_d * n_dy)).
-    Both distances are the training penalties (`objectives.mmd_penalty`,
-    `objectives.coral_penalty`) on constant features of each domain's
-    `objectives.cell_batch`, whose counts give the rows' values.  The kernel
-    bandwidth is `objectives.median_bandwidth` of the full marginal clouds
-    pooled over all domains, reused for every domain pair and for the
-    conditional probes.
+    Both distances are the training penalties' cores (`objectives._mmd`,
+    `objectives._coral`) on one forward's features, a row per (x, y) cell
+    of the data, whose counts per dataset give the rows' values; each
+    weighting masks and normalizes that count table.  The kernel bandwidth
+    is `objectives.median_bandwidth` over the cell rows with the counts of
+    all domains, reused for every domain pair and the conditional probes.
     """
     if len(datasets) < 2:
         raise TooFewDomains("feature_divergences needs >= 2 domains")
     for ds in datasets:
         if len(ds) < 2:
             raise TooFewExamples(f"domain {ds.domain_id!r} has {len(ds)} examples")
-    cells = [ob.cell_batch(ds.domain_id, ds.x, ds.y) for ds in datasets]
-    feats = [model_features(model, b.inputs) for b in cells]
-    counts = [b.counts for b in cells]
-    pooled = dk.constant(np.vstack(feats))
-    bw = float(ob.median_bandwidth(ob.sq_dists(pooled, pooled),
-                                   np.concatenate(counts)).val)
-    mmd, coral = _pairwise(feats, bw, [b.weights for b in cells], counts)
+    n_x, n_cls = 1 + np.max([(np.max(ds.x), np.max(ds.y)) for ds in datasets], axis=0)
+    counts = np.stack([np.bincount(np.asarray(ds.x) * n_cls + ds.y,
+                                   minlength=n_x * n_cls) for ds in datasets])
+    cells = np.flatnonzero(counts.sum(axis=0))
+    counts, labels = counts[:, cells], cells % n_cls
+    feats = dk.constant(model_features(model, np.arange(n_x))[cells // n_cls])
+    bw = float(ob.median_bandwidth(ob.sq_dists(feats, feats),
+                                   counts.sum(axis=0)).val)
+
+    def divergences(m: np.ndarray, w=None) -> tuple[float, float]:
+        """(raw MMD, CORAL) with counts m [D, cells] and row weights w, by
+        default each domain's share of its counts."""
+        w = m / m.sum(axis=1, keepdims=True) if w is None else w
+        return ob._mmd(feats, w, m, bw).raw, float(ob._coral(feats, w, m).val)
+
+    mmd, coral = divergences(counts)
     if not per_class:
         return FeatureDivergences(mmd=mmd, coral=coral, bandwidth=bw)
 
-    classes = sorted({int(v) for b in cells for v in b.labels})
     by_class: dict[int, tuple[float, float]] = {}
-    for y in classes:
-        sub = [b.labels == y for b in cells]
-        ms = [b.counts[sel] for b, sel in zip(cells, sub)]
-        for b, m in zip(cells, ms):
-            if m.sum() < 2:
-                raise TooFewExamples(f"class {y} has {m.sum()} examples in "
-                                     f"domain {b.domain_id!r}")
-        by_class[y] = _pairwise([f[sel] for f, sel in zip(feats, sub)], bw,
-                                [m / m.sum() for m in ms], ms)
+    for y in np.unique(labels):
+        m = np.where(labels == y, counts, 0)
+        for ds, total in zip(datasets, m.sum(axis=1)):
+            if total < 2:
+                raise TooFewExamples(f"class {y} has {total} examples in "
+                                     f"domain {ds.domain_id!r}")
+        by_class[int(y)] = divergences(m)
 
-    balanced = []
-    for b in cells:
-        present, label_of = np.unique(b.labels, return_inverse=True)
-        per_label = np.bincount(label_of, weights=b.counts)
-        balanced.append(b.counts / (present.size * per_label[label_of]))
-    normalized = _pairwise(feats, bw, balanced, counts)
+    per_label = counts @ (labels[:, None] == np.arange(n_cls))  # [D, C]
+    present = np.count_nonzero(per_label, axis=1)[:, None]
+    normalized = divergences(counts, np.divide(
+        counts, present * per_label[:, labels], out=np.zeros(counts.shape),
+        where=counts > 0))
     return FeatureDivergences(mmd=mmd, coral=coral, bandwidth=bw,
                               per_class=by_class, normalized=normalized)

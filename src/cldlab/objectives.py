@@ -22,11 +22,17 @@ Conventions fixed here once:
     recomputed per batch and kept inside the graph;
   * a batch is a table of (x, y) cells with their probabilities and, for a
     sample, the rows each stands for, so cells give the values of the rows;
-  * the domain terms (the domain losses, FISH, IGA, IRM, SD, RSC, DANN,
-    CDANN, CORAL and MMD) read the sources as one cell-weight table
-    W[d, x, y] on the observation table, converted once from cell batches
-    of observation indices (`weight_table`); a term that reads only W takes
-    W itself or the cell batches (`Sources`);
+  * the domain terms (the domain losses, FISH, IGA, FISHR, IRM, SD, RSC,
+    DANN and CDANN) read the sources as one cell-weight table W[d, x, y] on
+    the observation table, a run's own or converted from cell batches of
+    observation indices (`weight_table`), so each takes W or the cell
+    batches (`Sources`); FISHR and RSC's scores read W's nonzero cells in
+    flat order, the order of `cell_batch` and of population cells;
+  * CORAL and MMD read one feature matrix with per-domain row weights and
+    counts (`_coral`, `_mmd`).  Cells may share a row (training's H has one
+    per x) only where each domain's weights are proportional to its counts,
+    as W = N / n are, since MMD drops each row's pair with itself (mass
+    w^2 / m); `metrics.feature_divergences`' class-balanced weights are not;
   * gradient penalties map logit adjoints through one closed-form backprop
     (`_grads`) as ops on the table, so a step needs one first-order backward;
   * the terms that read only the table (the soft NLL behind every loss,
@@ -295,18 +301,24 @@ def weight_table(model: Model, batches: list[DomainBatch]) -> np.ndarray:
     return np.stack([_cell_table(b, b.inputs, shape) for b in batches])
 
 
+def _nonzero_cells(table: np.ndarray):
+    """A [n_obs, C] table's nonzero cells in flat order: (x, y, value)."""
+    xs, ys = np.nonzero(table)
+    return xs, ys, table[xs, ys]
+
+
 def _domain_tables(model: Model, sources: Sources,
-                   tape: Tape) -> tuple[dk.ObsTable, np.ndarray]:
-    """(table, W): the tape's observation table and the sources' cell
-    weights on it, W[d, x, y] of shape [D, n_obs, C].  sources is W itself
-    or a list of cell batches, which `weight_table` converts."""
+                   tape: Tape | None) -> tuple[dk.ObsTable | None, np.ndarray]:
+    """(table, W): the tape's observation table (None with no tape) and the
+    sources' cell weights on it, W[d, x, y] of shape [D, n_obs, C].  sources
+    is W itself or a list of cell batches, which `weight_table` converts."""
     if not isinstance(sources, np.ndarray):
         sources = weight_table(model, sources)
     elif sources.shape[1:] != (_n_obs(model), model.n_classes):
         raise ShapeMismatch(f"weight table of shape {sources.shape} on "
                             f"{_n_obs(model)} observations")
-    table, _ = dk.obs_rows(model, np.arange(_n_obs(model)), tape)
-    return table, sources
+    return (None if tape is None else
+            dk.obs_rows(model, np.arange(_n_obs(model)), tape)[0]), sources
 
 
 def _domain_nll(model: Model, batches: Sources, tape: Tape):
@@ -667,25 +679,26 @@ def _fishr(g: Node, weights) -> Node:
     return dk.nsum(dk.mul(dk.nsum(dk.square(diff), axis=-1), dk.constant(pairs)))
 
 
-def fishr_penalty(model: Model, batches: list[DomainBatch],
+def fishr_penalty(model: Model, batches: Sources,
                   tape: Tape | None = None) -> Node:
     """Match per-domain componentwise variances of per-example gradients.
 
-    Variance is over the batch's (weighted) empirical distribution; the
-    penalty is the squared Euclidean distance between variance vectors,
-    averaged over unordered domain pairs.  Weighted cell batches give the
-    exact population form of the same quantity.  Every source's cells take
-    their gradients from one `cell_grads`.
+    Variance is over each source's cells W[d]; the penalty is the squared
+    Euclidean distance between variance vectors, averaged over unordered
+    domain pairs.  Population weights give the exact population form of
+    the same quantity.  Every source's nonzero cells take their gradients
+    from one `cell_grads`.  Cell batches need >= 2 rows each (W carries no
+    row counts).
     """
     _need_domains(batches)
-    for b in batches:  # rows, not cells
-        if (len(b) if b.counts is None else np.sum(b.counts)) < 2:
-            raise TooFewExamples(f"domain {b.domain_id}: need >= 2 examples")
+    if not isinstance(batches, np.ndarray):
+        for b in batches:  # rows, not cells
+            if (len(b) if b.counts is None else np.sum(b.counts)) < 2:
+                raise TooFewExamples(f"domain {b.domain_id}: need >= 2 examples")
     tape = tape if tape is not None else Tape(model)
-    cells = DomainBatch("sources", np.concatenate([b.inputs for b in batches]),
-                        np.concatenate([b.labels for b in batches]))
-    return _fishr(_flat(cell_grads(model, cells, tape), (len(cells),)),
-                  [_weights(b) for b in batches])
+    xs, ys, ws = zip(*map(_nonzero_cells, _domain_tables(model, batches, tape)[1]))
+    cells = DomainBatch("sources", np.concatenate(xs), np.concatenate(ys))
+    return _fishr(_flat(cell_grads(model, cells, tape), (len(cells),)), ws)
 
 
 def _irm(w: np.ndarray, z: np.ndarray, p: np.ndarray):
@@ -736,28 +749,28 @@ def sd_penalty(logits: Node, weights: np.ndarray | None = None) -> Node:
     return _applied(lambda z: _sd(z, w), logits)
 
 
-def rsc_losses(model: Model, batches: list[DomainBatch], q: float,
+def rsc_losses(model: Model, batches: Sources, q: float,
                tape: Tape | None = None):
     """Mute, for each source, the feature units whose true-class logit
     gradients are largest, and score the sources on their masked features.
 
-    Returns (the [D] node of masked domain losses, each batch's muted unit
-    indices, tape).  A batch's score is its weighted mean absolute gradient
-    of the true-class logit w.r.t. H, which for the linear head is
-    |head[unit, y]|; the top ceil(q*u) units are muted, ties muting higher
-    indices first.  One forward over every observation with a [D, 1, u]
-    feature mask gives the D masked tables, read with the sources' cell
-    weights W[d, x, y]; it is the step's one forward.
+    Returns (the [D] node of masked domain losses, each source's muted unit
+    indices, tape).  A source's score is its weighted mean absolute
+    gradient of the true-class logit w.r.t. H over its cells W[d] (W or
+    cell batches), which for the linear head is |head[unit, y]|; the top
+    ceil(q*u) units are muted, ties muting higher indices first.  One
+    forward over every observation with a [D, 1, u] feature mask gives the
+    D masked tables, read with W; it is the step's one forward.
     """
     if not 0.0 < q < 1.0:
         raise ShapeMismatch("q must be in (0,1)")
-    w = weight_table(model, batches)
+    _, w = _domain_tables(model, batches, None)  # the masked forward is below
     tape = tape if tape is not None else Tape(model)
     u = model.u_count
-    masks, muted = np.ones((len(batches), 1, u)), []
-    for mask, b in zip(masks, batches):
-        labels = np.asarray(b.labels, dtype=np.int64)
-        score = _weights(b) @ np.abs(model.head[:u, labels].T)
+    masks, muted = np.ones((len(w), 1, u)), []
+    for mask, wd in zip(masks, w):
+        _, labels, vals = _nonzero_cells(wd)
+        score = vals @ np.abs(model.head[:u, labels].T)
         order = sorted(range(u), key=lambda i: (-score[i], -i))
         muted.append(sorted(order[:int(np.ceil(q * u))]))
         mask[0, muted[-1]] = 0.0
@@ -777,64 +790,63 @@ def rsc_mask(model: Model, batch: DomainBatch, q: float,
 # Distribution matching on features
 # ---------------------------------------------------------------------------
 
-def _as_feature_nodes(features_by_domain, counts=None):
-    """Feature matrices as nodes, with the sample rows each feature row
-    stands for (one each for a None entry); each domain needs >= 2 rows."""
+def _feature_rows(features_by_domain, weights=None, counts=None):
+    """Per-domain feature matrices as (f, w, m): one node f [n, u] of their
+    rows, block after block, and each domain's row weights (uniform by
+    default) and sample-row counts (one each) as [D, n] tables, zero off
+    its block."""
     feats = list(features_by_domain)
-    nodes, ms = [], []
-    for f, m in zip(feats, [None] * len(feats) if counts is None else counts,
-                    strict=True):
+    none = [None] * len(feats)
+    if weights is not None and len(weights) != len(feats):
+        raise ShapeMismatch("need one row-weight vector per domain")
+    rows = []
+    for f, w, m in zip(feats, none if weights is None else weights,
+                       none if counts is None else counts, strict=True):
         node = f if isinstance(f, Node) else dk.constant(np.asarray(f, dtype=np.float64))
         if node.val.ndim != 2:
             raise ShapeMismatch("features must be [n, u] matrices")
-        m = np.ones(node.val.shape[0], dtype=np.int64) if m is None else np.asarray(m)
-        if m.shape != node.val.shape[:1]:
+        n = node.val.shape[0]
+        m = np.ones(n, dtype=np.int64) if m is None else np.asarray(m)
+        if m.shape != (n,):
             raise ShapeMismatch("need one count per feature row")
         if m.sum() < 2:
             raise TooFewExamples("need >= 2 feature vectors per domain")
-        nodes.append(node)
-        ms.append(m)
-    if len(nodes) < 2:
-        raise TooFewDomains("need >= 2 domains of features")
-    return nodes, ms
-
-
-def _row_weights(nodes: list[Node], weights) -> list[np.ndarray]:
-    """One weight vector per domain, uniform over its rows by default."""
-    if weights is None:
-        return [np.full(f.val.shape[0], 1.0 / f.val.shape[0]) for f in nodes]
-    if len(weights) != len(nodes):
-        raise ShapeMismatch("need one row-weight vector per domain")
-    out = []
-    for f, w in zip(nodes, weights):
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != f.val.shape[:1] or abs(float(w.sum()) - 1.0) > 1e-9:
+        w = np.full(n, 1.0 / n) if w is None else np.asarray(w, dtype=np.float64)
+        if w.shape != (n,) or abs(float(w.sum()) - 1.0) > 1e-9:
             raise ShapeMismatch("row weights must match the rows and sum to 1")
-        out.append(w)
-    return out
+        rows.append((node, w, m))
+    if len(rows) < 2:
+        raise TooFewDomains("need >= 2 domains of features")
+    nodes, ws, ms = zip(*rows)
+    own = np.arange(len(ms))[:, None] == np.repeat(np.arange(len(ms)),
+                                                   [len(m) for m in ms])
+    return (dk.concat(nodes), np.where(own, np.concatenate(ws), 0.0),
+            np.where(own, np.concatenate(ms), 0))
+
+
+def _coral(f: Node, w: np.ndarray, m: np.ndarray) -> Node:
+    """CORAL on one feature node f [n, u] whose rows domain d weighs by
+    w[d] ([D, n]; the counts m add nothing here): the squared difference of
+    the weighted means plus that of the population covariances, averaged
+    over unordered domain pairs.  Every domain's mean [D, u] and covariance
+    [D, u, u] come from one pass, so the graph does not grow with D."""
+    k, u = len(w), f.val.shape[1]
+    mean = dk.matmul(dk.constant(w), f)
+    centered = dk.sub(f, dk.reshape(mean, (k, 1, u)))  # [D, n, u]
+    cov = dk.matmul(dk.t2(dk.mul(centered, dk.constant(w[:, :, None]))),
+                    centered)
+    stats = dk.concat([mean, dk.reshape(cov, (k, u * u))], axis=-1)
+    diff = dk.sub(dk.reshape(stats, (k, 1, -1)), dk.reshape(stats, (1, k, -1)))
+    pairs = np.triu(np.ones((k, k)), 1) / (k * (k - 1) / 2)
+    return dk.nsum(dk.mul(dk.nsum(dk.square(diff), axis=-1), dk.constant(pairs)))
 
 
 def coral_penalty(features_by_domain, weights=None, counts=None) -> Node:
     """Squared mean difference plus squared Frobenius difference of
-    population covariances, averaged over unordered domain pairs.
-
-    weights optionally gives each domain's row weights (uniform by default);
-    means and covariances are then taken under those weights.  counts give
-    the sample rows each feature row stands for (one each by default).
-    """
-    nodes, _ = _as_feature_nodes(features_by_domain, counts)
-    stats = []
-    for f, w in zip(nodes, _row_weights(nodes, weights)):
-        mean = dk.matmul(dk.constant(w[None, :]), f)  # [1, u]
-        centered = dk.sub(f, mean)
-        cov = dk.matmul(dk.t2(dk.mul(centered, dk.constant(w[:, None]))),
-                        centered)
-        stats.append((mean, cov))
-    # squared mean difference plus squared covariance difference per pair
-    terms = [dk.add(dk.nsum(dk.square(dk.sub(a[0], b[0]))),
-                    dk.nsum(dk.square(dk.sub(a[1], b[1]))))
-             for a, b in itertools.combinations(stats, 2)]
-    return dk.nmean(dk.stack_list(terms))
+    population covariances, averaged over unordered domain pairs (`_coral`),
+    under each domain's row weights (uniform by default; counts, the rows
+    each feature row stands for, are checked only)."""
+    return _coral(*_feature_rows(features_by_domain, weights, counts))
 
 
 def sq_dists(a: Node, b: Node) -> Node:
@@ -898,45 +910,47 @@ class MmdResult(NamedTuple):
     bandwidth: float
 
 
-def mmd_penalty(features_by_domain, bandwidth: float | None = None,
-                weights=None, counts=None) -> MmdResult:
-    """Unbiased Gaussian-kernel MMD^2, averaged over unordered domain pairs.
-
-    weights optionally gives each domain's row weights (uniform by default),
-    counts the sample rows each feature row stands for (one by default).
-    Within-domain sums drop the pairs of a row with itself (kernel value 1,
-    mass s = sum(w^2 / count) over rows with a count) and renormalize by
-    1 - s, so cells with counts give their rows' value and a row of no
-    count adds nothing.  Without a bandwidth each pair uses the median
-    heuristic on its pooled rows.  The estimator may dip below zero;
-    the returned node is clamped at zero and the raw value is reported
-    alongside.
+def _mmd(f: Node, w: np.ndarray, m: np.ndarray,
+         bandwidth: float | None = None) -> MmdResult:
+    """Unbiased Gaussian-kernel MMD^2 on one feature node f [n, u] whose
+    rows domain d weighs by w[d] and counts m[d] ([D, n]), averaged over
+    unordered domain pairs, from one [n, n] distance matrix.  Within-domain
+    sums drop the pairs of a sample row with itself (kernel value 1, mass
+    s = sum(w^2 / m) over rows with a count) and renormalize by 1 - s, so
+    cells with counts give their rows' value and a row of no count adds
+    nothing.  Without a bandwidth a pair's is the median heuristic on its
+    rows, counted m[a] + m[b].
     """
-    nodes, ms = _as_feature_nodes(features_by_domain, counts)
-    ws = _row_weights(nodes, weights)
-    terms = []
-    bw_used = 0.0
-    for (fa, wa, ma), (fb, wb, mb) in itertools.combinations(zip(nodes, ws, ms), 2):
-        pooled = dk.concat([fa, fb])
-        dmat = sq_dists(pooled, pooled)
+    dmat = sq_dists(f, f)
+    s = [float(wd[md > 0] @ (wd[md > 0] / md[md > 0])) for wd, md in zip(w, m)]
+    terms, bw_used = [], 0.0
+    for a, b in itertools.combinations(range(len(w)), 2):
         h = (dk.constant(float(bandwidth)) if bandwidth is not None
-             else median_bandwidth(dmat, np.concatenate([ma, mb])))
+             else median_bandwidth(dmat, m[a] + m[b]))
         bw_used = float(h.val)
         kmat = dk.exp(dk.div(dmat, dk.neg(h)))
-        # side[:, 0] / side[:, 1] put each domain's weights on its rows,
-        # so side^T K side holds [[wa K wa, wa K wb], [wb K wa, wb K wb]]
-        side = dk.constant(np.stack([
-            np.concatenate([wa, np.zeros(wb.size)]),
-            np.concatenate([np.zeros(wa.size), wb])], axis=1))
+        # side's columns are the pair's weights, so side^T K side holds
+        # [[wa K wa, wa K wb], [wb K wa, wb K wb]]
+        side = dk.constant(w[[a, b]].T)
         gram = dk.matmul(dk.t2(side), dk.matmul(kmat, side))
-        sa, sb = (float(w[m > 0] @ (w[m > 0] / m[m > 0]))
-                  for w, m in ((wa, ma), (wb, mb)))
-        coef = dk.constant([[1.0 / (1.0 - sa), -1.0],
-                            [-1.0, 1.0 / (1.0 - sb)]])
-        diag = sa / (1.0 - sa) + sb / (1.0 - sb)
+        coef = dk.constant([[1.0 / (1.0 - s[a]), -1.0],
+                            [-1.0, 1.0 / (1.0 - s[b])]])
+        diag = s[a] / (1.0 - s[a]) + s[b] / (1.0 - s[b])
         terms.append(dk.sub(dk.nsum(dk.mul(gram, coef)), dk.constant(diag)))
     total = dk.nmean(dk.stack_list(terms))
     return MmdResult(dk.relu(total), float(total.val), bw_used)
+
+
+def mmd_penalty(features_by_domain, bandwidth: float | None = None,
+                weights=None, counts=None) -> MmdResult:
+    """Unbiased Gaussian-kernel MMD^2, averaged over unordered domain pairs:
+    `_mmd` on the domains' rows, with weights optionally giving each
+    domain's row weights (uniform by default) and counts the sample rows
+    each feature row stands for (one by default).  The estimator may dip
+    below zero; the returned node is clamped at zero and the raw value is
+    reported alongside.
+    """
+    return _mmd(*_feature_rows(features_by_domain, weights, counts), bandwidth)
 
 
 # ---------------------------------------------------------------------------

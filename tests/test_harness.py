@@ -61,33 +61,41 @@ class TestConfigParsing:
         assert cfg.sources == ("source", "target")
 
     @pytest.mark.parametrize("mutate,field", [
-        (lambda d: d.update(bogus=1), "bogus"),
-        (lambda d: d.pop("family"), "family"),
-        (lambda d: d["trainer"].update(cadence=3), "trainer.cadence"),
-        (lambda d: d["trainer"].update(lr=0.0), "trainer.lr"),
-        (lambda d: d["trainer"].update(optimizer="lbfgs"), "trainer.optimizer"),
-        (lambda d: d["trainer"].update(head_only_steps=99),
-         "trainer.head_only_steps"),
-        (lambda d: d["model"].update(embedding="learned"), "model.embedding"),
-        (lambda d: d["eval"].update(ci_style="shuffled"), "eval.ci_style"),
-        (lambda d: d.update(objective={"kind": "GROUP_DRO"}), "source"),
-        (lambda d: d.update(source=["source", "target"],
-                            objective={"kind": "MMD", "lambda": 1.0},
-                            trainer={"data_mode": "population"}),
-         "trainer.data_mode"),
-        (lambda d: d["trainer"].update(batch_size=8,
-                                       data_mode="population"),
-         "trainer.batch_size"),
-        (lambda d: d["trainer"].update(batch_size=8, optimizer="gd"),
-         "trainer.batch_size"),
-        (lambda d: d.update(source=["source", "target"],
-                            objective={"kind": "FISHR", "lambda": 1.0},
-                            trainer={"train_n": 1}),
-         "trainer.train_n"),
-        (lambda d: d.update(source=["source", "target"],
-                            objective={"kind": "CORAL", "lambda": 1.0},
-                            trainer={"optimizer": "sgd", "batch_size": 1}),
-         "trainer.batch_size"),
+        pytest.param(lambda d: d.update(bogus=1), "bogus", id="<lambda>-bogus"),
+        pytest.param(lambda d: d.pop("family"), "family", id="<lambda>-family"),
+        pytest.param(lambda d: d["trainer"].update(cadence=3),
+                     "trainer.cadence", id="<lambda>-trainer.cadence"),
+        pytest.param(lambda d: d["trainer"].update(lr=0.0), "trainer.lr",
+                     id="<lambda>-trainer.lr"),
+        pytest.param(lambda d: d["trainer"].update(optimizer="lbfgs"),
+                     "trainer.optimizer", id="<lambda>-trainer.optimizer"),
+        pytest.param(lambda d: d["trainer"].update(head_only_steps=99),
+                     "trainer.head_only_steps",
+                     id="<lambda>-trainer.head_only_steps"),
+        pytest.param(lambda d: d["model"].update(embedding="learned"),
+                     "model.embedding", id="<lambda>-model.embedding"),
+        pytest.param(lambda d: d["eval"].update(ci_style="shuffled"),
+                     "eval.ci_style", id="<lambda>-eval.ci_style"),
+        pytest.param(lambda d: d.update(objective={"kind": "GROUP_DRO"}),
+                     "source", id="<lambda>-source"),
+        pytest.param(lambda d: d.update(source=["source", "target"],
+                                        objective={"kind": "MMD", "lambda": 1.0},
+                                        trainer={"data_mode": "population"}),
+                     "trainer.data_mode", id="<lambda>-trainer.data_mode"),
+        pytest.param(lambda d: d["trainer"].update(batch_size=8,
+                                                   data_mode="population"),
+                     "trainer.batch_size",
+                     id="<lambda>-trainer.batch_size-under-population"),
+        pytest.param(lambda d: d["trainer"].update(batch_size=8, optimizer="gd"),
+                     "trainer.batch_size", id="<lambda>-trainer.batch_size-under-gd"),
+        pytest.param(lambda d: d.update(source=["source", "target"],
+                                        objective={"kind": "FISHR", "lambda": 1.0},
+                                        trainer={"train_n": 1}),
+                     "trainer.train_n", id="<lambda>-trainer.train_n"),
+        pytest.param(lambda d: d.update(
+            source=["source", "target"], objective={"kind": "CORAL", "lambda": 1.0},
+            trainer={"optimizer": "sgd", "batch_size": 1}),
+            "trainer.batch_size", id="<lambda>-trainer.batch_size-of-one-row"),
         pytest.param(lambda d: d.update(
             source=["source", "target"],
             objective={"kind": "MMD", "lambda": 1.0},
@@ -755,15 +763,15 @@ def test_a_stack_evaluates_as_its_runs(tmp_path, kind):
         arr += rng.normal(scale=0.5, size=arr.shape)
     run = harness._RunState(cfg, 0, np.ones(3))
     run.pairs = pairgen.pair_law(family, sources[0])
-    batches = harness._train_batches(family, sources, cfg, 0)
+    data = harness._train_batches(family, sources, cfg, 0)
     tables = metrics._run_tables(stack, family)
-    pens = harness._eval_penalty(stack, run, batches)
+    pens = harness._eval_penalty(stack, run, *data)
     assert len(tables) == len(pens) == 3
     for r in range(3):
         one = stack.run(r)
         assert np.array_equal(tables[r].p_yhat_given_x,
                               metrics.tabulate(one, family).p_yhat_given_x)
-        assert [pens[r]] == harness._eval_penalty(one, run, batches)
+        assert [pens[r]] == harness._eval_penalty(one, run, *data)
     assert (kind == "ERM") == (pens == [0.0] * 3)
 
 
@@ -798,30 +806,67 @@ def test_a_domain_steps_lookups_do_not_grow_with_the_sources(
     assert per_step[0] == per_step[1] >= 1
 
 
-@pytest.mark.parametrize("optimizer,kind,built", [
-    ("gd", "VREX", 0), ("sgd", "MIXUP", 0), ("sgd", "VREX", 1)])
-def test_a_step_builds_its_weight_table_only_when_it_needs_one(
-        tmp_path, monkeypatch, optimizer, kind, built):
-    """A full-batch run hands its one weight table to every step; a
-    minibatch step builds W from its minibatch on first read, and MIXUP,
-    which never reads W, builds none."""
+@pytest.mark.parametrize("optimizer,kind,eval_every", [
+    ("gd", "VREX", 1), ("sgd", "VREX", 0), ("sgd", "MIXUP", 0),
+    ("sgd", "RSC", 0), ("gd", "FISHR", 0)])
+def test_a_run_builds_no_weight_table(tmp_path, monkeypatch, optimizer,
+                                      kind, eval_every):
+    """The harness hands its tables (W, N), or a minibatch's drawn on them,
+    to every step and evaluation point, so a whole run converts no cell
+    batch (`objectives.weight_table`)."""
     calls = []
     real = ob.weight_table
     monkeypatch.setattr(ob, "weight_table",
                         lambda *a: calls.append(1) or real(*a))
-    counts = []
-    for steps in (1, 2):
-        trainer = {"optimizer": optimizer, "lr": 0.1, "steps": steps,
-                   "train_n": 40, "seed": 2}
-        if optimizer == "sgd":
-            trainer["batch_size"] = 8
-        doc = base_doc(tmp_path / str(steps), source=["source", "target"],
-                       objective={"kind": kind, "lambda": 0.5},
-                       trainer=trainer, eval={"ci_pairs": 0})
-        calls.clear()
+    trainer = {"optimizer": optimizer, "lr": 0.1, "steps": 3, "train_n": 40,
+               "seed": 2, "eval_every": eval_every}
+    if optimizer == "sgd":
+        trainer["batch_size"] = 8
+    doc = base_doc(tmp_path, source=["source", "target"],
+                   objective={"kind": kind, "lambda": 0.5},
+                   trainer=trainer, eval={"ci_pairs": 0})
+    harness.run_experiment(harness.config_from_dict(doc))
+    assert calls == []
+
+
+def _single_cell_family_path(tmp_path) -> str:
+    """x = 2c + n and P(y | c) = [[1, 0], [0.2, 0.8]]: d0, whose latents are
+    always (0, 0), holds the one (x, y) cell (0, 0); d1 is uniform and d2
+    is the target."""
+    spaces = cld_core.LatentSpaces(2, 2, 4, 2)
+    px = np.zeros((2, 2, 4))
+    for c in range(2):
+        for n in range(2):
+            px[c, n, 2 * c + n] = 1.0
+    family = cld_core.build_family(spaces, px,
+                                   np.array([[1.0, 0.0], [0.2, 0.8]]))
+    domains = [cld_core.make_domain(family, "CLD2", domain_id=d, p_cn=p)
+               for d, p in (("d0", np.array([[1.0, 0.0], [0.0, 0.0]])),
+                            ("d1", np.full((2, 2), 0.25)),
+                            ("d2", np.full((2, 2), 0.25)))]
+    path = tmp_path / "single-cell.json"
+    path.write_text(json.dumps(cld_core.family_to_dict(family, domains)))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["FISHR", "CORAL"])
+def test_a_population_source_of_one_cell_is_refused(tmp_path, kind):
+    """FISHR and CORAL take spreads over >= 2 cells per source, so a
+    population run whose source has one (x, y) cell is refused with a
+    ConfigError naming source, and a sweep refuses it before any write."""
+    doc = base_doc(tmp_path / "out", family=_single_cell_family_path(tmp_path),
+                   source=["d0", "d1"], target="d2",
+                   objective={"kind": kind, "lambda": 1.0},
+                   trainer={"data_mode": "population", "steps": 3},
+                   eval={"ci_pairs": 0})
+    with pytest.raises(ConfigError) as err:
         harness.run_experiment(harness.config_from_dict(doc))
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == built
+    assert err.value.field == "source"
+    doc["out"] = str(tmp_path / "sweep")
+    with pytest.raises(ConfigError) as err:
+        harness.sweep(doc, {"objective.lambda": [0.5, 1.0]})
+    assert err.value.field == "source"
+    assert os.listdir(tmp_path / "sweep") == []
 
 
 # Values of the wrong JSON type for each field annotation.
@@ -1008,7 +1053,12 @@ def test_a_table_step_backs_up_through_the_forward_alone(tmp_path,
     doc["trainer"]["steps"] = 1
     harness.run_experiment(harness.config_from_dict(doc))
     [(tape, total)] = seen
-    ancestors = {id(n) for n in dk._topo(total)} - {id(total)}
+    ancestors, todo = set(), [total]
+    while todo:
+        for parent in todo.pop().parents:
+            if id(parent) not in ancestors:
+                ancestors.add(id(parent))
+                todo.append(parent)
     assert ancestors == ({id(n) for n in tape.param_nodes}
                          | {id(tape.table._node)})
     assert set(map(id, tape.table._node.parents)) <= ancestors
@@ -1024,18 +1074,18 @@ def test_a_table_total_passes_finite_differences(tmp_path, kind, mode):
         tmp_path, source=["source", "target"],
         objective={"kind": kind, "lambda": 0.7}, trainer=trainer))
     family, sources, _ = harness._resolve_domains(cfg)
-    batches = harness._train_batches(family, sources, cfg, 0)
+    data = harness._train_batches(family, sources, cfg, 0)
     if mode == "sgd-16":
         rng = np.random.default_rng(3)
-        batches = [harness._minibatch(b, rng, 16) for b in batches]
+        data = harness._minibatch(*data, rng, 16)
     model = dk.init_model(family.spaces.n_obs, (4,), family.spaces.n_classes,
                           seed=2)
     run = harness._RunState(cfg, 0, cfg.objective.lam)
     run.pairs = pairgen.pair_law(family, sources[0])
 
     def total(m, bs, tape):
-        node, _ = harness._penalty_and_total(harness._Step(m, tape, run, bs, 1))
+        node, _ = harness._penalty_and_total(harness._Step(m, tape, run, *bs, 1))
         assert isinstance(node, dk.Term)
         return node
 
-    assert dk.finite_diff_check(model, batches, total, eps=1e-5) < 1e-5
+    assert dk.finite_diff_check(model, data, total, eps=1e-5) < 1e-5

@@ -598,6 +598,60 @@ CELL_CASES = {
 }
 
 
+def test_class_balanced_divergences_give_the_row_estimators():
+    """feature_divergences' class-balanced pair equals, within 1e-12
+    relative, the row-form MMD (kernel sums over rows, i = j dropped) and
+    CORAL with each row weighted 1 / (K_d n_dy).  Those weights are not
+    proportional to the counts, so the cell rows must not be merged by x."""
+    spaces = cld_core.LatentSpaces(2, 2, 4, 2)
+    px = np.zeros((2, 2, 4))
+    for c in range(2):
+        for n in range(2):
+            px[c, n, 2 * c + n] = 0.8
+            px[c, n, 2 * (1 - c) + n] = 0.2
+    family = cld_core.build_family(spaces, px,
+                                   np.array([[0.9, 0.1], [0.2, 0.8]]))
+    shared = np.array([[0.9, 0.1], [0.1, 0.9]])
+    domains = [cld_core.make_domain(family, "CLD3", domain_id=d, p_y=p_y,
+                                    p_c_given_y=shared,
+                                    p_n_given_c=np.tile(p_n, (2, 1)))
+               for d, p_y, p_n in (("s", [0.5, 0.5], [0.7, 0.3]),
+                                   ("t", [0.15, 0.85], [0.4, 0.6]))]
+    data = [cld_core.sample_dataset(family, d, 300, seed=s)
+            for s, d in enumerate(domains)]
+    model = dk.init_model(4, (6,), 2, embedding="bits", seed=1)
+    div = metrics.feature_divergences(model, data, per_class=True)
+    feats = [metrics.model_features(model, ds.x) for ds in data]
+    weights = []
+    for ds in data:
+        per_label = np.bincount(ds.y)
+        weights.append(1.0 / (np.count_nonzero(per_label) * per_label[ds.y]))
+        assert np.any(ds.x[ds.y == 0][:, None] == ds.x[ds.y == 1])
+
+    def ksum(x, wx, y, wy):
+        d = ((x * x).sum(axis=1)[:, None] - (2.0 * x) @ y.T
+             + (y * y).sum(axis=1)[None, :])
+        return wx @ np.exp(-np.maximum(d, 0.0) / div.bandwidth) @ wy
+
+    def within(f, w):
+        s = (w * w).sum()
+        return (ksum(f, w, f, w) - s) / (1.0 - s)
+
+    (fa, fb), (wa, wb) = feats, weights
+    mmd = within(fa, wa) + within(fb, wb) - 2.0 * ksum(fa, wa, fb, wb)
+    mmd_got, coral_got = div.normalized
+    assert abs(mmd) > 1e-3
+    assert mmd_got == pytest.approx(mmd, rel=1e-12)
+
+    def moments(f, w):
+        mean = w @ f
+        return mean, ((f - mean) * w[:, None]).T @ (f - mean)
+
+    (ma, ca), (mb, cb) = moments(fa, wa), moments(fb, wb)
+    coral = ((ma - mb) ** 2).sum() + ((ca - cb) ** 2).sum()
+    assert coral_got == pytest.approx(coral, rel=1e-12)
+
+
 def _pair_cells(pairs):
     """Sampled pairs as distinct (x, x~, y) cells weighted by their share
     (a reference for the pair list's counts)."""
@@ -694,6 +748,25 @@ def _np_log_softmax(z):
     return z - m - np.log(np.exp(z - m).sum(axis=1, keepdims=True))
 
 
+def _cell_minibatch(batch, rng, k: int):
+    """k rows drawn with replacement from a cell batch, as cell counts: the
+    reference for `harness._minibatch`, which draws on the tables."""
+    draws = rng.multinomial(k, batch.weights)
+    keep = draws > 0
+    return ob.DomainBatch(batch.domain_id, batch.inputs[keep],
+                          batch.labels[keep], draws[keep] / k, draws[keep])
+
+
+def _tables(model, bs):
+    """The tables (W, N) of cell batches bs: N is each cell's count, one
+    for a cell with none."""
+    n = np.zeros((len(bs), model.embedding.shape[0], model.n_classes),
+                 dtype=np.int64)
+    for nd, b in zip(n, bs):
+        np.add.at(nd, (b.inputs, b.labels), 1 if b.counts is None else b.counts)
+    return ob.weight_table(model, bs), n
+
+
 def _table_case(family_name, minibatch):
     """A model with cell batches of both domains, sampled pairs of the
     first: on CANON-D or a 16-observation CLD2 family, full samples or
@@ -711,7 +784,7 @@ def _table_case(family_name, minibatch):
         batches.append(ob.cell_batch(d.domain_id, ds.x, ds.y))
     if minibatch:
         rng = np.random.default_rng(5)
-        batches = [harness._minibatch(b, rng, 8) for b in batches]
+        batches = [_cell_minibatch(b, rng, 8) for b in batches]
     pairs = sample_pairs(family, domains[0], 50, seed=7)
     return model, batches, pairs
 
@@ -956,7 +1029,7 @@ def _domain_case(mode, n_domains=3):
         ds = cld_core.sample_dataset(family, d, 60,
                                      derive_seed(7, f"data:{d.domain_id}"))
         b = ob.cell_batch(d.domain_id, ds.x, ds.y)
-        bs.append(b if mode == "gd" else harness._minibatch(b, rng, 16))
+        bs.append(b if mode == "gd" else _cell_minibatch(b, rng, 16))
     return model, bs
 
 
@@ -1060,7 +1133,7 @@ def test_table_builders_give_the_per_batch_values(kind, mode):
                                    ob.ObjectiveConfig(kind, 1.0))
     tape = dk.Tape(model)
     base, pen = harness.OBJECTIVE_BUILDERS[kind](harness._Step(
-        model, tape, harness._RunState(cfg, 0, 1.0), bs, 1))
+        model, tape, harness._RunState(cfg, 0, 1.0), *_tables(model, bs), 1))
     got = base if kind == "RSC" else pen
     direct_tape = dk.Tape(model)
     want = _per_batch_form(kind, model, bs, direct_tape)
@@ -1171,7 +1244,8 @@ def test_domain_terms_refuse_raw_rows(kind, inputs):
 WEIGHT_TABLE_TERMS = {
     "MEAN": lambda m, sources, t: ob.mean_domain_loss(m, sources, t),
     **{k: DOMAIN_TERMS[k] for k in ("VREX", "GROUP_DRO", "IRM", "FISH", "IGA",
-                                    "SD")}}
+                                    "SD", "FISHR")},
+    "RSC": lambda m, sources, t: dk.nmean(DOMAIN_TERMS["RSC"](m, sources, t))}
 
 
 @pytest.mark.parametrize("kind", list(WEIGHT_TABLE_TERMS))
@@ -1187,6 +1261,36 @@ def test_a_weight_table_gives_its_batches_values(kind, mode):
         got.append((node.val, dk.backward(tape, node)))
     for a, b in zip(*got):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 7, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_minibatch_drawn_on_the_tables_is_the_cell_batch_draw(seed, k):
+    """`harness._minibatch` on the run's tables gives bitwise the tables of
+    the same draw on the cell batches."""
+    model, bs = _domain_case("gd")
+    got = harness._minibatch(*_tables(model, bs), np.random.default_rng(seed), k)
+    rng = np.random.default_rng(seed)
+    want = _tables(model, [_cell_minibatch(b, rng, k) for b in bs])
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_coral_builds_the_same_graph_for_any_domain_count():
+    """The CORAL builder takes every source's moments in one pass over the
+    table's H, so its graph does not grow with the number of sources."""
+    counts = []
+    for n_domains in (2, 3):
+        model, bs = _domain_case("population", n_domains)
+        tape = dk.Tape(model)
+        dk.obs_rows(model, np.arange(model.embedding.shape[0]), tape)
+        cfg = harness.ExperimentConfig("CANON-D", ("a", "b", "c"), "c",
+                                       ob.ObjectiveConfig("CORAL", 1.0))
+        step = harness._Step(model, tape, harness._RunState(cfg, 0, 1.0),
+                             *_tables(model, bs), 1)
+        counts.append(_built_nodes(
+            lambda: harness.OBJECTIVE_BUILDERS["CORAL"](step)))
+    assert counts[0] == counts[1]
 
 
 def test_a_misshapen_weight_table_is_refused():

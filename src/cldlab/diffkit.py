@@ -1,10 +1,10 @@
 """Reverse-mode tape on numpy arrays.
 
 The tape is first-order: each op's vjp maps an adjoint array to one array
-per parent, and a backward pass builds no graph.  Penalties on parameter
-gradients (gradient alignment, gradient variance) differentiate
-`objectives._grads`, which writes the backprop of logit adjoints in closed
-form as ordinary ops on the observation table.
+per parent, and a backward pass builds no graph (`grad_nodes` returns
+arrays).  Penalties on parameter gradients (gradient alignment, gradient
+variance) differentiate `objectives._grads`, which writes the backprop of
+logit adjoints in closed form as ordinary ops on the observation table.
 
 Model decomposition is fixed: a constant embedding of discrete inputs, dense
 rectifier layers producing the feature row H, and a linear head whose bias is
@@ -17,9 +17,10 @@ node, and its vjp is the network's closed-form backprop of the adjoints of
 any of the fields, so a forward adds the same few nodes at any depth.
 Terms that read only the table are closed forms on that node
 (`ObsTable.term`): a numpy value and a map from the term's adjoint to the
-fields' adjoints, one node each, so a training step of those terms is one
-node on the forward and its backward visits that node, the forward and the
-parameter leaves.
+fields' adjoints by key (the head's under "head", which the fused vjp adds
+to its own), one node each whose one parent is the forward, so a training
+step of those terms is one node on the forward and its backward visits
+that node, the forward and the parameter leaves.
 
 Ops act on the trailing axes, so a model whose parameter arrays carry a
 leading run axis (`stack_runs`) trains R runs on one tape: every value
@@ -236,9 +237,9 @@ def gradient_reversal(a: Node, scale: float) -> Node:
 
 # -- backward ----------------------------------------------------------------
 
-def grad_nodes(root: Node, wrt: list[Node]) -> list[Node]:
-    """Adjoints of a root for each node in `wrt`, as constant nodes; a root
-    with entries (one per run of a stack) is seeded with ones.
+def grad_nodes(root: Node, wrt: list[Node]) -> list[np.ndarray]:
+    """Adjoints of a root for each node in `wrt`, as arrays; a root with
+    entries (one per run of a stack) is seeded with ones.
 
     The pass is first-order: each vjp maps an adjoint array to one array per
     parent, and the adjoints of a node's uses are added as arrays, so an
@@ -257,7 +258,7 @@ def grad_nodes(root: Node, wrt: list[Node]) -> list[Node]:
             adjoint[id(parent)] = contrib if have is None else have + contrib
             if have is None:
                 heapq.heappush(heap, (-parent.order, parent))
-    return [constant(adjoint[id(w)] if id(w) in adjoint else np.zeros_like(w.val))
+    return [adjoint[id(w)] if id(w) in adjoint else np.zeros_like(w.val)
             for w in wrt]
 
 
@@ -397,8 +398,8 @@ class _Fields(dict):
 
 
 class Term(Node):
-    """A node on one forward's fused node (`ObsTable.term`), whose vjp
-    hands the adjoints of the table's fields to it directly."""
+    """A node on one forward's fused node alone (`ObsTable.term`), whose
+    vjp hands the adjoints of the table's fields to it directly."""
 
     __slots__ = ("table",)
 
@@ -411,9 +412,10 @@ class ObsTable:
     ("h", "z", "logp", "p", or layer l's index).
 
     The forward is one fused node.  A term written in closed form on the
-    arrays is one node on it (`term`); each field is also a view of it,
-    built on first read, that hands its adjoint to the fused node under
-    the field's key."""
+    arrays is one node on it (`term`), handing it the fields' adjoints and
+    the head's, under "head"; each field is also a view of it, built on
+    first read, that hands its adjoint to the fused node under the field's
+    key."""
 
     __slots__ = ("_node", "vals", "_views", "_n_layers")
 
@@ -437,19 +439,11 @@ class ObsTable:
     def layers(self) -> tuple:
         return tuple(self._view(layer) for layer in range(self._n_layers))
 
-    def term(self, value, vjp, *extra) -> Term:
-        """A term in closed form as one node whose parents are the fused
-        node and the extra nodes: vjp maps the term's adjoint to a dict of
-        the fields' adjoints by key, or, with extra nodes, to (that dict,
-        one adjoint per extra node)."""
-        if extra:
-            def adjoints(g):
-                fields, *rest = vjp(g)
-                return (_Fields(fields), *rest)
-        else:
-            def adjoints(g):
-                return (_Fields(vjp(g)),)
-        node = Term(value, (self._node, *extra), adjoints)
+    def term(self, value, vjp) -> Term:
+        """A term in closed form as one node whose one parent is the fused
+        node: vjp maps the term's adjoint to a dict of the fields'
+        adjoints by key, the head's under "head"."""
+        node = Term(value, (self._node,), lambda g: (_Fields(vjp(g)),))
         node.table = self
         return node
 
@@ -514,9 +508,10 @@ def forward(model: Model, inputs, tape: Tape | None = None, *,
 
     The values are computed in numpy, and the fused node's vjp is the
     closed-form backprop of the adjoints of any of the table's fields:
-    p into log p (g p), log p into z (g - p sum(g)), z into the head and H,
-    then back through each layer's relu mask to its W and b, adding the
-    adjoints of the layer inputs on the way, and to a live input node.
+    p into log p (g p), log p into z (g - p sum(g)), z into the head (plus
+    a term's "head" adjoint) and H, then back through each layer's relu
+    mask to its W and b, adding the adjoints of the layer inputs on the
+    way, and to a live input node.
     """
     live = isinstance(inputs, Node)
     if live:
@@ -549,12 +544,11 @@ def forward(model: Model, inputs, tape: Tape | None = None, *,
         gz = g.get("z")
         if glogp is not None:
             gz = _plus(gz, glogp - p * glogp.sum(axis=-1, keepdims=True))
-        gh = g.get("h")
-        if gz is None:
-            grads = [np.zeros_like(head)]
-        else:
-            grads = [_unbroadcast(_t(h1) @ gz, head.shape)]
+        gh, ghead = g.get("h"), g.get("head")
+        if gz is not None:
+            ghead = _plus(_unbroadcast(_t(h1) @ gz, head.shape), ghead)
             gh = _plus(gh, (gz @ _t(head))[..., :-1])
+        grads = [np.zeros_like(head) if ghead is None else ghead]
         if gh is None:
             gh = np.zeros_like(h)
         gout = gh if mask is None else gh * mask  # the adjoint of acts[-1]
@@ -606,7 +600,7 @@ def backward(tape: Tape, loss_node: Node) -> np.ndarray:
         raise ShapeMismatch("loss node must be scalar, or one entry per run "
                             "of a stack")
     grads = grad_nodes(loss_node, tape.param_nodes)
-    return np.concatenate([g.val.reshape(runs + (-1,)) for g in grads], axis=-1)
+    return np.concatenate([g.reshape(runs + (-1,)) for g in grads], axis=-1)
 
 
 def finite_diff_check(model: Model, batch, loss_fn, eps: float = 1e-5, *,
@@ -621,7 +615,7 @@ def finite_diff_check(model: Model, batch, loss_fn, eps: float = 1e-5, *,
     """
     tape = Tape(model)
     node = loss_fn(model, batch, tape)
-    analytic = np.concatenate([g.val.ravel() for g in
+    analytic = np.concatenate([g.ravel() for g in
                                grad_nodes(node, tape.param_nodes)])
     evaluate = fd_fn if fd_fn is not None else (
         lambda m, b: float(loss_fn(m, b, Tape(m)).val))

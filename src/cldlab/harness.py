@@ -323,11 +323,12 @@ def _train_batches(family, sources, cfg, seed):
 
 def _minibatch(w: np.ndarray, n: np.ndarray, rng, k: int):
     """The tables (W, N) of k rows per source drawn with replacement: one
-    multinomial over each source's nonzero cells of w, in flat order."""
+    multinomial over each source's nonzero cells of w, in their flat order
+    (`objectives._nonzero_cells`)."""
     draws = np.zeros(n.shape, dtype=np.int64)
     for wd, dd in zip(w, draws):
-        cells = np.nonzero(wd)
-        dd[cells] = rng.multinomial(k, wd[cells])
+        xs, ys, cell_w = ob._nonzero_cells(wd)
+        dd[xs, ys] = rng.multinomial(k, cell_w)
     return draws / k, draws
 
 
@@ -475,12 +476,8 @@ def _penalty_and_total(c: _Step):
     if not (isinstance(base, dk.Term) and isinstance(pen, dk.Term)
             and base.table is pen.table):
         return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    extra = (*base.parents[1:], *pen.parents[1:])
-
-    def vjp(g):
-        (fb, *eb), (fp, *ep) = base.vjp(g), pen.vjp(lam * g)
-        return (fb + fp, *eb, *ep) if extra else fb + fp
-    return base.table.term(base.val + lam * pen.val, vjp, *extra), pen
+    return base.table.term(base.val + lam * pen.val,
+                           lambda g: base.vjp(g)[0] + pen.vjp(lam * g)[0]), pen
 
 
 def _eval_penalty(model, run: _RunState, w: np.ndarray, n: np.ndarray) -> list:

@@ -236,8 +236,8 @@ def _weights(batch: DomainBatch) -> np.ndarray:
 
 # A closed form is (value, vjp) on the arrays of one forward's table: vjp
 # maps the value's adjoint to the adjoints of the table's fields by key
-# ("logp", "p", "z", "h"), and `ObsTable.term` makes it one node.  The forms
-# below reduce over trailing or domain axes only, never over the run axis.
+# ("logp", "p", "z", "h", "head"), and `ObsTable.term` makes it one node;
+# the forms reduce over trailing or domain axes only, never over runs.
 
 def _nll(logp: np.ndarray, w: np.ndarray):
     """The closed form of -sum(w * logp) over the trailing [rows, C] axes
@@ -404,7 +404,7 @@ def _pair_sq(key: str, a: np.ndarray, t: np.ndarray):
 def _pair_lam(h: np.ndarray, head: np.ndarray, table: np.ndarray):
     """The closed form of sum over (x, x~, y) of table[x, x~, y] times
     sum_u head[u, y]^2 (h_x[u] - h_x~[u])^2: its vjp also gives the
-    head's adjoint (zero on the bias row)."""
+    head's adjoint (zero on the bias row), under "head"."""
     u = h.shape[-1]
     diff, hu = _pair_rows(h), head[..., :u, :]
     sq, hsq = diff * diff, hu * hu
@@ -414,7 +414,7 @@ def _pair_lam(h: np.ndarray, head: np.ndarray, table: np.ndarray):
         gd = 2.0 * (each @ dk._t(hsq)[..., None, :, :]) * diff
         ghead = np.zeros(head.shape)
         ghead[..., :u, :] = 2.0 * (dk._t(sq) @ each).sum(axis=-3) * hu
-        return {"h": _pair_back(gd)}, ghead
+        return {"h": _pair_back(gd), "head": ghead}
     return ((sq @ hsq[..., None, :, :]) * table).sum(axis=(-3, -2, -1)), vjp
 
 
@@ -423,7 +423,7 @@ def pair_penalty(model: Model, table: np.ndarray, kind: str,
     """The pair term of kind over a pair table W[x, x~, y] (`pair_table`,
     `pair_law`): the sum over (x, x~) of the pairs' weight times their
     divergence, read from the tape's observation table on its trailing axes
-    as one node (LAM's also on the head).
+    as one node (LAM's vjp also gives the head's adjoint).
 
     kind PROB: D_KL(p(.|x) || p(.|x~)), formed per pair as
     sum_c p_x (log p_x - log p_x~); LOGIT / FEAT: summed squared differences
@@ -439,8 +439,7 @@ def pair_penalty(model: Model, table: np.ndarray, kind: str,
     obs, _ = dk.obs_rows(model, np.arange(n), tape)
     vals = obs.vals
     if kind == "LAM":
-        head = tape.node("head")
-        return obs.term(*_pair_lam(vals["h"], head.val, table), head)
+        return obs.term(*_pair_lam(vals["h"], tape.node("head").val, table))
     t = np.sum(table, axis=-1)
     if kind == "PROB":
         return obs.term(*_pair_prob(vals["logp"], vals["p"], t))
@@ -583,7 +582,10 @@ def cell_grads(model: Model, batch: DomainBatch, tape: Tape) -> list[Node]:
 def _domain_grads(model: Model, batches: Sources,
                   tape: Tape | None = None) -> Node:
     """The sources' loss gradients as one [D, P] node, flat as in
-    `dk.backward`: one backprop of the adjoints of W[d, x, y]."""
+    `dk.backward`: one backprop of the adjoints of W[d, x, y].  A stack is
+    refused: its run axis would land where the domain axis goes."""
+    if model.runs:
+        raise ShapeMismatch("domain gradients take one run, not a stack")
     tape = tape if tape is not None else Tape(model)
     table, w = _domain_tables(model, batches, tape)
     return _flat(_grads(model, table.h, table.layers, _adjoints(table, w), tape),

@@ -357,6 +357,27 @@ def test_lambda_group_matches_one_run_per_lambda(tmp_path, monkeypatch,
     assert swept == single
 
 
+@pytest.mark.parametrize("kind", ["VREX", "FISH", "MIXUP"])
+def test_a_kind_that_does_not_stack_sweeps_one_run_per_lambda(
+        tmp_path, monkeypatch, kind):
+    """A sweep of a kind outside STACKED_KINDS trains each lambda alone,
+    and each run's files are byte for byte those of its own
+    run_experiment."""
+    assert kind not in harness.STACKED_KINDS
+    stacks = []
+    real = dk.stack_runs
+    monkeypatch.setattr(dk, "stack_runs",
+                        lambda m, r: stacks.append(r) or real(m, r))
+    trainer = {"steps": 6, "train_n": 60, "seed": 3, **GROUP_TRAINERS["gd"]}
+    (swept, err_a), (single, err_b) = _lambda_runs(
+        tmp_path, kind, trainer, [0.1, 0.5, 2.0],
+        source=["source", "target"])
+    assert stacks == []
+    assert err_a is None and err_b is None
+    assert len(swept) == 12
+    assert swept == single
+
+
 # PAIR_LOGIT at 1e200 overflows a training forward; PAIR_PROB at 1e10
 # trains to an infinite source loss in the final evaluation.
 @pytest.mark.parametrize("kind, lam", [("PAIR_LOGIT", 1e200),
@@ -1040,8 +1061,8 @@ TABLE_KINDS = ["ERM", "SWA", "PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM",
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_a_table_step_backs_up_through_the_forward_alone(tmp_path,
                                                           monkeypatch, kind):
-    """A gd step's total node has as ancestors only the fused forward node
-    and the parameter leaves."""
+    """A gd step's total node has the fused forward node as its one parent,
+    and as ancestors only that node and the parameter leaves."""
     seen = []
     real = dk.backward
     monkeypatch.setattr(dk, "backward",
@@ -1053,6 +1074,7 @@ def test_a_table_step_backs_up_through_the_forward_alone(tmp_path,
     doc["trainer"]["steps"] = 1
     harness.run_experiment(harness.config_from_dict(doc))
     [(tape, total)] = seen
+    assert total.parents == (tape.table._node,)
     ancestors, todo = set(), [total]
     while todo:
         for parent in todo.pop().parents:

@@ -550,7 +550,7 @@ def test_mmd_rows_that_stand_for_no_sample_row_add_nothing():
             rows = dk.concat([a, dk.constant(rng.normal(size=(1, 3)))])
             wa, counts = np.append(wa, 0.0), np.append(ma, 0)
         res = ob.mmd_penalty([rows, b], None, [wa, mb / mb.sum()], [counts, mb])
-        return res.raw, [g.val for g in dk.grad_nodes(res.node, [a, b])]
+        return res.raw, dk.grad_nodes(res.node, [a, b])
 
     (raw, grads), (raw_empty, grads_empty) = measured(False), measured(True)
     assert raw > 0.0
@@ -1401,6 +1401,16 @@ def _stacked(model, runs: int = 2):
     for _, arr in stack.param_blocks():
         arr += rng.normal(scale=0.3, size=arr.shape)
     return stack
+
+
+@pytest.mark.parametrize("penalty", [ob.fish_penalty, ob.iga_penalty],
+                         ids=["FISH", "IGA"])
+def test_domain_gradient_penalties_refuse_a_stack(penalty):
+    """The domain gradients have no run axis yet, so a stack is refused
+    rather than read with its runs as domains."""
+    model, bs = _domain_case("population", 2)
+    with pytest.raises(ShapeMismatch):
+        penalty(_stacked(model), bs)
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one-run", "stack"])

@@ -1,8 +1,10 @@
 """The row gate: train one fixed deck of runs on a checkout, and compare the
-artifacts of two such decks.
+artifacts of two such decks; and the graph nodes a gd step of each kind
+builds.
 
     python tools/deck_rows.py run CHECKOUT OUT
     python tools/deck_rows.py compare A B
+    python tools/deck_rows.py nodes CHECKOUT
 
 `run` puts CHECKOUT's `src` and `perfbench` first on the path and trains:
 
@@ -22,6 +24,12 @@ error is written next to it.
 files found on one side only, and prints, over the run CSVs that differ,
 each (kind, field)'s largest relative move |a - b| / max(|a|, |b|).
 
+`nodes` imports CHECKOUT as `run` does and, for each objective kind, counts
+the `diffkit.Node`s made by a 1-step and a 2-step gd `run_experiment` on
+row-zoo's seed-1 family of that kind (sources d0 and d1, target d2, lambda
+0.5, seed 1), printing one `kind nodes` line per kind: the nodes of the
+second step.
+
 Uses the standard library and numpy only; the test suite does not run it.
 """
 
@@ -32,6 +40,7 @@ import csv
 import os
 import shutil
 import sys
+import tempfile
 
 WORK = "/tmp/cldlab-deck-rows"
 SEEDS = (1, 2, 3)
@@ -155,6 +164,41 @@ def compare(a: str, b: str) -> None:
             print(f"  {kind:10s} {field:14s} {move:.3g}")
 
 
+def nodes(checkout: str) -> None:
+    wl = _import_checkout(checkout)
+    from cldlab import diffkit, harness
+    from cldlab.objectives import KINDS
+
+    made = [0]
+    real = diffkit.Node.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        real(self, *args, **kwargs)
+
+    work = tempfile.mkdtemp(prefix="cldlab-deck-nodes-")
+    diffkit.Node.__init__ = counted
+    try:
+        for kind in KINDS:
+            family, domains = wl.fixed_shape_family(1, f"row-zoo:{kind}",
+                                                    "CLD2", 3)
+            path = wl.write_family(family, domains,
+                                   os.path.join(work, f"family-{kind}.json"))
+            counts = []
+            for steps in (1, 2):
+                doc = wl.train_doc(path, ["d0", "d1"], "d2", kind, KIND_LAMBDA,
+                                   1, lr=0.1, steps=steps)
+                made[0] = 0
+                harness.run_experiment(harness.config_from_dict(doc),
+                                       out_dir=os.path.join(work, kind,
+                                                            str(steps)))
+                counts.append(made[0])
+            print(f"{kind} {counts[1] - counts[0]}")
+    finally:
+        diffkit.Node.__init__ = real
+        shutil.rmtree(work, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -164,9 +208,13 @@ def main(argv=None) -> int:
     c = sub.add_parser("compare", help="compare two decks' artifacts")
     c.add_argument("a")
     c.add_argument("b")
+    n = sub.add_parser("nodes", help="count the nodes of a gd step per kind")
+    n.add_argument("checkout")
     args = ap.parse_args(argv)
     if args.cmd == "run":
         run(args.checkout, args.out)
+    elif args.cmd == "nodes":
+        nodes(args.checkout)
     else:
         compare(args.a, args.b)
     return 0

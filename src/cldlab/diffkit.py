@@ -1,4 +1,4 @@
-"""Reverse-mode tape on numpy arrays.
+"""Reverse-mode tape on numpy arrays, and the network's closed forms.
 
 The tape is first-order: each op's vjp maps an adjoint array to one array
 per parent, and a backward pass builds no graph (`grad_nodes` returns
@@ -9,22 +9,22 @@ logit adjoints in closed form as ordinary ops on the observation table.
 Model decomposition is fixed: a constant embedding of discrete inputs, dense
 rectifier layers producing the feature row H, and a linear head whose bias is
 a dummy always-one feature unit, so logits are exactly z[y] = sum_u w[u, y] *
-h[u] with h running over the augmented features.
+h[u] with h running over the augmented features.  A model's parameter
+blocks are views of one flat buffer, so the optimizers update it in place.
 
-The network is one tape node (`forward`): its table of H, z, log p, p and
-each layer's input rows is computed in numpy, the fields are views of that
-node, and its vjp is the network's closed-form backprop of the adjoints of
-any of the fields, so a forward adds the same few nodes at any depth.
-Terms that read only the table are closed forms on that node
-(`ObsTable.term`): a numpy value and a map from the term's adjoint to the
-fields' adjoints by key (the head's under "head", which the fused vjp adds
-to its own), one node each whose one parent is the forward, so a training
-step of those terms is one node on the forward and its backward visits
-that node, the forward and the parameter leaves.
+The network's math is two array functions: `forward_core` computes the
+table of H, z, log p, p and each layer's input rows, and `backprop_core`
+maps adjoints of any of those fields, by key, to the flat parameter
+gradient.  A step whose terms are closed forms on that table (the soft
+NLL, the pair kinds, V-REx, GroupDRO, SD, IRM) calls the two directly and
+builds no graph.  On a tape the network is one node (`forward`) whose vjp
+is `backprop_core`: the fields are views of that node, and a closed form
+on the arrays is one node on it (`ObsTable.term`), so a forward adds the
+same few nodes at any depth.
 
 Ops act on the trailing axes, so a model whose parameter arrays carry a
-leading run axis (`stack_runs`) trains R runs on one tape: every value
-gains that axis, a loss is one entry per run, and each run's slice of the
+leading run axis (`stack_runs`) trains R runs at once: every value gains
+that axis, a loss is one entry per run, and each run's slice of the
 gradient is the gradient of its own loss.
 """
 
@@ -35,7 +35,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -264,6 +264,17 @@ def grad_nodes(root: Node, wrt: list[Node]) -> list[np.ndarray]:
 
 # -- the model ---------------------------------------------------------------
 
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of flat [*runs, P] as consecutive blocks of the given shapes,
+    each [*runs, ...]."""
+    lead, out, i = math.prod(flat.shape[:-1]), [], 0
+    for shape in shapes:
+        n = math.prod(shape) // lead
+        out.append(flat[..., i:i + n].reshape(shape))
+        i += n
+    return out
+
+
 @dataclass
 class Model:
     """Embedding + dense rectifier extractor + linear head with dummy-unit bias.
@@ -271,12 +282,32 @@ class Model:
     A stack of R runs (`stack_runs`) puts a leading run axis on every
     parameter array and shares the embedding; shapes, sizes and flat
     parameters below are per run, flat parameters [R, n_params] on a stack.
+    The parameter blocks are views of one buffer, `flat`, in the order W0,
+    b0, W1, b1, ..., head; the constructor packs the blocks it is given into
+    a new one.  `params` holds the same views as the cores read them, a
+    stack's biases [R, 1, d] so they broadcast over rows.
     """
 
     embedding: np.ndarray | None  # [n_obs, e]; None means inputs arrive embedded
     weights: list[np.ndarray]  # per layer, [d_in, d_out]
     biases: list[np.ndarray]  # per layer, [d_out]
     head: np.ndarray  # [u_count + 1, n_classes]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    params: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        runs = np.shape(self.head)[:-2]
+        blocks = [a for wb in zip(self.weights, self.biases) for a in wb]
+        blocks.append(self.head)
+        self.flat = np.concatenate([np.asarray(a, dtype=np.float64).reshape(
+            runs + (-1,)) for a in blocks], axis=-1)
+        shapes = [np.shape(a) for a in blocks]
+        if runs:
+            shapes[1:-1:2] = [s[:-1] + (1,) + s[-1:] for s in shapes[1:-1:2]]
+        self.params = _split(self.flat, shapes)
+        self.weights, self.head = self.params[:-1:2], self.params[-1]
+        self.biases = ([b[..., 0, :] for b in self.params[1:-1:2]] if runs
+                       else self.params[1:-1:2])
 
     @property
     def runs(self) -> tuple:
@@ -299,33 +330,27 @@ class Model:
         out.append(("head", self.head))
         return out
 
-    def _run_size(self, a: np.ndarray) -> int:
-        return a.size // math.prod(self.runs)
-
     def n_params(self) -> int:
-        return sum(self._run_size(a) for _, a in self.param_blocks())
+        return self.flat.shape[-1]
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([a.reshape(self.runs + (-1,))
-                               for _, a in self.param_blocks()], axis=-1)
+        return self.flat.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        i = 0
-        for _, a in self.param_blocks():
-            n = self._run_size(a)
-            a[...] = flat[..., i:i + n].reshape(a.shape)
-            i += n
+        if np.shape(flat) != self.flat.shape:
+            raise ShapeMismatch(f"flat parameters of shape {np.shape(flat)} "
+                                f"for a buffer of {self.flat.shape}")
+        self.flat[...] = flat
 
     def clone(self) -> "Model":
         emb = None if self.embedding is None else self.embedding.copy()
-        return Model(emb, [w.copy() for w in self.weights],
-                     [b.copy() for b in self.biases], self.head.copy())
+        return Model(emb, self.weights, self.biases, self.head)
 
     def run(self, r: int) -> "Model":
         """Run r of a stack as a model of its own: copies of its parameter
         arrays, and the shared embedding."""
-        return Model(self.embedding, [w[r].copy() for w in self.weights],
-                     [b[r].copy() for b in self.biases], self.head[r].copy())
+        return Model(self.embedding, [w[r] for w in self.weights],
+                     [b[r] for b in self.biases], self.head[r])
 
 
 def stack_runs(model: Model, r: int) -> Model:
@@ -397,19 +422,12 @@ class _Fields(dict):
         return out
 
 
-class Term(Node):
-    """A node on one forward's fused node alone (`ObsTable.term`), whose
-    vjp hands the adjoints of the table's fields to it directly."""
-
-    __slots__ = ("table",)
-
-
 class ObsTable:
     """One forward's rows as graph nodes: features H, logits z, their
     log-softmax, the probabilities p = exp(logp), and each dense layer's
     input rows, first layer first (the embedded inputs, then the features
-    of every layer but the last).  `vals` holds the arrays by field key
-    ("h", "z", "logp", "p", or layer l's index).
+    of every layer but the last).  `vals` is `forward_core`'s table of the
+    arrays by field key ("h", "z", "logp", "p", or layer l's index).
 
     The forward is one fused node.  A term written in closed form on the
     arrays is one node on it (`term`), handing it the fields' adjoints and
@@ -439,18 +457,16 @@ class ObsTable:
     def layers(self) -> tuple:
         return tuple(self._view(layer) for layer in range(self._n_layers))
 
-    def term(self, value, vjp) -> Term:
+    def term(self, value, vjp) -> Node:
         """A term in closed form as one node whose one parent is the fused
         node: vjp maps the term's adjoint to a dict of the fields'
         adjoints by key, the head's under "head"."""
-        node = Term(value, (self._node,), lambda g: (_Fields(vjp(g)),))
-        node.table = self
-        return node
+        return Node(value, (self._node,), lambda g: (_Fields(vjp(g)),))
 
 
 class Tape:
-    """Leaf nodes for one step's parameters, and the step's observation
-    table.
+    """Leaf nodes for one step's parameters, views of one copy of the
+    model's buffer, and the step's observation table.
 
     Every term that reads observation indices reads rows of one table: the
     forward over every observation, `arange(n_obs)`, that `obs_rows` runs
@@ -459,18 +475,14 @@ class Tape:
     (plus one per adversary, whose inputs are feature rows).  `last` is the
     table of the latest forward on the tape.  The weights that terms put on
     the table's rows are their callers' (a run's W, or `weight_table`'s).
+    A step of closed-form terms needs no tape (`forward_core`).
     """
 
     def __init__(self, model: Model):
         self.model = model
-        self.param_nodes: list[Node] = []
-        self.names: list[str] = []
-        stacked = bool(model.runs)
-        for name, arr in model.param_blocks():
-            if stacked and name.startswith("b"):
-                arr = arr[..., None, :]  # [R, 1, d]: broadcasts over rows
-            self.param_nodes.append(constant(arr.copy()))
-            self.names.append(name)
+        self.param_nodes = [constant(a) for a in _split(
+            model.flat.copy(), [a.shape for a in model.params])]
+        self.names = [name for name, _ in model.param_blocks()]
         self.table: ObsTable | None = None
         self.last: ObsTable | None = None
 
@@ -492,6 +504,65 @@ def _plus(a, b):
     return b if a is None else a if b is None else a + b
 
 
+def forward_core(params: list, x: np.ndarray, mask=None) -> dict:
+    """The network on input rows x as a table of arrays: each layer's input
+    rows by layer index (index L, one past the last layer, holds its output
+    before the mask), "h", "z", "logp", "p", and "h1", H with the bias
+    unit's column of ones.  params are blocks as in `Model.params`; `mask`
+    multiplies H before the head, and a [D, 1, u] mask gives D masked
+    tables, [D, rows, ...].  NonFiniteActivation if H or z is not finite."""
+    ws, bs, head = params[:-1:2], params[1:-1:2], params[-1]
+    acts = [x]  # each layer's input, then the last layer's output
+    for w, b in zip(ws, bs):
+        a = acts[-1] @ w + b
+        acts.append(a * (a > 0.0))
+    h = acts[-1] if mask is None else acts[-1] * mask
+    h1 = np.concatenate([h, np.ones(h.shape[:-1] + (1,))], axis=-1)
+    z = h1 @ head
+    if not (np.isfinite(h).all() and np.isfinite(z).all()):
+        raise NonFiniteActivation("non-finite features or logits in forward")
+    logp = _log_softmax(z)
+    return {"h": h, "h1": h1, "z": z, "logp": logp, "p": np.exp(logp),
+            **dict(enumerate(acts))}
+
+
+def backprop_core(t: dict, params: list, g: dict, mask=None,
+                  live: bool = False):
+    """The closed-form backprop of adjoints g of the fields of t, a
+    `forward_core` table on params, by key ("h", "z", "logp", "p", a layer
+    index, and "head", added to the head's own): (the flat gradient
+    [*runs, P] in the order of params, the adjoint of the input rows when
+    live, else None).
+
+    p goes into log p (g p), log p into z (g - p sum(g)), z into the head
+    and H, then back through each layer's relu mask to its W and b, adding
+    the adjoints of the layer inputs on the way.
+    """
+    ws, bs, head = params[:-1:2], params[1:-1:2], params[-1]
+    p = t["p"]
+    glogp = _plus(g.get("logp"), None if "p" not in g else g["p"] * p)
+    gz = g.get("z")
+    if glogp is not None:
+        gz = _plus(gz, glogp - p * glogp.sum(axis=-1, keepdims=True))
+    gh, ghead = g.get("h"), g.get("head")
+    if gz is not None:
+        ghead = _plus(_unbroadcast(_t(t["h1"]) @ gz, head.shape), ghead)
+        gh = _plus(gh, (gz @ _t(head))[..., :-1])
+    grads = [np.zeros_like(head) if ghead is None else ghead]
+    if gh is None:
+        gh = np.zeros_like(t["h"])
+    gout = gh if mask is None else gh * mask  # the adjoint of the last output
+    for layer in reversed(range(len(ws))):
+        gpre = gout * (t[layer + 1] > 0.0)
+        grads[:0] = [_unbroadcast(_t(t[layer]) @ gpre, ws[layer].shape),
+                     _unbroadcast(gpre, bs[layer].shape)]
+        if layer or live:
+            gout = _plus(gpre @ _t(ws[layer]), g.get(layer))
+    runs = head.shape[:-2]
+    return (np.concatenate([a.reshape(runs + (-1,)) for a in grads], axis=-1),
+            _unbroadcast(gout, t[0].shape) if live else None)
+
+
 def forward(model: Model, inputs, tape: Tape | None = None, *,
             feature_mask: np.ndarray | None = None):
     """Run the network as one fused graph node; returns (H, z, probs, tape),
@@ -501,17 +572,14 @@ def forward(model: Model, inputs, tape: Tape | None = None, *,
     ready real vectors, or a live Node of features from another graph (how
     reversed features reach an adversary).  `feature_mask` multiplies H
     before the head (selective muting); a [D, 1, u] mask gives D masked
-    tables in the one node, [D, rows, ...].  Training terms read the tape's
+    tables in the one node, [D, rows, ...].  Terms on a tape read its
     observation table (`obs_rows`), whose forward is this one over every
     observation, so the finiteness check covers every observation's row;
     RSC's masked forward over every observation is its step's one forward.
 
-    The values are computed in numpy, and the fused node's vjp is the
-    closed-form backprop of the adjoints of any of the table's fields:
-    p into log p (g p), log p into z (g - p sum(g)), z into the head (plus
-    a term's "head" adjoint) and H, then back through each layer's relu
-    mask to its W and b, adding the adjoints of the layer inputs on the
-    way, and to a live input node.
+    The values are `forward_core`'s on the tape's parameters, and the fused
+    node's vjp is `backprop_core`, split into the parameter leaves'
+    adjoints (and a live input's).
     """
     live = isinstance(inputs, Node)
     if live:
@@ -524,49 +592,19 @@ def forward(model: Model, inputs, tape: Tape | None = None, *,
         x = embed_inputs(model, inputs)
     tape = tape if tape is not None else Tape(model)
     params = [n.val for n in tape.param_nodes]  # W0, b0, W1, b1, ..., head
-    ws, bs, head = params[:-1:2], params[1:-1:2], params[-1]
-    acts = [x]  # each layer's input, then the last layer's output
-    for w, b in zip(ws, bs):
-        a = acts[-1] @ w + b
-        acts.append(a * (a > 0.0))
     mask = None if feature_mask is None else np.asarray(feature_mask,
                                                         dtype=np.float64)
-    h = acts[-1] if mask is None else acts[-1] * mask
-    h1 = np.concatenate([h, np.ones(h.shape[:-1] + (1,))], axis=-1)
-    z = h1 @ head
-    if not (np.isfinite(h).all() and np.isfinite(z).all()):
-        raise NonFiniteActivation("non-finite features or logits in forward")
-    logp = _log_softmax(z)
-    p = np.exp(logp)
+    t = forward_core(params, x, mask)
 
     def vjp(g: _Fields) -> list:
-        glogp = _plus(g.get("logp"), None if "p" not in g else g["p"] * p)
-        gz = g.get("z")
-        if glogp is not None:
-            gz = _plus(gz, glogp - p * glogp.sum(axis=-1, keepdims=True))
-        gh, ghead = g.get("h"), g.get("head")
-        if gz is not None:
-            ghead = _plus(_unbroadcast(_t(h1) @ gz, head.shape), ghead)
-            gh = _plus(gh, (gz @ _t(head))[..., :-1])
-        grads = [np.zeros_like(head) if ghead is None else ghead]
-        if gh is None:
-            gh = np.zeros_like(h)
-        gout = gh if mask is None else gh * mask  # the adjoint of acts[-1]
-        for layer in reversed(range(len(ws))):
-            gpre = gout * (acts[layer + 1] > 0.0)
-            grads[:0] = [_unbroadcast(_t(acts[layer]) @ gpre, ws[layer].shape),
-                         _unbroadcast(gpre, bs[layer].shape)]
-            if layer or live:
-                gout = _plus(gpre @ _t(ws[layer]), g.get(layer))
-        if live:
-            grads.insert(0, _unbroadcast(gout, x.shape))
-        return grads
+        flat, gx = backprop_core(t, params, g, mask, live)
+        grads = _split(flat, [a.shape for a in params])
+        return [gx, *grads] if live else grads
 
     parents = tuple(tape.param_nodes)
     # the fused node's own value is z; its fields are read through the views
-    fused = Node(z, (inputs, *parents) if live else parents, vjp)
-    table = ObsTable(fused, {"h": h, "z": z, "logp": logp, "p": p,
-                             **dict(enumerate(acts[:-1]))}, len(ws))
+    fused = Node(t["z"], (inputs, *parents) if live else parents, vjp)
+    table = ObsTable(fused, t, len(params) // 2)
     tape.last = table
     return table.h, table.z, table.p, tape
 
@@ -625,14 +663,14 @@ def finite_diff_check(model: Model, batch, loss_fn, eps: float = 1e-5, *,
     for (name, arr), lo in zip(model.param_blocks(), starts):
         if name not in wanted:
             continue
-        flat = arr.ravel()
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + eps
+        # the block is a view of the model's buffer: perturb it in place
+        for j, at in enumerate(np.ndindex(arr.shape)):
+            keep = arr[at]
+            arr[at] = keep + eps
             up = evaluate(model, batch)
-            flat[j] = keep - eps
+            arr[at] = keep - eps
             down = evaluate(model, batch)
-            flat[j] = keep
+            arr[at] = keep
             fd = (up - down) / (2.0 * eps)
             a = analytic[lo + j]
             worst = max(worst, abs(a - fd) / (abs(a) + 1e-8))
@@ -644,8 +682,7 @@ def finite_diff_check(model: Model, batch, loss_fn, eps: float = 1e-5, *,
 def sgd_step(model: Model, gradient: np.ndarray, lr: float) -> Model:
     if lr <= 0:
         raise ShapeMismatch("lr must be positive")
-    flat = model.flat_params()
-    model.set_flat_params(flat - lr * gradient)
+    model.flat -= lr * gradient
     return model
 
 
@@ -669,8 +706,7 @@ def adam_step(model: Model, state: AdamState, gradient: np.ndarray,
     state.v = beta2 * state.v + (1 - beta2) * gradient ** 2
     mhat = state.m / (1 - beta1 ** state.t)
     vhat = state.v / (1 - beta2 ** state.t)
-    flat = model.flat_params()
-    model.set_flat_params(flat - lr * mhat / (np.sqrt(vhat) + eps))
+    model.flat -= lr * mhat / (np.sqrt(vhat) + eps)
     return model, state
 
 

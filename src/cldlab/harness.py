@@ -352,38 +352,100 @@ class _RunState:
 
 @dataclass
 class _Step:
-    """What an objective builder reads for one step: the run's tables, or
-    in minibatch mode the step's."""
+    """What an objective reads for one step: the run's tables, or in
+    minibatch mode the step's, and the step's tape (None for a table
+    kind, which steps with no graph)."""
 
     model: dk.Model
-    tape: dk.Tape
+    tape: dk.Tape | None
     run: _RunState
     w: np.ndarray  # the sources' cell weights W[d, x, y]
     n: np.ndarray  # the rows each cell stands for, N[d, x, y]
     step: int
 
 
-# An objective builder maps a _Step to (base, pen): pen is the regularizer
-# before lambda scales it, or None.  A builder returning pen is
-# base trains on base alone and logs it as its penalty.
+# A table kind's terms are closed forms on the arrays of one forward over
+# every observation (`dk.forward_core`): TABLE_TERMS maps the step and that
+# table to (base, pen), each a (value, vjp to the table's fields) pair; pen
+# is the regularizer before lambda scales it, None for none, or base itself
+# when base is the penalty.
+
+def _loss_terms(c: _Step, t):
+    """Mean domain loss alone."""
+    return ob._mean_loss(c.model, t, c.w), None
+
+
+def _with(form):
+    """Mean domain loss plus form(model, table, W)."""
+    return lambda c, t: (ob._mean_loss(c.model, t, c.w), form(c.model, t, c.w))
+
+
+def _pair_terms(kind):
+    """Mean domain loss plus the pair term of kind on the run's pair table."""
+    return lambda c, t: (ob._mean_loss(c.model, t, c.w), ob._pair_form(
+        c.model, t, c.model.head, c.run.pairs, kind))
+
+
+def _sd_form(model, t, w):
+    """SD on the table's logits, each row weighted by its mean cell weight
+    over the sources."""
+    value, vjp = ob._sd(t["z"], w.sum(axis=-1).mean(axis=0))
+    return value, lambda g: {"z": vjp(g)}
+
+
+def _worst_terms(c: _Step, t):
+    worst = ob._worst_form(c.model, t, c.w)
+    return worst, worst
+
+
+TABLE_TERMS = {
+    "ERM": _loss_terms,
+    "SWA": _loss_terms,
+    "PAIR_PROB": _pair_terms("PROB"),
+    "PAIR_LOGIT": _pair_terms("LOGIT"),
+    "PAIR_FEAT": _pair_terms("FEAT"),
+    "LAM": _pair_terms("LAM"),
+    "VREX": _with(ob._vrex_form),
+    "GROUP_DRO": _worst_terms,
+    "SD": _with(_sd_form),
+    "IRM": _with(ob._irm_form),
+}
+
+
+def _table_terms(c: _Step):
+    """(table, (base, pen)): the forward core over every observation on
+    the step's model, W's shape checked, and the kind's `TABLE_TERMS` on
+    it."""
+    ob._table_weights(c.model, c.w)
+    # the embedding is the rows of arange(n_obs), as embed_inputs reads them
+    t = dk.forward_core(c.model.params, np.ascontiguousarray(
+        c.model.embedding, dtype=np.float64))
+    return t, TABLE_TERMS[c.run.cfg.objective.kind](c, t)
+
+
+def _table_grad(c: _Step) -> np.ndarray:
+    """The flat gradient of base + lambda pen of a table kind's step, with
+    no graph: the fields' adjoints of base at ones and of pen at lambda,
+    added field by field, through `dk.backprop_core`."""
+    t, (base, pen) = _table_terms(c)
+    g = np.ones(c.model.runs)
+    fields = base[1](g)
+    if pen is not None and pen is not base:
+        for key, adj in pen[1](c.run.lam * g).items():
+            fields[key] = fields[key] + adj if key in fields else adj
+    return dk.backprop_core(t, c.model.params, fields)[0]
+
+
+# An objective builder maps a _Step to (base, pen) nodes on its tape: pen
+# is the regularizer before lambda scales it, or None.
 
 def _loss(c: _Step):
     return ob.mean_domain_loss(c.model, c.w, c.tape)
 
 
-def _loss_only(c: _Step):
-    return _loss(c), None
-
-
 def _cells(penalty):
     """Mean domain loss plus penalty(model, weight table, tape)."""
     return lambda c: (_loss(c), penalty(c.model, c.w, c.tape))
-
-
-def _pairs(kind):
-    """Mean domain loss plus the pair term of kind on the run's pair table."""
-    return lambda c: (_loss(c), ob.pair_penalty(c.model, c.run.pairs, kind,
-                                                c.tape))
 
 
 def _features(penalty):
@@ -407,16 +469,8 @@ def _adversarial(losses):
 
 
 def _sd(model, sources, tape):
-    """SD on the observation table's logits, each row weighted by its mean
-    cell weight over the sources (W or cell batches)."""
-    table, w = ob._domain_tables(model, sources, tape)
-    value, vjp = ob._sd(table.vals["z"], w.sum(axis=-1).mean(axis=0))
-    return table.term(value, lambda g: {"z": vjp(g)})
-
-
-def _group_dro(c: _Step):
-    worst = ob.group_dro(c.model, c.w, c.tape)
-    return worst, worst
+    """`_sd_form` as one node on the tape's observation table."""
+    return ob._on_table(_sd_form, model, sources, tape)
 
 
 def _mixup(c: _Step):
@@ -435,23 +489,15 @@ def _rsc(c: _Step):
     return dk.nmean(losses), None
 
 
-# AND_MASK trains on masked domain gradients (see _train); its entry
-# supplies the base loss only.
+# The kinds outside TABLE_TERMS train on these builders' nodes, and SD's
+# entry gives its TABLE_TERMS as nodes.  AND_MASK trains on masked domain
+# gradients (see _train); its entry supplies the base loss only.
 OBJECTIVE_BUILDERS = {
-    "ERM": _loss_only,
-    "SWA": _loss_only,
-    "AND_MASK": _loss_only,
-    "PAIR_PROB": _pairs("PROB"),
-    "PAIR_LOGIT": _pairs("LOGIT"),
-    "PAIR_FEAT": _pairs("FEAT"),
-    "LAM": _pairs("LAM"),
-    "VREX": _cells(ob.vrex_penalty),
+    "SD": _cells(_sd),
+    "AND_MASK": lambda c: (_loss(c), None),
     "FISH": _cells(ob.fish_penalty),
     "IGA": _cells(ob.iga_penalty),
     "FISHR": _cells(ob.fishr_penalty),
-    "IRM": _cells(ob.irm_penalty),
-    "SD": _cells(_sd),
-    "GROUP_DRO": _group_dro,
     "CORAL": _features(lambda f, w, m, obj: ob._coral(f, w, m)),
     "MMD": _features(lambda f, w, m, obj: ob._mmd(
         f, w, m, obj.extra("bandwidth")).node),
@@ -464,28 +510,18 @@ OBJECTIVE_BUILDERS = {
 }
 
 
-def _penalty_and_total(c: _Step):
-    """Build (total_node, penalty_node) for one step on its tape.  When
-    base and pen are terms on one table (`dk.Term`), the total is one
-    more term whose vjp is theirs, base's at the total's adjoint g and
-    pen's at lambda g; other builders' total is add and mul nodes."""
-    base, pen = OBJECTIVE_BUILDERS[c.run.cfg.objective.kind](c)
-    lam = c.run.lam
-    if pen is None or pen is base:
-        return base, pen
-    if not (isinstance(base, dk.Term) and isinstance(pen, dk.Term)
-            and base.table is pen.table):
-        return dk.add(base, dk.mul(dk.constant(lam), pen)), pen
-    return base.table.term(base.val + lam * pen.val,
-                           lambda g: base.vjp(g)[0] + pen.vjp(lam * g)[0]), pen
-
-
 def _eval_penalty(model, run: _RunState, w: np.ndarray, n: np.ndarray) -> list:
     """Raw penalty value at the current parameters (no training side
     effects), one per run: a stack's runs from one build of its terms."""
-    _, pen = OBJECTIVE_BUILDERS[run.cfg.objective.kind](
-        _Step(model, dk.Tape(model), run, w, n, -1))
-    return np.reshape(np.zeros(model.runs) if pen is None else pen.val,
+    kind = run.cfg.objective.kind
+    if kind in TABLE_TERMS:
+        _, (_, pen) = _table_terms(_Step(model, None, run, w, n, -1))
+        value = None if pen is None else pen[0]
+    else:
+        _, pen = OBJECTIVE_BUILDERS[kind](
+            _Step(model, dk.Tape(model), run, w, n, -1))
+        value = None if pen is None else pen.val
+    return np.reshape(np.zeros(model.runs) if value is None else value,
                       -1).tolist()
 
 
@@ -684,14 +720,17 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
     for step in range(1, cfg.trainer.steps + 1):
         tables = ((w, n) if cfg.trainer.batch_size is None
                   else _minibatch(w, n, order_rng, cfg.trainer.batch_size))
-        c = _Step(model, dk.Tape(model), run, *tables, step)
         try:
-            if kind == "AND_MASK":  # closed-form domain gradients, no backward
-                grads = ob.and_mask(
-                    ob._domain_grads(model, c.w, c.tape).val,
-                    cfg.objective.extra("tau"))
+            if kind in TABLE_TERMS:  # closed forms on the arrays, no graph
+                grads = _table_grad(_Step(model, None, run, *tables, step))
+            elif kind == "AND_MASK":  # closed-form domain gradients
+                grads = ob.and_mask(ob._domain_grads(model, tables[0]).val,
+                                    cfg.objective.extra("tau"))
             else:
-                total, pen = _penalty_and_total(c)
+                c = _Step(model, dk.Tape(model), run, *tables, step)
+                base, pen = OBJECTIVE_BUILDERS[kind](c)
+                total = base if pen is None else dk.add(
+                    base, dk.mul(dk.constant(run.lam), pen))
                 grads = dk.backward(c.tape, total)
                 for adv, adv_tape, adv_opt in zip(run.adversaries,
                                                   run.adv_tapes, run.adv_opts):

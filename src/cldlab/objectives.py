@@ -37,8 +37,10 @@ Conventions fixed here once:
     (`_grads`) as ops on the table, so a step needs one first-order backward;
   * the terms that read only the table (the soft NLL behind every loss,
     the four pair kinds, V-REx, GroupDRO, SD and IRM) are closed forms on
-    the forward's arrays, one node each (`diffkit.ObsTable.term`); they
-    reduce over trailing or domain axes only, so on a stack of runs
+    the forward's arrays (`_mean_loss`, `_pair_form`, `_vrex_form`,
+    `_worst_form`, `_irm_form`): the harness steps on them with no graph,
+    and each is one node on a tape (`diffkit.ObsTable.term`); they reduce
+    over trailing or domain axes only, so on a stack of runs
     (`diffkit.stack_runs`) they give one entry per run.
 """
 
@@ -291,6 +293,8 @@ def weight_table(model: Model, batches: list[DomainBatch]) -> np.ndarray:
     """The sources' cell weights on the observation table, W[d, x, y] of
     shape [D, n_obs, C]: the one converter from cell batches, whose inputs
     must be observation indices on a model with an embedding."""
+    if not batches:
+        raise TooFewDomains("need at least 1 domain")
     for b in batches:
         x = np.asarray(b.inputs)
         if (model.embedding is None or x.ndim != 1
@@ -307,33 +311,46 @@ def _nonzero_cells(table: np.ndarray):
     return xs, ys, table[xs, ys]
 
 
+def _table_weights(model: Model, sources: Sources) -> np.ndarray:
+    """The sources' cell weights on the observation table, W[d, x, y] of
+    shape [D, n_obs, C]: sources is W itself, whose shape is checked, or a
+    list of cell batches, which `weight_table` converts."""
+    if not isinstance(sources, np.ndarray):
+        return weight_table(model, sources)
+    if sources.shape[1:] != (_n_obs(model), model.n_classes):
+        raise ShapeMismatch(f"weight table of shape {sources.shape} on "
+                            f"{_n_obs(model)} observations")
+    return sources
+
+
 def _domain_tables(model: Model, sources: Sources,
                    tape: Tape | None) -> tuple[dk.ObsTable | None, np.ndarray]:
     """(table, W): the tape's observation table (None with no tape) and the
-    sources' cell weights on it, W[d, x, y] of shape [D, n_obs, C].  sources
-    is W itself or a list of cell batches, which `weight_table` converts."""
-    if not isinstance(sources, np.ndarray):
-        sources = weight_table(model, sources)
-    elif sources.shape[1:] != (_n_obs(model), model.n_classes):
-        raise ShapeMismatch(f"weight table of shape {sources.shape} on "
-                            f"{_n_obs(model)} observations")
+    sources' cell weights on it (`_table_weights`)."""
+    w = _table_weights(model, sources)
     return (None if tape is None else
-            dk.obs_rows(model, np.arange(_n_obs(model)), tape)[0]), sources
+            dk.obs_rows(model, np.arange(_n_obs(model)), tape)[0]), w
 
 
-def _domain_nll(model: Model, batches: Sources, tape: Tape):
-    """(table, the closed form of the domain losses): -sum(W_d * log p)
-    over the sources' cell-weight tables W (`_domain_tables`) and the
-    tape's log-softmax table, [D], or [D, R] on a stack of R runs."""
-    table, w = _domain_tables(model, batches, tape)
-    return table, _nll(table.vals["logp"], w[:, None] if model.runs else w)
+def _on_table(form, model: Model, sources: Sources,
+              tape: Tape | None) -> Node:
+    """form(model, the table's arrays, W), a closed form on the observation
+    table, as one node on the tape's table."""
+    tape = tape if tape is not None else Tape(model)
+    table, w = _domain_tables(model, sources, tape)
+    return table.term(*form(model, table.vals, w))
+
+
+def _losses(model: Model, vals: dict, w: np.ndarray):
+    """The closed form of the domain losses -sum(W_d * log p) over the
+    sources' cell weights W and a table's log p, [D], or [D, R] on a stack
+    of R runs."""
+    return _nll(vals["logp"], w[:, None] if model.runs else w)
 
 
 def domain_loss_vector(model: Model, batches: Sources, tape: Tape) -> Node:
-    """The domain losses (`_domain_nll`) as one [D] node, [D, R] on a
-    stack."""
-    table, losses = _domain_nll(model, batches, tape)
-    return table.term(*losses)
+    """The domain losses (`_losses`) as one [D] node, [D, R] on a stack."""
+    return _on_table(_losses, model, batches, tape)
 
 
 def domain_losses(model: Model, batches: Sources, tape: Tape) -> list[Node]:
@@ -353,9 +370,13 @@ def _mean(losses: np.ndarray):
     return losses.sum(axis=0) * scale, vjp
 
 
+def _mean_loss(model: Model, vals: dict, w: np.ndarray):
+    """The closed form of the mean over the sources of their losses."""
+    return _then(_losses(model, vals, w), _mean)
+
+
 def mean_domain_loss(model: Model, batches: Sources, tape: Tape) -> Node:
-    table, losses = _domain_nll(model, batches, tape)
-    return table.term(*_then(losses, _mean))
+    return _on_table(_mean_loss, model, batches, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +439,24 @@ def _pair_lam(h: np.ndarray, head: np.ndarray, table: np.ndarray):
     return ((sq @ hsq[..., None, :, :]) * table).sum(axis=(-3, -2, -1)), vjp
 
 
+def _pair_form(model: Model, vals: dict, head: np.ndarray, table: np.ndarray,
+              kind: str):
+    """The closed form of `pair_penalty` on a table's arrays vals, with
+    head the head block they were computed with."""
+    if kind not in ("PROB", "LOGIT", "FEAT", "LAM"):
+        raise ShapeMismatch(f"unknown pair kind {kind!r}")
+    n = _n_obs(model)
+    if np.shape(table) != (n, n, model.n_classes):
+        raise ShapeMismatch(f"pair table of shape {np.shape(table)} on {n} observations")
+    if kind == "LAM":
+        return _pair_lam(vals["h"], head, table)
+    t = np.sum(table, axis=-1)
+    if kind == "PROB":
+        return _pair_prob(vals["logp"], vals["p"], t)
+    key = "z" if kind == "LOGIT" else "h"
+    return _pair_sq(key, vals[key], t)
+
+
 def pair_penalty(model: Model, table: np.ndarray, kind: str,
                  tape: Tape | None = None) -> Node:
     """The pair term of kind over a pair table W[x, x~, y] (`pair_table`,
@@ -430,21 +469,10 @@ def pair_penalty(model: Model, table: np.ndarray, kind: str,
     of logits / features; LAM: sum_u head[u, y]^2 (h_x[u] - h_x~[u])^2,
     each label's slice of W weighed by its squared head column.
     """
-    if kind not in ("PROB", "LOGIT", "FEAT", "LAM"):
-        raise ShapeMismatch(f"unknown pair kind {kind!r}")
-    n = _n_obs(model)
-    if np.shape(table) != (n, n, model.n_classes):
-        raise ShapeMismatch(f"pair table of shape {np.shape(table)} on {n} observations")
     tape = tape if tape is not None else Tape(model)
-    obs, _ = dk.obs_rows(model, np.arange(n), tape)
-    vals = obs.vals
-    if kind == "LAM":
-        return obs.term(*_pair_lam(vals["h"], tape.node("head").val, table))
-    t = np.sum(table, axis=-1)
-    if kind == "PROB":
-        return obs.term(*_pair_prob(vals["logp"], vals["p"], t))
-    key = "z" if kind == "LOGIT" else "h"
-    return obs.term(*_pair_sq(key, vals[key], t))
+    obs, _ = dk.obs_rows(model, np.arange(_n_obs(model)), tape)
+    return obs.term(*_pair_form(model, obs.vals, tape.node("head").val, table,
+                               kind))
 
 
 def pair_regularizer(model: Model, pairs_or_groups, kind: str,
@@ -511,23 +539,29 @@ def _worst(losses: np.ndarray):
     return np.take_along_axis(losses, worst, axis=0)[0], vjp
 
 
+def _vrex_form(model: Model, vals: dict, w: np.ndarray):
+    """The closed form of the domain losses' population variance."""
+    _need_domains(w)
+    return _then(_losses(model, vals, w), _variance)
+
+
 def vrex_penalty(model: Model, batches: Sources,
                  tape: Tape | None = None) -> Node:
     """Population variance of the domain losses (V-REx), per run."""
-    _need_domains(batches)
-    tape = tape if tape is not None else Tape(model)
-    table, losses = _domain_nll(model, batches, tape)
-    return table.term(*_then(losses, _variance))
+    return _on_table(_vrex_form, model, batches, tape)
+
+
+def _worst_form(model: Model, vals: dict, w: np.ndarray):
+    """The closed form of the worst domain loss."""
+    _need_domains(w)
+    return _then(_losses(model, vals, w), _worst)
 
 
 def group_dro(model: Model, batches: Sources,
               tape: Tape | None = None) -> Node:
     """Worst-domain loss per run; ties give the subgradient to the lowest
     index."""
-    _need_domains(batches)
-    tape = tape if tape is not None else Tape(model)
-    table, losses = _domain_nll(model, batches, tape)
-    return table.term(*_then(losses, _worst))
+    return _on_table(_worst_form, model, batches, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +737,14 @@ def fishr_penalty(model: Model, batches: Sources,
     return _fishr(_flat(cell_grads(model, cells, tape), (len(cells),)), ws)
 
 
-def _irm(w: np.ndarray, z: np.ndarray, p: np.ndarray):
+def _irm_form(model: Model, vals: dict, w: np.ndarray):
     """The closed form of sum_d (sum r_d * z)^2 with r_d = W_d.sum(y) p - W_d
-    for cell weights w [D, *runs, rows, C] on logits z and probabilities p."""
+    for the sources' cell weights W on a table's logits z and probabilities
+    p, one entry per run."""
+    if len(w) < 1:
+        raise TooFewDomains("IRM needs at least 1 domain")
+    w = w[:, None] if model.runs else w  # [D, *runs, rows, C]
+    z, p = vals["z"], vals["p"]
     mass = w.sum(axis=-1, keepdims=True)
     r = mass * p - w
     rz = (r * z).sum(axis=(-2, -1))  # [D, *runs]
@@ -722,13 +761,7 @@ def irm_penalty(model: Model, batches: Sources,
     """Squared loss-gradient w.r.t. a unit logit multiplier, summed over
     domains, per run: at multiplier 1 that gradient is sum(r_d * z) for
     each domain's logit adjoints r_d = W_d.sum(y) p - W_d."""
-    if len(batches) < 1:
-        raise TooFewDomains("IRM needs at least 1 domain")
-    tape = tape if tape is not None else Tape(model)
-    table, w = _domain_tables(model, batches, tape)
-    vals = table.vals
-    return table.term(*_irm(w[:, None] if model.runs else w, vals["z"],
-                            vals["p"]))
+    return _on_table(_irm_form, model, batches, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,10 +1114,6 @@ def swa_average(checkpoints: list[Model]) -> Model:
         if first.embedding is not None and not np.array_equal(
                 first.embedding, m.embedding):
             raise ShapeMismatch("embeddings differ; cannot average")
-    out = first.clone()
-    k = len(checkpoints)
-    for i in range(len(out.weights)):
-        out.weights[i] = sum(m.weights[i] for m in checkpoints) / k
-        out.biases[i] = sum(m.biases[i] for m in checkpoints) / k
-    out.head = sum(m.head for m in checkpoints) / k
+    out = first.clone()  # its blocks are views of out.flat: write it in place
+    out.flat[...] = sum(m.flat for m in checkpoints) / len(checkpoints)
     return out

@@ -459,9 +459,15 @@ def _nodes(monkeypatch, run) -> int:
 @pytest.mark.parametrize("kind", sorted(harness.STACKED_KINDS))
 def test_a_stacked_step_builds_as_many_nodes_as_one_run(tmp_path,
                                                          monkeypatch, kind):
-    """A second step of a 3-run stack adds exactly the nodes that a second
-    step of one run adds."""
-    def step_nodes(lams):
+    """The stacked kinds are table kinds: a second step of a 3-run stack,
+    like a second step of one run, builds no node and runs one forward."""
+    assert kind in TABLE_KINDS
+    real = dk.forward_core
+    cores = []
+    monkeypatch.setattr(dk, "forward_core",
+                        lambda *a, **k: cores.append(1) or real(*a, **k))
+
+    def step_nodes_and_forwards(lams):
         counts = []
         for steps in (1, 2):
             doc = base_doc(tmp_path, objective={"kind": kind,
@@ -469,14 +475,15 @@ def test_a_stacked_step_builds_as_many_nodes_as_one_run(tmp_path,
                            eval={"ci_pairs": 0})
             doc["trainer"]["steps"] = steps
             out = tmp_path / f"{len(lams)}-{steps}"
-            counts.append(_nodes(monkeypatch, lambda: harness.sweep(
+            cores.clear()
+            nodes = _nodes(monkeypatch, lambda: harness.sweep(
                 doc, {"objective.lambda": lams, "trainer.seed": [0]},
-                out_dir=str(out))))
-        return counts[1] - counts[0]
+                out_dir=str(out)))
+            counts.append(np.array([nodes, len(cores)]))
+        return (counts[1] - counts[0]).tolist()
 
-    one = step_nodes([0.5])
-    assert one > 0
-    assert step_nodes([0.1, 0.5, 2.0]) == one
+    assert step_nodes_and_forwards([0.5]) == [0, 1]
+    assert step_nodes_and_forwards([0.1, 0.5, 2.0]) == [0, 1]
 
 
 class TestGenerateArtifacts:
@@ -801,15 +808,17 @@ def test_a_stack_evaluates_as_its_runs(tmp_path, kind):
 def test_a_domain_steps_lookups_do_not_grow_with_the_sources(
         tmp_path, monkeypatch, kind):
     """The domain terms read the run's weight table W on the observation
-    table, so a step makes as many `obs_rows` calls with 3 sources as with
-    2."""
+    table, so a step makes as many `obs_rows` calls (a table kind: none)
+    and as many forward core calls with 3 sources as with 2."""
     family, domains = cld_core.random_family(3, variant="CLD2", n_domains=4)
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps(cld_core.family_to_dict(family, domains)))
     calls = []
-    real = dk.obs_rows
+    real, real_core = dk.obs_rows, dk.forward_core
     monkeypatch.setattr(dk, "obs_rows",
-                        lambda *a: calls.append(1) or real(*a))
+                        lambda *a: calls.append("obs_rows") or real(*a))
+    monkeypatch.setattr(dk, "forward_core", lambda *a, **k: calls.append(
+        "forward_core") or real_core(*a, **k))
     per_step = []
     for sources in (["d0", "d1"], ["d0", "d1", "d2"]):
         counts = []
@@ -822,9 +831,13 @@ def test_a_domain_steps_lookups_do_not_grow_with_the_sources(
                            eval={"ci_pairs": 0})
             calls.clear()
             harness.run_experiment(harness.config_from_dict(doc))
-            counts.append(len(calls))
-        per_step.append(counts[1] - counts[0])
-    assert per_step[0] == per_step[1] >= 1
+            counts.append(np.array([calls.count("obs_rows"),
+                                    calls.count("forward_core")]))
+        per_step.append((counts[1] - counts[0]).tolist())
+    assert per_step[0] == per_step[1]
+    lookups, forwards = per_step[0]
+    assert forwards == 1
+    assert (lookups == 0) == (kind in TABLE_KINDS)
 
 
 @pytest.mark.parametrize("optimizer,kind,eval_every", [
@@ -977,21 +990,35 @@ def test_cli_refuses_an_ill_typed_value(tmp_path):
     assert "config error: trainer.lr" in res.output
 
 
+# Kinds whose terms read only the observation table: a step is closed forms
+# on the arrays of one forward core, with no graph.
+TABLE_KINDS = ["ERM", "SWA", "PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM",
+               "VREX", "GROUP_DRO", "SD", "IRM"]
+
+
+def test_the_table_kinds_are_the_kinds_with_closed_forms():
+    assert sorted(harness.TABLE_TERMS) == sorted(TABLE_KINDS)
+
+
 def _forward_calls(monkeypatch, doc, steps, out):
-    """The tapes and model kinds of every dk.forward call in one run."""
-    real = dk.forward
-    calls = []
+    """The tapes and model kinds of every dk.forward call in one run, and
+    the number of dk.forward_core calls, which every forward makes."""
+    real, real_core = dk.forward, dk.forward_core
+    calls, cores = [], []
 
     def counted(model, inputs, tape=None, **kwargs):
         calls.append((tape, "adversary" if model.embedding is None else "model"))
         return real(model, inputs, tape, **kwargs)
 
     monkeypatch.setattr(dk, "forward", counted)
+    monkeypatch.setattr(dk, "forward_core",
+                        lambda *a, **k: cores.append(1) or real_core(*a, **k))
     doc = json.loads(json.dumps(doc))
     doc["trainer"]["steps"] = steps
     harness.run_experiment(harness.config_from_dict(doc), out_dir=str(out))
     monkeypatch.setattr(dk, "forward", real)
-    return calls
+    monkeypatch.setattr(dk, "forward_core", real_core)
+    return calls, len(cores)
 
 
 FORWARD_MODES = [{"optimizer": "gd"}, {"optimizer": "sgd", "batch_size": 8}]
@@ -1001,23 +1028,26 @@ FORWARD_MODES = [{"optimizer": "gd"}, {"optimizer": "sgd", "batch_size": 8}]
 @pytest.mark.parametrize("kind", KINDS)
 def test_one_forward_per_step(tmp_path, monkeypatch, kind, mode):
     """A training step forwards the model once, whatever its terms, and
-    each adversary that runs once: a second step adds exactly one model
-    forward, and no tape (one per step and model) sees two forwards."""
+    each adversary that runs once: a second step adds exactly one forward
+    core call beyond the adversaries' forwards, a table kind's with no
+    dk.forward around it, and no tape (one per step and model) sees two
+    forwards."""
     trainer = {"lr": 0.1, "train_n": 40, "seed": 2, **mode}
     doc = base_doc(tmp_path, source=["source", "target"],
                    objective={"kind": kind, "lambda": 0.5},
                    trainer=trainer, eval={"ci_pairs": 0})
     runs = [_forward_calls(monkeypatch, doc, steps, tmp_path / str(steps))
             for steps in (1, 2)]
-    added = {role: sum(r == role for _, r in runs[1])
-             - sum(r == role for _, r in runs[0])
+    added = {role: sum(r == role for _, r in runs[1][0])
+             - sum(r == role for _, r in runs[0][0])
              for role in ("model", "adversary")}
-    assert added["model"] == 1
+    assert runs[1][1] - runs[0][1] - added["adversary"] == 1
+    assert added["model"] == (0 if kind in TABLE_KINDS else 1)
     n_adv = {"DANN": 1, "CDANN": 3}.get(kind, 0)  # CANON-D has 2 classes
     # a minibatch may miss a class, whose CDANN adversary then sits out
     low = 1 if kind == "CDANN" and mode["optimizer"] == "sgd" else n_adv
     assert low <= added["adversary"] <= n_adv
-    for calls in runs:
+    for calls, _ in runs:
         tapes = [id(t) for t, _ in calls if t is not None]
         assert len(tapes) == len(set(tapes)), "a tape saw two forwards"
 
@@ -1026,7 +1056,8 @@ def test_one_forward_per_step(tmp_path, monkeypatch, kind, mode):
 @pytest.mark.parametrize("kind", KINDS)
 def test_one_backward_per_step(tmp_path, monkeypatch, kind, mode):
     """A training step runs one backward pass for the model (none for
-    AND_MASK, which masks the closed-form domain gradients) and one per
+    AND_MASK, which masks the closed-form domain gradients, or for a table
+    kind, which backs up through `dk.backprop_core` alone) and one per
     adversary that ran: a second step adds exactly that many dk.grad_nodes
     calls, gradient penalties included."""
     trainer = {"lr": 0.1, "train_n": 40, "seed": 2, **mode}
@@ -1044,57 +1075,56 @@ def test_one_backward_per_step(tmp_path, monkeypatch, kind, mode):
     runs = []
     for steps in (1, 2):
         start = len(backwards)
-        calls = _forward_calls(monkeypatch, doc, steps, tmp_path / str(steps))
+        calls, _ = _forward_calls(monkeypatch, doc, steps,
+                                  tmp_path / str(steps))
         runs.append((len(backwards) - start,
                      sum(r == "adversary" for _, r in calls)))
     added_adversaries = runs[1][1] - runs[0][1]
-    model_backwards = 0 if kind == "AND_MASK" else 1
+    model_backwards = 0 if kind in ("AND_MASK", *TABLE_KINDS) else 1
     assert runs[1][0] - runs[0][0] == model_backwards + added_adversaries
-
-
-# Kinds whose terms read only the observation table: a step's total is one
-# closed-form term on the fused forward node.
-TABLE_KINDS = ["ERM", "SWA", "PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM",
-               "VREX", "GROUP_DRO", "SD", "IRM"]
 
 
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_a_table_step_backs_up_through_the_forward_alone(tmp_path,
                                                           monkeypatch, kind):
-    """A gd step's total node has the fused forward node as its one parent,
-    and as ancestors only that node and the parameter leaves."""
-    seen = []
-    real = dk.backward
-    monkeypatch.setattr(dk, "backward",
-                        lambda tape, node: seen.append((tape, node))
-                        or real(tape, node))
-    doc = base_doc(tmp_path, source=["source", "target"],
-                   objective={"kind": kind, "lambda": 0.5},
-                   eval={"ci_pairs": 0})
-    doc["trainer"]["steps"] = 1
-    harness.run_experiment(harness.config_from_dict(doc))
-    [(tape, total)] = seen
-    assert total.parents == (tape.table._node,)
-    ancestors, todo = set(), [total]
-    while todo:
-        for parent in todo.pop().parents:
-            if id(parent) not in ancestors:
-                ancestors.add(id(parent))
-                todo.append(parent)
-    assert ancestors == ({id(n) for n in tape.param_nodes}
-                         | {id(tape.table._node)})
-    assert set(map(id, tape.table._node.parents)) <= ancestors
+    """A table step, gd or sgd, builds no `dk.Node`: a second step adds
+    none, and one `dk.backprop_core` call on the table of the step's one
+    `dk.forward_core` call."""
+    real_core, real_back = dk.forward_core, dk.backprop_core
+    tables, backs = [], []
+    monkeypatch.setattr(dk, "forward_core", lambda *a, **k: tables.append(
+        real_core(*a, **k)) or tables[-1])
+    monkeypatch.setattr(dk, "backprop_core", lambda t, *a, **k: backs.append(
+        t) or real_back(t, *a, **k))
+    for mode in FORWARD_MODES:
+        counts = []
+        for steps in (1, 2):
+            doc = base_doc(tmp_path / f"{mode['optimizer']}-{steps}",
+                           source=["source", "target"],
+                           objective={"kind": kind, "lambda": 0.5},
+                           trainer={"lr": 0.1, "train_n": 40, "seed": 2,
+                                    **mode, "steps": steps},
+                           eval={"ci_pairs": 0})
+            tables.clear()
+            backs.clear()
+            counts.append(_nodes(monkeypatch, lambda: harness.run_experiment(
+                harness.config_from_dict(doc))))
+        assert counts[0] > 0  # the final evaluation's tabulating forward
+        assert counts[1] == counts[0]
+        # two steps, then the evaluation's penalty and tabulating forward
+        assert len(tables) == 4 and [id(t) for t in backs] == [
+            id(t) for t in tables[:2]]
 
 
-@pytest.mark.parametrize("mode", ["gd", "sgd-16", "population"])
-@pytest.mark.parametrize("kind", TABLE_KINDS)
-def test_a_table_total_passes_finite_differences(tmp_path, kind, mode):
-    """The one-node total lam * pen + base of a table kind has the
-    gradient of its central differences."""
+def _table_case(tmp_path, kind, mode, lam=0.7):
+    """(step, lambdas) of a table kind at step 1 on CANON-D with both
+    domains as sources: the run's tables in population or sample mode, a
+    16-row minibatch drawn on them under sgd-16, and under stack-3 a 3-run
+    stack with each run moved its own way."""
     trainer = {"data_mode": "population"} if mode == "population" else {}
     cfg = harness.config_from_dict(base_doc(
         tmp_path, source=["source", "target"],
-        objective={"kind": kind, "lambda": 0.7}, trainer=trainer))
+        objective={"kind": kind, "lambda": lam}, trainer=trainer))
     family, sources, _ = harness._resolve_domains(cfg)
     data = harness._train_batches(family, sources, cfg, 0)
     if mode == "sgd-16":
@@ -1102,12 +1132,74 @@ def test_a_table_total_passes_finite_differences(tmp_path, kind, mode):
         data = harness._minibatch(*data, rng, 16)
     model = dk.init_model(family.spaces.n_obs, (4,), family.spaces.n_classes,
                           seed=2)
-    run = harness._RunState(cfg, 0, cfg.objective.lam)
+    lams = cfg.objective.lam
+    if mode == "stack-3":
+        model = dk.stack_runs(model, 3)
+        model.flat += 0.3 * np.random.default_rng(5).normal(
+            size=model.flat.shape)
+        lams = np.array([0.1, lam, 3.0])
+    run = harness._RunState(cfg, 0, lams)
     run.pairs = pairgen.pair_law(family, sources[0])
+    return harness._Step(model, None, run, *data, 1), lams
 
-    def total(m, bs, tape):
-        node, _ = harness._penalty_and_total(harness._Step(m, tape, run, *bs, 1))
-        assert isinstance(node, dk.Term)
-        return node
 
-    assert dk.finite_diff_check(model, data, total, eps=1e-5) < 1e-5
+@pytest.mark.parametrize("mode", ["gd", "sgd-16", "population"])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_a_table_total_passes_finite_differences(tmp_path, kind, mode):
+    """The gradient a table kind's step trains on, `harness._table_grad`,
+    is that of the central differences of its total base + lam * pen."""
+    step, lam = _table_case(tmp_path, kind, mode)
+
+    def total() -> float:
+        _, (base, pen) = harness._table_terms(step)
+        return float(base[0] if pen is None or pen is base
+                     else base[0] + lam * pen[0])
+
+    analytic, eps, worst = harness._table_grad(step), 1e-5, 0.0
+    flat = step.model.flat
+    for j in range(flat.size):
+        keep = flat[j]
+        flat[j] = keep + eps
+        up = total()
+        flat[j] = keep - eps
+        down = total()
+        flat[j] = keep
+        fd = (up - down) / (2.0 * eps)
+        worst = max(worst, abs(analytic[j] - fd) / (abs(analytic[j]) + 1e-8))
+    assert worst < 1e-5
+
+
+def _public_terms(step, tape):
+    """The kind's (base, pen) from the public term functions on tape."""
+    m, w, kind = step.model, step.w, step.run.cfg.objective.kind
+    pairs = {"PAIR_PROB": "PROB", "PAIR_LOGIT": "LOGIT", "PAIR_FEAT": "FEAT",
+             "LAM": "LAM"}
+    if kind == "GROUP_DRO":
+        worst = ob.group_dro(m, w, tape)
+        return worst, worst
+    pen = (ob.pair_penalty(m, step.run.pairs, pairs[kind], tape)
+           if kind in pairs else
+           {"VREX": ob.vrex_penalty, "SD": harness._sd,
+            "IRM": ob.irm_penalty}.get(kind, lambda *a: None)(m, w, tape))
+    return ob.mean_domain_loss(m, w, tape), pen
+
+
+@pytest.mark.parametrize("mode", ["gd", "sgd-16", "population", "stack-3"])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_a_table_step_is_the_backward_of_the_public_terms(tmp_path, kind,
+                                                          mode):
+    """The graph-free gradient of a table step is bitwise `dk.backward` of
+    base + lam * pen built from the public term nodes (the total alone
+    where pen is none or is base)."""
+    step, lam = _table_case(tmp_path, kind, mode)
+    tape = dk.Tape(step.model)
+    base, pen = _public_terms(step, tape)
+    total = (base if pen is None or pen is base
+             else dk.add(base, dk.mul(dk.constant(lam), pen)))
+    want = dk.backward(tape, total)
+    got = harness._table_grad(step)
+    assert got.shape == step.model.flat.shape
+    assert np.array_equal(got, want)
+    pens = harness._eval_penalty(step.model, step.run, step.w, step.n)
+    assert pens == np.reshape(np.zeros(step.model.runs) if pen is None
+                              else pen.val, -1).tolist()

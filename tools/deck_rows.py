@@ -28,7 +28,8 @@ each (kind, field)'s largest relative move |a - b| / max(|a|, |b|).
 the `diffkit.Node`s made by a 1-step and a 2-step gd `run_experiment` on
 row-zoo's seed-1 family of that kind (sources d0 and d1, target d2, lambda
 0.5, seed 1), printing one `kind nodes` line per kind: the nodes of the
-second step.
+second step.  The ten table kinds (ERM, SWA, the four pair kinds, VREX,
+GROUP_DRO, SD and IRM) step on closed forms with no graph, so they read 0.
 
 Uses the standard library and numpy only; the test suite does not run it.
 """

@@ -92,16 +92,8 @@ def mul(a: Node, b: Node) -> Node:
                            _unbroadcast(g * a.val, b.val.shape)))
 
 
-def div(a: Node, b: Node) -> Node:
-    return mul(a, pow_const(b, -1.0))
-
-
 def neg(a: Node) -> Node:
     return Node(-a.val, (a,), lambda g: (-g,))
-
-
-def pow_const(a: Node, p: float) -> Node:
-    return Node(a.val ** p, (a,), lambda g: (g * (p * a.val ** (p - 1.0)),))
 
 
 def square(a: Node) -> Node:

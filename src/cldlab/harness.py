@@ -4,11 +4,13 @@ evaluation rows, verification, sweeps, and atomic result persistence."""
 from __future__ import annotations
 
 import hashlib
+import functools
 import itertools
 import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -333,196 +335,233 @@ def _minibatch(w: np.ndarray, n: np.ndarray, rng, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Objective dispatch
+# Step rules: one per objective kind
 
 
 class _RunState:
-    """Mutable per-run context threaded through the step loop."""
+    """Mutable per-run context threaded through the step loop.  The state
+    that only some kinds read, the pair table and the adversaries, is made
+    on first use from the run's config, seed and domains."""
 
-    def __init__(self, cfg: ExperimentConfig, seed: int, lam):
+    def __init__(self, cfg: ExperimentConfig, seed: int, lam, domains=None):
         self.cfg = cfg
         self.seed = seed
         self.lam = lam  # objective.lambda; one per run on a stack
-        self.pairs = None  # the pair table W[x, x~, y]
-        self.adversaries = []  # DANN: one; CDANN: one per class plus one
-        self.adv_opts = []
-        self.adv_tapes = []  # the adversaries' tapes of the latest build
-        self.swa_snapshots = []
+        self.domains = domains  # (family, sources, target); None: cfg's
+        self.snapshots = []  # the models a rule's `after` keeps (SWA)
+
+    @functools.cached_property
+    def pairs(self) -> np.ndarray:
+        """The first source's pair table W[x, x~, y]: the exact pair law in
+        population mode, else the sampled pairs' counts over n."""
+        family, sources, _ = self.domains or _resolve_domains(self.cfg)
+        cfg, s = self.cfg, family.spaces
+        if cfg.trainer.data_mode == "population":
+            return pair_law(family, sources[0], cfg.pairs.style)
+        return pair_table(sample_pairs(family, sources[0], cfg.pairs.n,
+                                       style=cfg.pairs.style,
+                                       seed=derive_seed(self.seed, "pairs")),
+                          s.n_obs, s.n_classes)
+
+    @functools.cached_property
+    def advs(self) -> list:
+        """(adversary, optimiser) pairs: DANN's one, or CDANN's one per
+        class plus one, each a model on the feature rows (the last layer's
+        width, or the embedding's with no layers) over the sources."""
+        family, sources, _ = self.domains or _resolve_domains(self.cfg)
+        cfg, s = self.cfg, family.spaces
+        labels = (["adv"] if cfg.objective.kind == "DANN"
+                  else [f"adv:{k}" for k in range(s.n_classes + 1)])
+        width = (cfg.model.widths or (dk.make_embedding(
+            cfg.model.embedding, s.n_obs).shape[1],))[-1]
+        return [(dk.init_raw_model(width, cfg.objective.extra("adv_widths"),
+                                   len(sources), seed=derive_seed(self.seed, label)),
+                 _Opt(cfg.trainer.optimizer, cfg.trainer.lr))
+                for label in labels]
 
 
 @dataclass
 class _Step:
-    """What an objective reads for one step: the run's tables, or in
-    minibatch mode the step's, and the step's tape (None for a table
-    kind, which steps with no graph)."""
+    """What a step rule reads: the model, the run, the run's tables (in
+    minibatch mode the step's) and the step number (-1 at an evaluation
+    point)."""
 
     model: dk.Model
-    tape: dk.Tape | None
     run: _RunState
     w: np.ndarray  # the sources' cell weights W[d, x, y]
     n: np.ndarray  # the rows each cell stands for, N[d, x, y]
     step: int
 
 
-# A table kind's terms are closed forms on the arrays of one forward over
-# every observation (`dk.forward_core`): TABLE_TERMS maps the step and that
-# table to (base, pen), each a (value, vjp to the table's fields) pair; pen
-# is the regularizer before lambda scales it, None for none, or base itself
-# when base is the penalty.
+class _Rule(NamedTuple):
+    """A kind's step rule: grad maps a `_Step` to the flat gradient the
+    step descends (and makes the kind's own updates, as DANN's and CDANN's
+    adversaries'); pen maps it to the penalty per run before lambda scales
+    it, or is None for a kind with none; after, if set, runs after each
+    update of the model."""
 
-def _loss_terms(c: _Step, t):
-    """Mean domain loss alone."""
-    return ob._mean_loss(c.model, t, c.w), None
-
-
-def _with(form):
-    """Mean domain loss plus form(model, table, W)."""
-    return lambda c, t: (ob._mean_loss(c.model, t, c.w), form(c.model, t, c.w))
+    grad: Callable
+    pen: Callable | None = None
+    after: Callable | None = None
 
 
-def _pair_terms(kind):
-    """Mean domain loss plus the pair term of kind on the run's pair table."""
-    return lambda c, t: (ob._mean_loss(c.model, t, c.w), ob._pair_form(
-        c.model, t, c.model.head, c.run.pairs, kind))
-
-
-def _sd_form(model, t, w):
-    """SD on the table's logits, each row weighted by its mean cell weight
-    over the sources."""
-    value, vjp = ob._sd(t["z"], w.sum(axis=-1).mean(axis=0))
-    return value, lambda g: {"z": vjp(g)}
-
-
-def _worst_terms(c: _Step, t):
-    worst = ob._worst_form(c.model, t, c.w)
-    return worst, worst
-
-
-TABLE_TERMS = {
-    "ERM": _loss_terms,
-    "SWA": _loss_terms,
-    "PAIR_PROB": _pair_terms("PROB"),
-    "PAIR_LOGIT": _pair_terms("LOGIT"),
-    "PAIR_FEAT": _pair_terms("FEAT"),
-    "LAM": _pair_terms("LAM"),
-    "VREX": _with(ob._vrex_form),
-    "GROUP_DRO": _worst_terms,
-    "SD": _with(_sd_form),
-    "IRM": _with(ob._irm_form),
-}
-
-
-def _table_terms(c: _Step):
-    """(table, (base, pen)): the forward core over every observation on
-    the step's model, W's shape checked, and the kind's `TABLE_TERMS` on
-    it."""
+def _table(c: _Step) -> dict:
+    """The forward core over every observation on the step's model, W's
+    shape checked."""
     ob._table_weights(c.model, c.w)
     # the embedding is the rows of arange(n_obs), as embed_inputs reads them
-    t = dk.forward_core(c.model.params, np.ascontiguousarray(
+    return dk.forward_core(c.model.params, np.ascontiguousarray(
         c.model.embedding, dtype=np.float64))
-    return t, TABLE_TERMS[c.run.cfg.objective.kind](c, t)
 
 
-def _table_grad(c: _Step) -> np.ndarray:
-    """The flat gradient of base + lambda pen of a table kind's step, with
-    no graph: the fields' adjoints of base at ones and of pen at lambda,
-    added field by field, through `dk.backprop_core`."""
-    t, (base, pen) = _table_terms(c)
-    g = np.ones(c.model.runs)
-    fields = base[1](g)
-    if pen is not None and pen is not base:
-        for key, adj in pen[1](c.run.lam * g).items():
-            fields[key] = fields[key] + adj if key in fields else adj
-    return dk.backprop_core(t, c.model.params, fields)[0]
+def _closed(base, pen=None) -> _Rule:
+    """The rule of a kind whose terms are closed forms on the table of one
+    forward core: base and pen map the step and that table to (value, vjp
+    to the table's fields) pairs; pen is None for none, or base itself when
+    the base is the penalty.  The step backs the fields' adjoints of base
+    at ones and of pen at lambda, added field by field, through
+    `dk.backprop_core`, with no graph."""
+    def grad(c: _Step) -> np.ndarray:
+        t = _table(c)
+        g = np.ones(c.model.runs)
+        fields = base(c, t)[1](g)
+        if pen is not None and pen is not base:
+            for key, adj in pen(c, t)[1](c.run.lam * g).items():
+                fields[key] = fields[key] + adj if key in fields else adj
+        return dk.backprop_core(t, c.model.params, fields)[0]
+    return _Rule(grad, None if pen is None else lambda c: pen(c, _table(c))[0])
 
 
-# An objective builder maps a _Step to (base, pen) nodes on its tape: pen
-# is the regularizer before lambda scales it, or None.
+def _form(form):
+    """form(model, table, W) of the step."""
+    return lambda c, t: form(c.model, t, c.w)
 
-def _loss(c: _Step):
-    return ob.mean_domain_loss(c.model, c.w, c.tape)
+
+def _pair(kind):
+    """The pair term of kind on the run's pair table."""
+    return lambda c, t: ob._pair_form(c.model, t, c.model.head, c.run.pairs,
+                                      kind)
+
+
+def _traced(base, pen=None) -> _Rule:
+    """The rule of base + lambda pen as nodes on a fresh tape of the step's
+    model: base and pen map the step and the tape to nodes, pen None for
+    none; the step descends `dk.backward` of the total."""
+    def grad(c: _Step) -> np.ndarray:
+        tape = dk.Tape(c.model)
+        total = base(c, tape)
+        if pen is not None:
+            p = pen(c, tape)
+            total = dk.add(total, dk.mul(dk.constant(c.run.lam), p))
+        return dk.backward(tape, total)
+    return _Rule(grad, None if pen is None else
+                 lambda c: pen(c, dk.Tape(c.model)).val)
 
 
 def _cells(penalty):
-    """Mean domain loss plus penalty(model, weight table, tape)."""
-    return lambda c: (_loss(c), penalty(c.model, c.w, c.tape))
+    """penalty(model, weight table, tape)."""
+    return lambda c, tape: penalty(c.model, c.w, tape)
 
 
 def _features(penalty):
-    """Mean domain loss plus penalty(H, W.sum(y), N.sum(y), objective) on
-    the observation table's one feature matrix (exact for W = N / n)."""
-    def build(c: _Step):
-        table, w = ob._domain_tables(c.model, c.w, c.tape)
-        return _loss(c), penalty(table.h, w.sum(axis=-1), c.n.sum(axis=-1),
-                                 c.run.cfg.objective)
+    """penalty(H, W.sum(y), N.sum(y), objective) on the observation table's
+    one feature matrix (exact for W = N / n)."""
+    def build(c: _Step, tape) -> dk.Node:
+        table, w = ob._domain_tables(c.model, c.w, tape)
+        return penalty(table.h, w.sum(axis=-1), c.n.sum(axis=-1),
+                       c.run.cfg.objective)
     return build
 
 
-def _adversarial(losses):
-    """Label loss plus the adversaries' domain loss, on fresh adversary tapes
-    that the step loop then trains the adversaries on."""
-    def build(c: _Step):
-        c.run.adv_tapes = [dk.Tape(a) for a in c.run.adversaries]
-        label_loss, adv_loss, _, _ = losses(c)
-        return label_loss, adv_loss
-    return build
+def _rsc(c: _Step, tape) -> dk.Node:
+    """The mean of the sources' losses on their masked features."""
+    losses, _, _ = ob.rsc_losses(c.model, c.w,
+                                 c.run.cfg.objective.extra("q"), tape)
+    return dk.nmean(losses)
 
 
-def _sd(model, sources, tape):
-    """`_sd_form` as one node on the tape's observation table."""
-    return ob._on_table(_sd_form, model, sources, tape)
-
-
-def _mixup(c: _Step):
+def _mixup(c: _Step, tape) -> dk.Node:
     """Each source's rows, expanded from N's nonzero cells, mixed."""
     alpha = c.run.cfg.objective.extra("alpha")
     cells = [(sid, *ob._nonzero_cells(nd)) for sid, nd in zip(c.run.cfg.sources, c.n)]
     mixed = [ob.mixup(c.model, DomainBatch(sid, xs, ys, counts=reps), alpha,
                       derive_seed(c.run.seed, f"mixup:{c.step}:{sid}"))
              for sid, xs, ys, reps in cells]
-    return ob.mixup_loss(c.model, mixed, c.tape), None
+    return ob.mixup_loss(c.model, mixed, tape)
 
 
-def _rsc(c: _Step):
-    losses, _, _ = ob.rsc_losses(c.model, c.w,
-                                 c.run.cfg.objective.extra("q"), c.tape)
-    return dk.nmean(losses), None
+def _adversarial(losses) -> _Rule:
+    """Label loss plus lambda times the adversaries' domain loss, from
+    losses(step, tape) = (label loss, adversary loss, tape, the adversary
+    tapes: DANN's one, CDANN's list); the step also trains each adversary
+    on its own tape."""
+    def grad(c: _Step) -> np.ndarray:
+        tape = dk.Tape(c.model)
+        label, adv, _, adv_tapes = losses(c, tape)
+        grads = dk.backward(tape, dk.add(label, dk.mul(dk.constant(c.run.lam),
+                                                       adv)))
+        if not isinstance(adv_tapes, list):  # DANN's one adversary's
+            adv_tapes = [adv_tapes]
+        for (adversary, opt), adv_tape in zip(c.run.advs, adv_tapes):
+            opt.step(adversary, dk.backward(adv_tape, adv))
+        return grads
+    return _Rule(grad, lambda c: losses(c, dk.Tape(c.model))[1].val)
 
 
-# The kinds outside TABLE_TERMS train on these builders' nodes, and SD's
-# entry gives its TABLE_TERMS as nodes.  AND_MASK trains on masked domain
-# gradients (see _train); its entry supplies the base loss only.
-OBJECTIVE_BUILDERS = {
-    "SD": _cells(_sd),
-    "AND_MASK": lambda c: (_loss(c), None),
-    "FISH": _cells(ob.fish_penalty),
-    "IGA": _cells(ob.iga_penalty),
-    "FISHR": _cells(ob.fishr_penalty),
-    "CORAL": _features(lambda f, w, m, obj: ob._coral(f, w, m)),
-    "MMD": _features(lambda f, w, m, obj: ob._mmd(
-        f, w, m, obj.extra("bandwidth")).node),
-    "DANN": _adversarial(lambda c: ob.dann_losses(
-        c.model, c.run.adversaries[0], c.w, c.tape, c.run.adv_tapes[0])),
-    "CDANN": _adversarial(lambda c: ob.cdann_losses(
-        c.model, c.run.adversaries, c.w, c.tape, c.run.adv_tapes)),
-    "MIXUP": _mixup,
-    "RSC": _rsc,
+def _swa_snapshot(c: _Step) -> None:
+    """Keep a copy of the model every `every` steps after `burn_in` steps
+    (by default a twentieth of the steps, after half of them)."""
+    steps, extra = c.run.cfg.trainer.steps, c.run.cfg.objective.extra
+    burn_in = steps // 2 if extra("burn_in") is None else extra("burn_in")
+    every = max(1, steps // 20 if extra("every") is None else extra("every"))
+    if c.step > burn_in and (c.step - burn_in) % every == 0:
+        c.run.snapshots.append(c.model.clone())
+
+
+_loss = _cells(ob.mean_domain_loss)
+_loss_form = _form(ob._mean_loss)
+_worst_loss = _form(ob._worst_form)
+
+# One step rule per objective kind.  The ten kinds whose terms read only
+# the observation table step on closed forms with no graph (`_closed`);
+# the others build nodes on a tape (`_traced`, `_adversarial`), except
+# AND_MASK, which masks closed-form domain gradients.
+STEPS = {
+    "ERM": _closed(_loss_form),
+    "PAIR_PROB": _closed(_loss_form, _pair("PROB")),
+    "PAIR_LOGIT": _closed(_loss_form, _pair("LOGIT")),
+    "PAIR_FEAT": _closed(_loss_form, _pair("FEAT")),
+    "LAM": _closed(_loss_form, _pair("LAM")),
+    "VREX": _closed(_loss_form, _form(ob._vrex_form)),
+    "GROUP_DRO": _closed(_worst_loss, _worst_loss),
+    "FISH": _traced(_loss, _cells(ob.fish_penalty)),
+    "IGA": _traced(_loss, _cells(ob.iga_penalty)),
+    "AND_MASK": _Rule(lambda c: ob.and_mask(  # closed-form domain gradients
+        ob._domain_grads(c.model, c.w).val, c.run.cfg.objective.extra("tau"))),
+    "FISHR": _traced(_loss, _cells(ob.fishr_penalty)),
+    "IRM": _closed(_loss_form, _form(ob._irm_form)),
+    "SD": _closed(_loss_form, _form(ob._sd_form)),
+    "RSC": _traced(_rsc),
+    "CORAL": _traced(_loss, _features(lambda f, w, m, obj: ob._coral(f, w, m))),
+    "MMD": _traced(_loss, _features(lambda f, w, m, obj: ob._mmd(
+        f, w, m, obj.extra("bandwidth")).node)),
+    "DANN": _adversarial(lambda c, tape: ob.dann_losses(
+        c.model, c.run.advs[0][0], c.w, tape)),
+    "CDANN": _adversarial(lambda c, tape: ob.cdann_losses(
+        c.model, [a for a, _ in c.run.advs], c.w, tape)),
+    "MIXUP": _traced(_mixup),
+    "SWA": _closed(_loss_form)._replace(after=_swa_snapshot),
 }
 
 
 def _eval_penalty(model, run: _RunState, w: np.ndarray, n: np.ndarray) -> list:
-    """Raw penalty value at the current parameters (no training side
-    effects), one per run: a stack's runs from one build of its terms."""
-    kind = run.cfg.objective.kind
-    if kind in TABLE_TERMS:
-        _, (_, pen) = _table_terms(_Step(model, None, run, w, n, -1))
-        value = None if pen is None else pen[0]
-    else:
-        _, pen = OBJECTIVE_BUILDERS[kind](
-            _Step(model, dk.Tape(model), run, w, n, -1))
-        value = None if pen is None else pen.val
-    return np.reshape(np.zeros(model.runs) if value is None else value,
-                      -1).tolist()
+    """The kind's penalty at the current parameters, one per run, with no
+    training side effects: a stack's runs from one evaluation of its rule's
+    pen, and 0 with nothing built for a kind with none."""
+    pen = STEPS[run.cfg.objective.kind].pen
+    value = (np.zeros(model.runs) if pen is None
+             else pen(_Step(model, run, w, n, -1)))
+    return np.reshape(value, -1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +579,6 @@ class _Opt:
             dk.adam_step(model, self.adam, grads, lr=self.lr)
         else:
             dk.sgd_step(model, grads, lr=self.lr)
-
-
-def _swa_schedule(cfg: ExperimentConfig) -> tuple[int, int]:
-    """(burn-in steps, snapshot interval) of an SWA run."""
-    steps = cfg.trainer.steps
-    burn_in, every = (cfg.objective.extra(k) for k in ("burn_in", "every"))
-    return (steps // 2 if burn_in is None else burn_in,
-            max(1, steps // 20 if every is None else every))
 
 
 def _head_only(model, grads: np.ndarray) -> np.ndarray:
@@ -668,9 +699,10 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
     objective.lambda and which share seed and domains: one run with no run
     axis, several as one stack on a leading run axis that shares init,
     data, pairs and minibatch draws.  Returns each run's result rows and
-    final model.  An evaluation point builds the penalty terms once and
-    runs one forward over every observation, for all runs of a stack; each
-    run's rows read its own slice of both."""
+    final model.  A step is the kind's rule (`STEPS`).  An evaluation point
+    takes the rule's penalty once and runs one forward over every
+    observation, for all runs of a stack; each run's rows read its own
+    slice of both."""
     cfg, seed = plans[0].cfg, plans[0].seed
     family, sources, target = plans[0].domains
     s = family.spaces
@@ -682,36 +714,15 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
         model = dk.stack_runs(model, len(plans))
         lam = np.array([p.cfg.objective.lam for p in plans])
     w, n = _train_batches(family, sources, cfg, seed)
-    kind = cfg.objective.kind
-
-    run = _RunState(cfg, seed, lam)
-    if kind in PAIR_KINDS:  # the first source's pair table: the exact pair
-        # law in population mode, else the sampled pairs' counts over n
-        run.pairs = (pair_law(family, sources[0], cfg.pairs.style)
-                     if cfg.trainer.data_mode == "population" else pair_table(
-                         sample_pairs(family, sources[0], cfg.pairs.n,
-                                      style=cfg.pairs.style,
-                                      seed=derive_seed(seed, "pairs")),
-                         s.n_obs, s.n_classes))
-    if kind in ("DANN", "CDANN"):
-        labels = (["adv"] if kind == "DANN"
-                  else [f"adv:{k}" for k in range(s.n_classes + 1)])
-        widths = cfg.objective.extra("adv_widths")
-        run.adversaries = [
-            dk.init_raw_model(model.u_count, widths, len(sources),
-                              seed=derive_seed(seed, label))
-            for label in labels]
-        run.adv_opts = [_Opt(cfg.trainer.optimizer, cfg.trainer.lr)
-                        for _ in labels]
-
+    rule = STEPS[cfg.objective.kind]
+    run = _RunState(cfg, seed, lam, plans[0].domains)
     opt = _Opt(cfg.trainer.optimizer, cfg.trainer.lr)
     order_rng = substream(seed, "data")
-    swa = _swa_schedule(cfg) if kind == "SWA" else None
     rows: list = [[] for _ in plans]
     named = [(p.cfg, p.run_id, p.chash) for p in plans]
 
     def evaluate(m: dk.Model, step: int) -> None:
-        # one penalty build and one forward for all the runs of a stack
+        # one penalty and one forward for all the runs of a stack
         pens = _eval_penalty(m, run, w, n)
         for out, new in zip(rows, _eval_rows(m, family, named, sources,
                                              target, step, seed, pens)):
@@ -720,38 +731,23 @@ def _train(plans: list[_Plan]) -> list[tuple[list, dk.Model]]:
     for step in range(1, cfg.trainer.steps + 1):
         tables = ((w, n) if cfg.trainer.batch_size is None
                   else _minibatch(w, n, order_rng, cfg.trainer.batch_size))
+        c = _Step(model, run, *tables, step)
         try:
-            if kind in TABLE_TERMS:  # closed forms on the arrays, no graph
-                grads = _table_grad(_Step(model, None, run, *tables, step))
-            elif kind == "AND_MASK":  # closed-form domain gradients
-                grads = ob.and_mask(ob._domain_grads(model, tables[0]).val,
-                                    cfg.objective.extra("tau"))
-            else:
-                c = _Step(model, dk.Tape(model), run, *tables, step)
-                base, pen = OBJECTIVE_BUILDERS[kind](c)
-                total = base if pen is None else dk.add(
-                    base, dk.mul(dk.constant(run.lam), pen))
-                grads = dk.backward(c.tape, total)
-                for adv, adv_tape, adv_opt in zip(run.adversaries,
-                                                  run.adv_tapes, run.adv_opts):
-                    adv_opt.step(adv, dk.backward(adv_tape, pen))
-
+            grads = rule.grad(c)
             if step <= cfg.trainer.head_only_steps:
                 grads = _head_only(model, grads)
             opt.step(model, grads)
         except NonFiniteActivation as exc:
             raise NonFiniteActivation(f"step {step}: {exc}") from exc
-
-        if swa and step > swa[0] and (step - swa[0]) % swa[1] == 0:
-            run.swa_snapshots.append(model.clone())
+        if rule.after is not None:
+            rule.after(c)
 
         if cfg.trainer.eval_every and step % cfg.trainer.eval_every == 0 \
                 and step < cfg.trainer.steps:
             evaluate(model, step)
 
-    final_model = model
-    if kind == "SWA" and len(run.swa_snapshots) >= 2:
-        final_model = ob.swa_average(run.swa_snapshots)
+    final_model = (ob.swa_average(run.snapshots) if len(run.snapshots) >= 2
+                   else model)
     evaluate(final_model, cfg.trainer.steps)
     finals = ([final_model.run(r) for r in range(len(plans))]
               if final_model.runs else [final_model])

@@ -38,9 +38,9 @@ Conventions fixed here once:
   * the terms that read only the table (the soft NLL behind every loss,
     the four pair kinds, V-REx, GroupDRO, SD and IRM) are closed forms on
     the forward's arrays (`_mean_loss`, `_pair_form`, `_vrex_form`,
-    `_worst_form`, `_irm_form`): the harness steps on them with no graph,
-    and each is one node on a tape (`diffkit.ObsTable.term`); they reduce
-    over trailing or domain axes only, so on a stack of runs
+    `_worst_form`, `_irm_form`, `_sd_form`): the harness steps on them with
+    no graph, and each is one node on a tape (`diffkit.ObsTable.term`);
+    they reduce over trailing or domain axes only, so on a stack of runs
     (`diffkit.stack_runs`) they give one entry per run.
 """
 
@@ -776,6 +776,13 @@ def _sd(z: np.ndarray, weights: np.ndarray):
     return ((z * z).sum(axis=-1) * weights).sum(axis=-1), vjp
 
 
+def _sd_form(model: Model, vals: dict, w: np.ndarray):
+    """The closed form of SD on a table's logits, each row weighted by its
+    mean cell weight over the sources."""
+    value, vjp = _sd(vals["z"], w.sum(axis=-1).mean(axis=0))
+    return value, lambda g: {"z": vjp(g)}
+
+
 def sd_penalty(logits: Node, weights: np.ndarray | None = None) -> Node:
     """Mean squared logit norm over the batch, or its weighted sum."""
     n = logits.val.shape[-2]
@@ -963,7 +970,8 @@ def _mmd(f: Node, w: np.ndarray, m: np.ndarray,
         h = (dk.constant(float(bandwidth)) if bandwidth is not None
              else median_bandwidth(dmat, m[a] + m[b]))
         bw_used = float(h.val)
-        kmat = dk.exp(dk.div(dmat, dk.neg(h)))
+        kmat = dk.exp(dk.mul(dmat, _applied(lambda v: (  # 1 / -h
+            v ** -1.0, lambda g: g * (-1.0 * v ** -2.0)), dk.neg(h))))
         # side's columns are the pair's weights, so side^T K side holds
         # [[wa K wa, wa K wb], [wb K wa, wb K wb]]
         side = dk.constant(w[[a, b]].T)

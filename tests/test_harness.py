@@ -996,8 +996,43 @@ TABLE_KINDS = ["ERM", "SWA", "PAIR_PROB", "PAIR_LOGIT", "PAIR_FEAT", "LAM",
                "VREX", "GROUP_DRO", "SD", "IRM"]
 
 
-def test_the_table_kinds_are_the_kinds_with_closed_forms():
-    assert sorted(harness.TABLE_TERMS) == sorted(TABLE_KINDS)
+def test_every_kind_has_exactly_one_step_rule():
+    """`harness.STEPS` holds each kind of `objectives.KINDS` once and names
+    no other kind."""
+    assert len(set(KINDS)) == len(KINDS) == len(harness.STEPS)
+    assert sorted(harness.STEPS) == sorted(KINDS)
+
+
+def test_the_table_kinds_are_the_kinds_with_closed_forms(tmp_path,
+                                                         monkeypatch):
+    """The kinds whose step rule builds no graph are the table kinds."""
+    graph_free = []
+    for kind in KINDS:
+        step, _ = _table_case(tmp_path / kind, kind, "gd")
+        if _nodes(monkeypatch, lambda: harness.STEPS[kind].grad(step)) == 0:
+            graph_free.append(kind)
+    assert sorted(graph_free) == sorted(TABLE_KINDS)
+
+
+@pytest.mark.parametrize("kind", ["AND_MASK", "RSC", "MIXUP"])
+def test_a_kind_with_no_penalty_builds_nothing_to_evaluate(tmp_path,
+                                                           monkeypatch, kind):
+    """A kind with no penalty logs 0 with nothing built: the final
+    evaluation makes one forward, the tabulating one."""
+    real_core, real_eval = dk.forward_core, harness._eval_penalty
+    cores, at_eval = [], []
+    monkeypatch.setattr(dk, "forward_core", lambda *a, **k: cores.append(1)
+                        or real_core(*a, **k))
+    monkeypatch.setattr(harness, "_eval_penalty", lambda *a: at_eval.append(
+        len(cores)) or real_eval(*a))
+    doc = base_doc(tmp_path, source=["source", "target"],
+                   objective={"kind": kind, "lambda": 0.5},
+                   trainer={"lr": 0.1, "steps": 1, "train_n": 40, "seed": 2},
+                   eval={"ci_pairs": 0})
+    rec = harness.run_experiment(harness.config_from_dict(doc))
+    assert len(at_eval) == 1
+    assert len(cores) - at_eval[0] == 1
+    assert {r["penalty_value"] for r in rec.rows} == {0.0}
 
 
 def _forward_calls(monkeypatch, doc, steps, out):
@@ -1111,9 +1146,10 @@ def test_a_table_step_backs_up_through_the_forward_alone(tmp_path,
                 harness.config_from_dict(doc))))
         assert counts[0] > 0  # the final evaluation's tabulating forward
         assert counts[1] == counts[0]
-        # two steps, then the evaluation's penalty and tabulating forward
-        assert len(tables) == 4 and [id(t) for t in backs] == [
-            id(t) for t in tables[:2]]
+        # two steps, then the evaluation's penalty (none for ERM and SWA)
+        # and tabulating forward
+        assert len(tables) == (3 if kind in ("ERM", "SWA") else 4)
+        assert [id(t) for t in backs] == [id(t) for t in tables[:2]]
 
 
 def _table_case(tmp_path, kind, mode, lam=0.7):
@@ -1140,22 +1176,23 @@ def _table_case(tmp_path, kind, mode, lam=0.7):
         lams = np.array([0.1, lam, 3.0])
     run = harness._RunState(cfg, 0, lams)
     run.pairs = pairgen.pair_law(family, sources[0])
-    return harness._Step(model, None, run, *data, 1), lams
+    return harness._Step(model, run, *data, 1), lams
 
 
 @pytest.mark.parametrize("mode", ["gd", "sgd-16", "population"])
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_a_table_total_passes_finite_differences(tmp_path, kind, mode):
-    """The gradient a table kind's step trains on, `harness._table_grad`,
-    is that of the central differences of its total base + lam * pen."""
+    """The gradient a table kind's step trains on, its rule's grad, is
+    that of the central differences of its total base + lam * pen, built
+    from the public term nodes (`_public_terms`)."""
     step, lam = _table_case(tmp_path, kind, mode)
 
     def total() -> float:
-        _, (base, pen) = harness._table_terms(step)
-        return float(base[0] if pen is None or pen is base
-                     else base[0] + lam * pen[0])
+        base, pen = _public_terms(step, dk.Tape(step.model))
+        return float(base.val if pen is None or pen is base
+                     else base.val + lam * pen.val)
 
-    analytic, eps, worst = harness._table_grad(step), 1e-5, 0.0
+    analytic, eps, worst = harness.STEPS[kind].grad(step), 1e-5, 0.0
     flat = step.model.flat
     for j in range(flat.size):
         keep = flat[j]
@@ -1179,7 +1216,8 @@ def _public_terms(step, tape):
         return worst, worst
     pen = (ob.pair_penalty(m, step.run.pairs, pairs[kind], tape)
            if kind in pairs else
-           {"VREX": ob.vrex_penalty, "SD": harness._sd,
+           {"VREX": ob.vrex_penalty,
+            "SD": lambda *a: ob._on_table(ob._sd_form, *a),
             "IRM": ob.irm_penalty}.get(kind, lambda *a: None)(m, w, tape))
     return ob.mean_domain_loss(m, w, tape), pen
 
@@ -1197,7 +1235,7 @@ def test_a_table_step_is_the_backward_of_the_public_terms(tmp_path, kind,
     total = (base if pen is None or pen is base
              else dk.add(base, dk.mul(dk.constant(lam), pen)))
     want = dk.backward(tape, total)
-    got = harness._table_grad(step)
+    got = harness.STEPS[kind].grad(step)
     assert got.shape == step.model.flat.shape
     assert np.array_equal(got, want)
     pens = harness._eval_penalty(step.model, step.run, step.w, step.n)

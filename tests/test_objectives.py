@@ -1053,7 +1053,7 @@ def _built_nodes(build) -> int:
 DOMAIN_TERMS = {
     "VREX": lambda m, bs, t: ob.vrex_penalty(m, bs, t),
     "GROUP_DRO": lambda m, bs, t: ob.group_dro(m, bs, t),
-    "SD": lambda m, bs, t: harness._sd(m, bs, t),
+    "SD": lambda m, bs, t: ob._on_table(ob._sd_form, m, bs, t),
     "RSC": lambda m, bs, t: ob.rsc_losses(m, bs, 0.33, t)[0],
     "FISH": lambda m, bs, t: ob.fish_penalty(m, bs, t),
     "IGA": lambda m, bs, t: ob.iga_penalty(m, bs, t),
@@ -1124,22 +1124,28 @@ def _per_batch_form(kind, model, bs, tape):
     for mode in ("gd", "sgd", "population")
     if not (kind == "MMD" and mode == "population")])  # a sample estimator
 def test_table_builders_give_the_per_batch_values(kind, mode):
-    """The harness builders of SD, RSC, CORAL and MMD read the whole
+    """The harness step rules of SD, RSC, CORAL and MMD read the whole
     observation table with the step's W (RSC: from one masked forward), and
-    give the penalty (RSC: the base loss) and parameter gradient of the
-    same functions on each batch's own forward, within 1e-12 relative."""
+    give the penalty (RSC: the base loss, `harness._rsc`) and the step's
+    parameter gradient (the mean loss plus the penalty at lambda 1; RSC:
+    the base loss alone) of the same functions on each batch's own
+    forward, within 1e-12 relative."""
     model, bs = _domain_case(mode)
     cfg = harness.ExperimentConfig("CANON-D", ("a", "b", "c"), "c",
                                    ob.ObjectiveConfig(kind, 1.0))
-    tape = dk.Tape(model)
-    base, pen = harness.OBJECTIVE_BUILDERS[kind](harness._Step(
-        model, tape, harness._RunState(cfg, 0, 1.0), *_tables(model, bs), 1))
-    got = base if kind == "RSC" else pen
+    step = harness._Step(model, harness._RunState(cfg, 0, 1.0),
+                         *_tables(model, bs), 1)
+    rule = harness.STEPS[kind]
+    got = (harness._rsc(step, dk.Tape(model)).val if kind == "RSC"
+           else rule.pen(step))
     direct_tape = dk.Tape(model)
     want = _per_batch_form(kind, model, bs, direct_tape)
-    assert float(got.val) == pytest.approx(float(want.val), rel=1e-12, abs=0)
+    assert float(got) == pytest.approx(float(want.val), rel=1e-12, abs=0)
+    if kind != "RSC":
+        want = dk.add(dk.nmean(dk.stack_list(
+            [ob.erm_loss(model, b, direct_tape) for b in bs])), want)
     g_want = dk.backward(direct_tape, want)
-    np.testing.assert_allclose(dk.backward(tape, got), g_want, rtol=1e-12,
+    np.testing.assert_allclose(rule.grad(step), g_want, rtol=1e-12,
                                atol=1e-12 * np.abs(g_want).max())
 
 
@@ -1277,19 +1283,16 @@ def test_a_minibatch_drawn_on_the_tables_is_the_cell_batch_draw(seed, k):
 
 
 def test_coral_builds_the_same_graph_for_any_domain_count():
-    """The CORAL builder takes every source's moments in one pass over the
+    """CORAL's penalty takes every source's moments in one pass over the
     table's H, so its graph does not grow with the number of sources."""
     counts = []
     for n_domains in (2, 3):
         model, bs = _domain_case("population", n_domains)
-        tape = dk.Tape(model)
-        dk.obs_rows(model, np.arange(model.embedding.shape[0]), tape)
         cfg = harness.ExperimentConfig("CANON-D", ("a", "b", "c"), "c",
                                        ob.ObjectiveConfig("CORAL", 1.0))
-        step = harness._Step(model, tape, harness._RunState(cfg, 0, 1.0),
+        step = harness._Step(model, harness._RunState(cfg, 0, 1.0),
                              *_tables(model, bs), 1)
-        counts.append(_built_nodes(
-            lambda: harness.OBJECTIVE_BUILDERS["CORAL"](step)))
+        counts.append(_built_nodes(lambda: harness.STEPS["CORAL"].pen(step)))
     assert counts[0] == counts[1]
 
 
@@ -1389,7 +1392,7 @@ TABLE_TERMS = {
                  l, dk.nmean(l, axis=0))), axis=0))(_ref_losses(m, bs, t))),
     "GROUP_DRO": (lambda m, bs, t: ob.group_dro(m, bs, t),
                   lambda m, bs, t: _ref_worst(_ref_losses(m, bs, t))),
-    "SD": (lambda m, bs, t: harness._sd(m, bs, t), _ref_sd),
+    "SD": (lambda m, bs, t: ob._on_table(ob._sd_form, m, bs, t), _ref_sd),
     "IRM": (lambda m, bs, t: ob.irm_penalty(m, bs, t), _ref_irm),
 }
 

@@ -22,7 +22,9 @@ error is written next to it.
 
 `compare` counts the files that are byte-identical in A and B, lists the
 files found on one side only, and prints, over the run CSVs that differ,
-each (kind, field)'s largest relative move |a - b| / max(|a|, |b|).
+each (kind, field)'s largest relative move |a - b| / max(|a|, |b|).  It
+exits 0 when the decks are byte-identical and 1 when a shared file differs
+or a file is on one side only, so the row gate can be scripted.
 
 `nodes` imports CHECKOUT as `run` does and, for each objective kind, counts
 the `diffkit.Node`s made by a 1-step and a 2-step gd `run_experiment` on
@@ -126,7 +128,9 @@ def _rel(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def compare(a: str, b: str) -> None:
+def compare(a: str, b: str) -> bool:
+    """Print the comparison of decks A and B; True if they are
+    byte-identical."""
     fa, fb = _files(a), _files(b)
     both = sorted(fa & fb)
     differ = []
@@ -163,6 +167,7 @@ def compare(a: str, b: str) -> None:
         print("largest relative move per (kind, field) over differing run CSVs:")
         for (kind, field), move in sorted(moves.items()):
             print(f"  {kind:10s} {field:14s} {move:.3g}")
+    return not differ and fa == fb
 
 
 def nodes(checkout: str) -> None:
@@ -216,8 +221,8 @@ def main(argv=None) -> int:
         run(args.checkout, args.out)
     elif args.cmd == "nodes":
         nodes(args.checkout)
-    else:
-        compare(args.a, args.b)
+    elif not compare(args.a, args.b):
+        return 1
     return 0
 
 
